@@ -34,6 +34,7 @@ from .tagscheme import (
     repair_bio,
 )
 from .training import (
+    CONFIG_TYPES,
     CheckpointError,
     NonFiniteError,
     TrainConfig,
@@ -74,7 +75,8 @@ def _str2bool(value: str) -> bool:
     raise UsageError(f"expected a boolean, got {value!r}")
 
 
-# configurable settings: name -> (converter, default)
+# configurable settings: name -> (converter, default); the training fields
+# and their defaults come from TrainConfig
 _SETTINGS = {
     "train_file": (str, None),
     "dev_file": (str, None),
@@ -84,23 +86,13 @@ _SETTINGS = {
     "checkpoint": (str, None),
     "embeddings": (str, None),
     "output": (str, None),
-    "arch": (str, "crf"),
-    "epochs": (int, 10),
-    "dropout": (float, 0.3),
-    "lr_min": (float, 1e-6),
-    "lr_max": (float, 1e-4),
-    "hidden": (int, 256),
-    "fc_size": (int, 512),
-    "seed": (int, 0),
     "constrained": (_str2bool, False),
     "repair": (str, None),
     "token_col": (int, 0),
     "tag_col": (int, -1),
     "format": (str, "text"),
     "types": (str, ",".join(DEFAULT_ENTITY_TYPES)),
-    "dim": (int, 64),
-    "cycle_length": (int, None),
-    "min_count": (int, 1),
+    **{name: (cast, getattr(TrainConfig(), name)) for name, cast in CONFIG_TYPES.items()},
 }
 
 
@@ -246,12 +238,7 @@ def cmd_train(settings: Settings) -> int:
         combined = Corpus(train_corpus.sentences + dev_corpus.sentences, voc)
         embeddings = _load_embedding_file(settings.embeddings, combined)
 
-    config = TrainConfig(
-        arch=settings.arch, epochs=settings.epochs, dropout=settings.dropout,
-        hidden=settings.hidden, fc_size=settings.fc_size, lr_min=settings.lr_min,
-        lr_max=settings.lr_max, cycle_length=settings.cycle_length, seed=settings.seed,
-        min_count=settings.min_count, dim=settings.dim,
-    )
+    config = TrainConfig(**{name: getattr(settings, name) for name in CONFIG_TYPES})
 
     log_path = settings.checkpoint + ".log"
     handler = logging.FileHandler(log_path, mode="w", encoding="utf-8")

@@ -230,9 +230,12 @@ def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "dim":
                 raise EmbeddingError(f"line {lineno}: expected 'dim <d>' header, got {line!r}")
-            dim = int(parts[1])
+            try:
+                dim = int(parts[1])
+            except ValueError:
+                dim = 0
             if dim < 1:
-                raise EmbeddingError(f"line {lineno}: bad dimension {dim}")
+                raise EmbeddingError(f"line {lineno}: bad dimension {parts[1]!r}")
             continue
         if line.startswith("# id "):
             flush(lineno)
@@ -244,7 +247,10 @@ def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
             continue
         if sid is None:
             raise EmbeddingError(f"line {lineno}: row outside a sentence block")
-        values = [float(v) for v in line.split()]
+        try:
+            values = [float(v) for v in line.split()]
+        except ValueError:
+            raise EmbeddingError(f"line {lineno}: non-numeric embedding value in {line!r}") from None
         if len(values) != dim:
             raise EmbeddingError(f"line {lineno}: {len(values)} values, header says dim {dim}")
         if not all(np.isfinite(values)):

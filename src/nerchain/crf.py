@@ -101,15 +101,21 @@ def sequence_score(P: np.ndarray, A: TransitionMatrix, y) -> float:
     return float(score + A.values[y[n - 1], A.stop])
 
 
+def _forward(P: np.ndarray, A: TransitionMatrix):
+    """Forward algorithm on checked input: log_alpha (n, k) and log Z."""
+    n, k = P.shape
+    trans = A.values[:k, :k]
+    log_alpha = np.empty((n, k))
+    log_alpha[0] = A.values[A.start, :k] + P[0]
+    for t in range(1, n):
+        log_alpha[t] = logsumexp(log_alpha[t - 1][:, None] + trans, axis=0) + P[t]
+    return log_alpha, logsumexp(log_alpha[n - 1] + A.values[:k, A.stop])
+
+
 def log_partition(P: np.ndarray, A: TransitionMatrix) -> float:
     """log sum over all k^n paths of exp(sequence_score), by the forward algorithm."""
     P, _ = _check(P, A)
-    k = A.k
-    trans = A.values[:k, :k]
-    alpha = A.values[A.start, :k] + P[0]
-    for t in range(1, P.shape[0]):
-        alpha = logsumexp(alpha[:, None] + trans, axis=0) + P[t]
-    return logsumexp(alpha + A.values[:k, A.stop])
+    return _forward(P, A)[1]
 
 
 def log_likelihood(P: np.ndarray, A: TransitionMatrix, y) -> float:
@@ -125,24 +131,21 @@ class Marginals:
     edge[i, j, j']  = p(y_i = j, y_{i+1} = j'), shape (n-1, k, k)
     start_edge[j]   = p(START -> j at position 0)  (equals node[0])
     stop_edge[j]    = p(j -> STOP at position n-1) (equals node[n-1])
+    log_z           = log_partition, from the same forward pass
     """
 
     node: np.ndarray
     edge: np.ndarray
     start_edge: np.ndarray
     stop_edge: np.ndarray
+    log_z: float
 
 
 def forward_backward(P: np.ndarray, A: TransitionMatrix) -> Marginals:
     P, _ = _check(P, A)
     n, k = P.shape
     trans = A.values[:k, :k]
-
-    log_alpha = np.empty((n, k))
-    log_alpha[0] = A.values[A.start, :k] + P[0]
-    for t in range(1, n):
-        log_alpha[t] = logsumexp(log_alpha[t - 1][:, None] + trans, axis=0) + P[t]
-    log_z = logsumexp(log_alpha[n - 1] + A.values[:k, A.stop])
+    log_alpha, log_z = _forward(P, A)
 
     log_beta = np.empty((n, k))
     log_beta[n - 1] = A.values[:k, A.stop]
@@ -155,11 +158,12 @@ def forward_backward(P: np.ndarray, A: TransitionMatrix) -> Marginals:
         edge[t] = np.exp(
             log_alpha[t][:, None] + trans + (P[t + 1] + log_beta[t + 1])[None, :] - log_z
         )
-    return Marginals(node, edge, node[0].copy(), node[n - 1].copy())
+    return Marginals(node, edge, node[0].copy(), node[n - 1].copy(), log_z)
 
 
 def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
-    """Exact gradients of -log_likelihood wrt P and A.
+    """-log_likelihood and its exact gradients wrt P and A, as (nll, dP, dA),
+    from a single forward-backward pass.
 
     dP[i, j] = p(y_i = j) - 1[gold_i = j]; dA accumulates expected minus
     observed transition counts, START/STOP edges included. The pinned
@@ -168,6 +172,7 @@ def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
     P, y = _check(P, A, y)
     n, k = P.shape
     marg = forward_backward(P, A)
+    nll = -(sequence_score(P, A, y) - marg.log_z)  # as -log_likelihood, to the bit
 
     dP = marg.node.copy()
     dP[np.arange(n), y] -= 1.0
@@ -181,7 +186,7 @@ def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
     for t in range(1, n):
         dA[y[t - 1], y[t]] -= 1.0
     dA[y[n - 1], A.stop] -= 1.0
-    return dP, dA
+    return nll, dP, dA
 
 
 def viterbi_decode(P: np.ndarray, A: TransitionMatrix, mask: np.ndarray | None = None):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conll_io import EmbeddingError, EmbeddingSet, Sentence, TokenVocabulary
-from .crf import SENTINEL
+from .crf import pin_boundary
 
 ARCHITECTURES = ("crf", "bilstm-crf", "linear")
 
@@ -209,16 +209,6 @@ class BiLstmCache:
     bw: _LstmCache
 
 
-def init_lstm_params(dim: int, hidden: int, rng, prefix: str) -> dict:
-    b = np.zeros(4 * hidden)
-    b[hidden:2 * hidden] = 1.0  # forget gate opens by default
-    return {
-        f"{prefix}.wx": _uniform(rng, (4 * hidden, dim)),
-        f"{prefix}.wh": _uniform(rng, (4 * hidden, hidden)),
-        f"{prefix}.b": b,
-    }
-
-
 def bilstm_forward(x: np.ndarray, params: dict):
     """Concatenated forward/backward hidden states, (n, 2h) plus cache.
 
@@ -282,15 +272,6 @@ class FcCache:
     w2: np.ndarray
 
 
-def init_fc_params(dim: int, fc_size: int, k: int, rng) -> dict:
-    return {
-        "fc.w1": _uniform(rng, (fc_size, dim)),
-        "fc.b1": np.zeros(fc_size),
-        "fc.w2": _uniform(rng, (k, fc_size)),
-        "fc.b2": np.zeros(k),
-    }
-
-
 def fc_head_forward(x: np.ndarray, params: dict, dropout: float = 0.0,
                     rng=None, train: bool = False):
     """Two affine layers with relu between, then per-token log-softmax.
@@ -344,29 +325,44 @@ def cross_entropy_and_grads(log_probs: np.ndarray, gold, cache: FcCache):
 # architecture assembly
 
 
+def param_shapes(arch: str, dim: int, k: int, hidden: int = 256, fc_size: int = 512,
+                 vocab_size: int | None = None) -> dict[str, tuple[int, ...]]:
+    """Key -> shape of every trainable array of one architecture, in the
+    order init_params draws them. Pure: allocates nothing."""
+    if arch not in ARCHITECTURES:
+        raise EncoderError(f"unknown architecture {arch!r}")
+    shapes: dict[str, tuple[int, ...]] = {}
+    if vocab_size is not None:
+        shapes["embed.table"] = (vocab_size, dim)
+    if arch == "bilstm-crf":
+        for d in ("fw", "bw"):
+            shapes[f"lstm.{d}.wx"] = (4 * hidden, dim)
+            shapes[f"lstm.{d}.wh"] = (4 * hidden, hidden)
+            shapes[f"lstm.{d}.b"] = (4 * hidden,)
+    if arch == "linear":
+        shapes.update({"fc.w1": (fc_size, dim), "fc.b1": (fc_size,),
+                       "fc.w2": (k, fc_size), "fc.b2": (k,)})
+    else:
+        shapes["proj.w"] = (k, 2 * hidden if arch == "bilstm-crf" else dim)
+        shapes["proj.b"] = (k,)
+        shapes["crf.trans"] = (k + 2, k + 2)
+    return shapes
+
+
 def init_params(arch: str, dim: int, k: int, hidden: int = 256, fc_size: int = 512,
                 vocab_size: int | None = None, rng=None) -> dict:
     """All trainable arrays for one architecture, in a fixed draw order."""
-    if arch not in ARCHITECTURES:
-        raise EncoderError(f"unknown architecture {arch!r}")
     params: dict[str, np.ndarray] = {}
-    if vocab_size is not None:
-        params["embed.table"] = _uniform(rng, (vocab_size, dim))
-    if arch == "crf":
-        params["proj.w"] = _uniform(rng, (k, dim))
-        params["proj.b"] = np.zeros(k)
-    elif arch == "bilstm-crf":
-        params.update(init_lstm_params(dim, hidden, rng, "lstm.fw"))
-        params.update(init_lstm_params(dim, hidden, rng, "lstm.bw"))
-        params["proj.w"] = _uniform(rng, (k, 2 * hidden))
-        params["proj.b"] = np.zeros(k)
-    else:
-        params.update(init_fc_params(dim, fc_size, k, rng))
-    if arch in ("crf", "bilstm-crf"):
-        trans = np.zeros((k + 2, k + 2))
-        trans[:, k] = SENTINEL
-        trans[k + 1, :] = SENTINEL
-        params["crf.trans"] = trans
+    for key, shape in param_shapes(arch, dim, k, hidden, fc_size, vocab_size).items():
+        if key == "crf.trans":
+            params[key] = np.zeros(shape)
+            pin_boundary(params[key], k, k + 1)
+        elif len(shape) == 2:  # weight matrices and the embedding table
+            params[key] = _uniform(rng, shape)
+        else:  # biases
+            params[key] = np.zeros(shape)
+            if key.startswith("lstm."):
+                params[key][hidden:2 * hidden] = 1.0  # forget gate opens by default
     return params
 
 

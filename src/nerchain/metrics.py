@@ -79,15 +79,21 @@ class ErrorBreakdown:
     spurious: list[tuple[str, EntitySpan]] = field(default_factory=list)
 
 
-def _prepare(gold: Corpus, predicted, repair: str):
-    """Validate alignment, count raw invalid transitions, repair predictions."""
+def _match(gold: Corpus, predicted, repair: str):
+    """The exact-span matching pass behind score and error_breakdown.
+
+    Validates alignment, counts raw invalid transitions, repairs predictions,
+    and classifies every span. Returns per-type [tp, fp, fn] counts, the
+    invalid-transition count, and the ErrorBreakdown of the non-matching spans.
+    """
     if len(predicted) != len(gold.sentences):
         raise ScoringError(
             f"{len(predicted)} predictions for {len(gold.sentences)} sentences"
         )
     voc = gold.tag_vocabulary
+    counts = {t: [0, 0, 0] for t in voc.entity_types}  # tp, fp, fn
     invalid = 0
-    pairs = []
+    out = ErrorBreakdown()
     for sent, tags in zip(gold.sentences, predicted):
         if sent.gold_tags is None:
             raise ScoringError(f"sentence {sent.id!r} has no gold tags")
@@ -96,56 +102,15 @@ def _prepare(gold: Corpus, predicted, repair: str):
                 f"sentence {sent.id!r}: {len(tags)} predicted tags for {len(sent)} tokens"
             )
         invalid += count_invalid_transitions(voc, tags)
-        pairs.append((sent, repair_bio(voc, tags, repair)))
-    return voc, pairs, invalid
-
-
-def _match_sentence(gold_spans, pred_spans):
-    """Exact-match TP set plus leftover gold (FN) and predicted (FP) spans."""
-    gold_set = set(gold_spans)
-    tp = [s for s in pred_spans if s in gold_set]
-    fn = [s for s in gold_spans if s not in set(tp)]
-    fp = [s for s in pred_spans if s not in gold_set]
-    return tp, fp, fn
-
-
-def score(gold: Corpus, predicted, repair: str = "convert") -> MetricsReport:
-    """Entity-level scores of predicted tag sequences against a gold corpus.
-
-    predicted: one tag index sequence per sentence, in corpus order. Invalid
-    BIO is repaired per `repair` before span extraction; raw violations are
-    counted in the report.
-    """
-    voc, pairs, invalid = _prepare(gold, predicted, repair)
-    counts = {t: [0, 0, 0] for t in voc.entity_types}  # tp, fp, fn
-    confusion: dict[tuple[str, str], int] = {}
-    for sent, tags in pairs:
         gold_spans = extract_spans(voc, sent.gold_tags)
-        pred_spans = extract_spans(voc, tags)
-        tp, fp, fn = _match_sentence(gold_spans, pred_spans)
-        for span in tp:
-            counts[span.entity_type][0] += 1
-        for span in fp:
-            counts[span.entity_type][1] += 1
+        pred_spans = extract_spans(voc, repair_bio(voc, tags, repair))
+        gold_set, pred_set = set(gold_spans), set(pred_spans)
+        fp = [s for s in pred_spans if s not in gold_set]
+        fn = [s for s in gold_spans if s not in pred_set]
+        for span in pred_spans:
+            counts[span.entity_type][0 if span in gold_set else 1] += 1
         for span in fn:
             counts[span.entity_type][2] += 1
-        for g in fn:
-            for p in fp:
-                if g.overlaps(p) and g.entity_type != p.entity_type:
-                    key = (g.entity_type, p.entity_type)
-                    confusion[key] = confusion.get(key, 0) + 1
-    per_class = [ClassScore(t, *counts[t]) for t in voc.entity_types]
-    return MetricsReport(per_class, confusion, invalid)
-
-
-def error_breakdown(gold: Corpus, predicted, repair: str = "convert") -> ErrorBreakdown:
-    """Classify every non-matching span: confusion, boundary error, miss, spurious."""
-    voc, pairs, _ = _prepare(gold, predicted, repair)
-    out = ErrorBreakdown()
-    for sent, tags in pairs:
-        gold_spans = extract_spans(voc, sent.gold_tags)
-        pred_spans = extract_spans(voc, tags)
-        _, fp, fn = _match_sentence(gold_spans, pred_spans)
         touched_gold = set()
         touched_pred = set()
         for g in fn:
@@ -161,7 +126,24 @@ def error_breakdown(gold: Corpus, predicted, repair: str = "convert") -> ErrorBr
                     out.confusion[key] = out.confusion.get(key, 0) + 1
         out.misses.extend((sent.id, g) for g in fn if g not in touched_gold)
         out.spurious.extend((sent.id, p) for p in fp if p not in touched_pred)
-    return out
+    return counts, invalid, out
+
+
+def score(gold: Corpus, predicted, repair: str = "convert") -> MetricsReport:
+    """Entity-level scores of predicted tag sequences against a gold corpus.
+
+    predicted: one tag index sequence per sentence, in corpus order. Invalid
+    BIO is repaired per `repair` before span extraction; raw violations are
+    counted in the report.
+    """
+    counts, invalid, breakdown = _match(gold, predicted, repair)
+    per_class = [ClassScore(t, *c) for t, c in counts.items()]
+    return MetricsReport(per_class, breakdown.confusion, invalid)
+
+
+def error_breakdown(gold: Corpus, predicted, repair: str = "convert") -> ErrorBreakdown:
+    """Classify every non-matching span: confusion, boundary error, miss, spurious."""
+    return _match(gold, predicted, repair)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ import logging
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .conll_io import Corpus, EmbeddingSet, TokenVocabulary, build_token_vocabulary
-from .crf import TransitionMatrix, log_likelihood, nll_gradients, pin_boundary, viterbi_decode
+from .crf import TransitionMatrix, nll_gradients, pin_boundary, viterbi_decode
 from .encoders import (
     ARCHITECTURES,
     EmbeddingSource,
@@ -31,6 +32,7 @@ from .encoders import (
     emissions_forward,
     fc_head_forward,
     init_params,
+    param_shapes,
 )
 from .metrics import score
 from .tagscheme import EntityTypeSet, TagVocabulary, transition_mask
@@ -175,6 +177,12 @@ class TrainConfig:
         LrSchedule(self.lr_min, self.lr_max, self.cycle_length or 2)
 
 
+# field name -> value type (`int | None` reads as int), in declaration order:
+# the CLI settings and the checkpoint metadata both derive from it
+CONFIG_TYPES = {f.name: (typing.get_args(f.type) or (f.type,))[0]
+                for f in fields(TrainConfig)}
+
+
 @dataclass(frozen=True)
 class EpochStats:
     epoch: int
@@ -196,8 +204,7 @@ def _loss_and_grads(arch, params, voc, x, gold, embed_cache, dropout, rng):
     else:
         emissions, cache = emissions_forward(arch, params, x, dropout=dropout, rng=rng, train=True)
         trans = TransitionMatrix(params["crf.trans"], voc.start_index, voc.stop_index)
-        loss = -log_likelihood(emissions, trans, gold)
-        d_emissions, d_trans = nll_gradients(emissions, trans, gold)
+        loss, d_emissions, d_trans = nll_gradients(emissions, trans, gold)
         dx, grads = emissions_backward(params, cache, d_emissions)
         grads["crf.trans"] = d_trans
     grads.update(embed_backward(embed_cache, dx))
@@ -269,25 +276,10 @@ class Checkpoint:
         return EmbeddingSource.ingested(embeddings)
 
     def __eq__(self, other):
+        """Equal when both serialize to the same bytes."""
         if not isinstance(other, Checkpoint):
             return NotImplemented
-        if (self.config, self.entity_types, self.dim, self.best_epoch,
-                self.version) != (other.config, other.entity_types, other.dim,
-                                  other.best_epoch, other.version):
-            return False
-        if repr(self.best_f1) != repr(other.best_f1):
-            return False
-        if (self.token_vocab is None) != (other.token_vocab is None):
-            return False
-        if self.token_vocab is not None and self.token_vocab.tokens != other.token_vocab.tokens:
-            return False
-        if sorted(self.params) != sorted(other.params):
-            return False
-        return all(
-            self.params[k].shape == other.params[k].shape
-            and self.params[k].tobytes() == other.params[k].tobytes()
-            for k in self.params
-        )
+        return _serialize(self) == _serialize(other)
 
 
 def ensure_compatible(checkpoint: Checkpoint, voc: TagVocabulary) -> None:
@@ -300,39 +292,15 @@ def ensure_compatible(checkpoint: Checkpoint, voc: TagVocabulary) -> None:
         )
 
 
-def _expected_shapes(cfg: TrainConfig, k: int, dim: int, vocab_len: int | None) -> dict:
-    shapes: dict[str, tuple] = {}
-    if vocab_len is not None:
-        shapes["embed.table"] = (vocab_len, dim)
-    if cfg.arch == "crf":
-        shapes["proj.w"] = (k, dim)
-        shapes["proj.b"] = (k,)
-    elif cfg.arch == "bilstm-crf":
-        h = cfg.hidden
-        for d in ("fw", "bw"):
-            shapes[f"lstm.{d}.wx"] = (4 * h, dim)
-            shapes[f"lstm.{d}.wh"] = (4 * h, h)
-            shapes[f"lstm.{d}.b"] = (4 * h,)
-        shapes["proj.w"] = (k, 2 * h)
-        shapes["proj.b"] = (k,)
-    else:
-        shapes["fc.w1"] = (cfg.fc_size, dim)
-        shapes["fc.b1"] = (cfg.fc_size,)
-        shapes["fc.w2"] = (k, cfg.fc_size)
-        shapes["fc.b2"] = (k,)
-    if cfg.arch in ("crf", "bilstm-crf"):
-        shapes["crf.trans"] = (k + 2, k + 2)
-    return shapes
-
-
 def _validate_arrays(checkpoint: Checkpoint) -> None:
-    k = 1 + 2 * len(checkpoint.entity_types)
+    cfg = checkpoint.config
     vocab_len = len(checkpoint.token_vocab) if checkpoint.token_vocab is not None else None
-    expected = _expected_shapes(checkpoint.config, k, checkpoint.dim, vocab_len)
+    expected = param_shapes(cfg.arch, checkpoint.dim, 1 + 2 * len(checkpoint.entity_types),
+                            cfg.hidden, cfg.fc_size, vocab_len)
     if sorted(expected) != sorted(checkpoint.params):
         raise CheckpointError(
             f"checkpoint arrays {sorted(checkpoint.params)} do not match "
-            f"architecture {checkpoint.config.arch!r} (expected {sorted(expected)})"
+            f"architecture {cfg.arch!r} (expected {sorted(expected)})"
         )
     for key, shape in expected.items():
         if checkpoint.params[key].shape != shape:
@@ -341,20 +309,13 @@ def _validate_arrays(checkpoint: Checkpoint) -> None:
             )
 
 
-_CONFIG_FIELDS = (
-    ("arch", str), ("epochs", int), ("dropout", float), ("hidden", int),
-    ("fc_size", int), ("lr_min", float), ("lr_max", float), ("seed", int),
-    ("min_count", int), ("dim", int),
-)
-
-
-def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Serialize; atomic on the destination (no partial file is left behind)."""
+def _serialize(checkpoint: Checkpoint) -> bytes:
     meta: dict[str, str] = {}
-    for name, _ in _CONFIG_FIELDS:
+    for name in CONFIG_TYPES:
         value = getattr(checkpoint.config, name)
+        if value is None:
+            value = ""
         meta[name] = repr(value) if isinstance(value, float) else str(value)
-    meta["cycle_length"] = str(checkpoint.config.cycle_length or "")
     meta["entity_types"] = " ".join(checkpoint.entity_types)
     meta["activation"] = "relu"
     meta["selection"] = "dev-macro-f1"
@@ -376,7 +337,12 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         for extent in array.shape:
             blob += struct.pack("<Q", extent)
         blob += array.tobytes()
+    return bytes(blob)
 
+
+def save_checkpoint(checkpoint: Checkpoint, path) -> None:
+    """Serialize; atomic on the destination (no partial file is left behind)."""
+    blob = _serialize(checkpoint)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
     try:
@@ -421,8 +387,10 @@ def load_checkpoint(path) -> Checkpoint:
             meta[key] = value
 
     try:
-        kwargs = {name: cast(meta[name]) for name, cast in _CONFIG_FIELDS}
-        kwargs["cycle_length"] = int(meta["cycle_length"]) if meta.get("cycle_length") else None
+        kwargs = {}
+        for f in fields(TrainConfig):
+            text = meta[f.name]  # "" stands for None in the optional fields
+            kwargs[f.name] = None if f.default is None and not text else CONFIG_TYPES[f.name](text)
         config = TrainConfig(**kwargs)
         entity_types = tuple(meta["entity_types"].split())
         best_f1 = float(meta["best_f1"])
@@ -451,11 +419,11 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _infer_dim(config: TrainConfig, params: dict) -> int:
-    if config.arch == "crf":
-        return params["proj.w"].shape[1]
-    if config.arch == "bilstm-crf":
-        return params["lstm.fw.wx"].shape[1]
-    return params["fc.w1"].shape[1]
+    """Input width of an ingested-embedding model: the column count of the
+    first array in its layout, the input-side weight (0 if that is missing)."""
+    first = next(iter(param_shapes(config.arch, 0, 1, config.hidden, config.fc_size)))
+    weight = params.get(first)
+    return weight.shape[1] if weight is not None and weight.ndim == 2 else 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -7,7 +8,7 @@ from nerchain.cli import main
 from nerchain.conll_io import parse_conll
 from nerchain.crf import NoValidPathError
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
-from nerchain.training import NonFiniteError
+from nerchain.training import NonFiniteError, TrainConfig
 
 VOC = expand_bio(EntityTypeSet())
 
@@ -83,6 +84,22 @@ class TestHelpAndUsage:
         assert code == 1
         assert "--dev-file" in err
 
+    def test_training_defaults_are_train_config_defaults(self):
+        settings = cli.Settings(cli.build_parser().parse_args(["train"]))
+        for f in dataclasses.fields(TrainConfig):
+            value, default = getattr(settings, f.name), getattr(TrainConfig(), f.name)
+            assert (type(value), value) == (type(default), default), f.name
+
+    def test_every_train_config_field_is_a_config_key(self, tmp_path):
+        values = {"arch": "linear", "epochs": 3, "dropout": 0.25, "hidden": 7, "fc_size": 9,
+                  "lr_min": 2e-6, "lr_max": 3e-4, "cycle_length": 4, "seed": 5,
+                  "min_count": 2, "dim": 8}
+        assert sorted(values) == sorted(f.name for f in dataclasses.fields(TrainConfig))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{name}={value}\n" for name, value in values.items()))
+        settings = cli.Settings(cli.build_parser().parse_args(["train", "--config", str(cfg)]))
+        assert {name: getattr(settings, name) for name in values} == values
+
     def test_unknown_config_key_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("explosions=yes\n")
@@ -123,6 +140,19 @@ class TestTrain:
             assert run(capsys, *argv)[0] == 0
             digests.append(hashlib.sha256(ckpt.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
+
+    def test_malformed_embedding_numbers_exit_two(self, capsys, tiny, tmp_path):
+        dev = tmp_path / "dev.conll"
+        dev.write_text(TINY.replace("# id s", "# id d"), encoding="utf-8")
+        emb = tmp_path / "bad.emb"
+        for text, message in (("dim x\n", "line 1: bad dimension 'x'"),
+                              ("dim 2\n# id s0\n1 abc\n", "line 3: non-numeric")):
+            emb.write_text(text, encoding="utf-8")
+            _, argv = self.train_args(tiny, tmp_path, "--embeddings", str(emb))
+            argv[argv.index("--dev-file") + 1] = str(dev)
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert message in err
 
     def test_unknown_tag_in_data_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.conll"

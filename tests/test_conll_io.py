@@ -202,6 +202,27 @@ class TestEmbeddings:
         with pytest.raises(EmbeddingError, match="duplicate"):
             load_embeddings("dim 1\n# id a\n1\n\n# id a\n2\n", corpus)
 
+    def test_malformed_numbers_name_the_line(self):
+        corpus = parse_conll(MINIMAL, VOC)
+        for text, line in (("dim x\n", 1), ("dim " + "9" * 5000 + "\n", 1),
+                           ("dim 2\n# id s1\n1 abc\n3 4\n", 3)):
+            with pytest.raises(EmbeddingError, match=f"^line {line}: "):
+                load_embeddings(text, corpus)
+
+    @given(st.one_of(
+        st.text(max_size=80),
+        st.lists(st.sampled_from(["dim", "# id ", "s1", " ", "\n", "2", "-1", "0.5", "x",
+                                  "abc", "nan", "1e999", "0x1f", "9" * 5000]),
+                 max_size=30).map("".join),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_arbitrary_text_raises_only_embedding_error(self, text):
+        corpus = parse_conll(MINIMAL, VOC)
+        try:
+            load_embeddings(text, corpus)
+        except EmbeddingError:
+            pass
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_write_load_round_trip_lossless(self, seed, dim):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerchain.crf import (
     CrfError,
@@ -222,7 +224,7 @@ class TestNllGradients:
     def test_uniform_two_tags(self):
         A = zero_trans(2)
         P = np.zeros((1, 2))
-        dP, dA = nll_gradients(P, A, [0])
+        _, dP, dA = nll_gradients(P, A, [0])
         assert np.allclose(dP, [[-0.5, 0.5]], atol=1e-12)
 
     def test_peaked_model_has_zero_gradients(self):
@@ -231,14 +233,14 @@ class TestNllGradients:
         y = [0, 2, 1, 0]
         for t, tag in enumerate(y):
             P[t, tag] = 60.0
-        dP, dA = nll_gradients(P, A, y)
+        _, dP, dA = nll_gradients(P, A, y)
         assert np.max(np.abs(dP)) < 1e-8
         assert np.max(np.abs(dA)) < 1e-8
 
     def test_boundary_cells_zero(self):
         rng = np.random.default_rng(37)
         P, A = make_instance(rng, n=4, k=3)
-        _, dA = nll_gradients(P, A, [0, 1, 2, 0])
+        _, _, dA = nll_gradients(P, A, [0, 1, 2, 0])
         assert np.all(dA[:, A.start] == 0.0)
         assert np.all(dA[A.stop, :] == 0.0)
 
@@ -249,11 +251,21 @@ class TestNllGradients:
                                  scale=2.0)
             n, k = P.shape
             y = [int(rng.integers(k)) for _ in range(n)]
-            dP, dA = nll_gradients(P, A, y)
+            _, dP, dA = nll_gradients(P, A, y)
             fd = finite_difference(lambda: -log_likelihood(P, A, y),
                                    {"P": P, "A": A.values})
             assert max_rel_err(dP, fd["P"]) <= 1e-4
             assert max_rel_err(dA, fd["A"]) <= 1e-4
+
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 5.0, 80.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_nll_is_negated_log_likelihood_bit_for_bit(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        P, A = make_instance(rng, scale=scale)
+        y = [int(rng.integers(A.k)) for _ in range(P.shape[0])]
+        nll, _, _ = nll_gradients(P, A, y)
+        assert nll.hex() == (-log_likelihood(P, A, y)).hex()
 
 
 class TestViterbi:

@@ -13,8 +13,6 @@ from nerchain.encoders import (
     emissions_backward,
     emissions_forward,
     fc_head_forward,
-    init_fc_params,
-    init_lstm_params,
     init_params,
     project,
     project_backward,
@@ -26,8 +24,8 @@ SENT = Sentence("s0", ("a", "b", "c"))
 
 
 def lstm_params(rng, d, h):
-    params = init_lstm_params(d, h, rng, "lstm.fw")
-    params.update(init_lstm_params(d, h, rng, "lstm.bw"))
+    params = {key: arr for key, arr in init_params("bilstm-crf", d, k=1, hidden=h, rng=rng).items()
+              if key.startswith("lstm.")}
     # break symmetry harder than the small init for gradient visibility
     for key, arr in params.items():
         if arr.ndim == 2:
@@ -137,7 +135,7 @@ class TestBiLstmForward:
         assert np.allclose(out2[:, h:], out[::-1, :h], atol=1e-12)
 
     def test_forget_bias_initialized_to_one(self):
-        params = init_lstm_params(3, 4, np.random.default_rng(0), "lstm.fw")
+        params = init_params("bilstm-crf", 3, k=1, hidden=4, rng=np.random.default_rng(0))
         assert np.all(params["lstm.fw.b"][4:8] == 1.0)
         assert np.all(params["lstm.fw.b"][:4] == 0.0)
 
@@ -252,14 +250,14 @@ class TestProject:
 
 class TestFcHead:
     def test_zero_params_uniform(self):
-        params = init_fc_params(3, 8, 5, np.random.default_rng(0))
+        params = init_params("linear", 3, k=5, fc_size=8, rng=np.random.default_rng(0))
         params = {k: np.zeros_like(v) for k, v in params.items()}
         _, log_probs, _ = fc_head_forward(np.random.default_rng(1).standard_normal((4, 3)), params)
         assert np.allclose(np.exp(log_probs), 0.2, atol=1e-12)
 
     def test_eval_deterministic_under_dropout(self):
         rng = np.random.default_rng(29)
-        params = init_fc_params(3, 8, 4, rng)
+        params = init_params("linear", 3, k=4, fc_size=8, rng=rng)
         x = rng.standard_normal((5, 3))
         _, one, _ = fc_head_forward(x, params, dropout=0.5, rng=np.random.default_rng(1))
         _, two, _ = fc_head_forward(x, params, dropout=0.5, rng=np.random.default_rng(2))
@@ -342,7 +340,7 @@ class TestCrossEntropy:
                 assert max_rel_err(grads[key], fd[key]) <= 1e-4, (seed, key)
 
     def test_shape_errors(self):
-        params = init_fc_params(3, 4, 2, np.random.default_rng(0))
+        params = init_params("linear", 3, k=2, fc_size=4, rng=np.random.default_rng(0))
         _, log_probs, cache = fc_head_forward(np.zeros((2, 3)), params)
         with pytest.raises(EncoderError):
             cross_entropy_and_grads(log_probs, [0], cache)

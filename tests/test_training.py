@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import io
 
 import numpy as np
 import pytest
 
-from nerchain.conll_io import Corpus, EmbeddingSet, Sentence
+from nerchain.conll_io import Corpus, EmbeddingSet, Sentence, TokenVocabulary
 from nerchain.encoders import init_params
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
 from nerchain.training import (
@@ -225,7 +226,6 @@ class TestCheckpointIO:
                                  vocab_size=vocab_size, rng=rng)
             vocab = None
             if vocab_size is not None:
-                from nerchain.conll_io import TokenVocabulary
                 vocab = TokenVocabulary([f"t{i}" for i in range(vocab_size - 2)])
             out.append(Checkpoint(cfg, tuple(VOC.entity_types.types), 5, params,
                                   vocab, best_f1=0.625, best_epoch=3))
@@ -239,6 +239,32 @@ class TestCheckpointIO:
             assert loaded == checkpoint
             save_checkpoint(loaded, tmp_path / "again.ckpt")
             assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    def test_equal_exactly_when_bytes_match(self):
+        base = self.checkpoints()[2]  # the one with a token vocabulary
+        assert self.checkpoints()[2] == base
+
+        params = {key: value.copy() for key, value in base.params.items()}
+        params["fc.w1"].view(np.uint64)[0, 0] ^= 1  # one mantissa bit
+        tokens = list(base.token_vocab.tokens)
+        tokens[-1] += "x"
+        variants = [
+            dataclasses.replace(base, params=params),
+            dataclasses.replace(base, best_f1=float(np.nextafter(base.best_f1, 1.0))),
+            dataclasses.replace(base, token_vocab=TokenVocabulary(tokens)),
+        ]
+        for f in dataclasses.fields(TrainConfig):
+            value = getattr(base.config, f.name)
+            if isinstance(value, str):
+                value = "crf"
+            elif isinstance(value, float):
+                value = float(np.nextafter(value, 1.0))
+            else:
+                value += 1
+            variants.append(dataclasses.replace(
+                base, config=dataclasses.replace(base.config, **{f.name: value})))
+        for variant in variants:
+            assert variant != base
 
     def test_truncated_file_rejected(self, tmp_path):
         checkpoint = self.checkpoints()[0]
@@ -292,14 +318,20 @@ class TestCheckpointIO:
         save_checkpoint(trainable, path)
         with pytest.raises(CheckpointError, match="embed.table"):
             load_checkpoint(path)
+        bilstm = self.checkpoints()[1]  # a huge header must not be allocated
+        bilstm.config = dataclasses.replace(bilstm.config, hidden=10**9)
+        save_checkpoint(bilstm, path)
+        with pytest.raises(CheckpointError, match="lstm"):
+            load_checkpoint(path)
 
     def test_missing_array_detected(self, tmp_path):
-        checkpoint = self.checkpoints()[0]
-        del checkpoint.params["proj.b"]
-        path = tmp_path / "c.ckpt"
-        save_checkpoint(checkpoint, path)
-        with pytest.raises(CheckpointError, match="do not match"):
-            load_checkpoint(path)
+        for key in ("proj.b", "proj.w"):  # proj.w also gives an ingested model its width
+            checkpoint = self.checkpoints()[0]
+            del checkpoint.params[key]
+            path = tmp_path / "c.ckpt"
+            save_checkpoint(checkpoint, path)
+            with pytest.raises(CheckpointError, match="do not match"):
+                load_checkpoint(path)
 
     def test_ingested_checkpoint_requires_embeddings_at_predict(self):
         checkpoint = self.checkpoints()[0]
