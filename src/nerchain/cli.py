@@ -17,7 +17,7 @@ from .conll_io import (
     write_conll,
 )
 from .crf import CrfError, NoValidPathError
-from .encoders import EncoderError
+from .encoders import ARCHITECTURES, EncoderError
 from .metrics import (
     ScoringError,
     error_breakdown,
@@ -28,6 +28,7 @@ from .metrics import (
 )
 from .tagscheme import (
     DEFAULT_ENTITY_TYPES,
+    REPAIR_MODES,
     EntityTypeSet,
     TagSchemeError,
     expand_bio,
@@ -39,7 +40,6 @@ from .training import (
     NonFiniteError,
     TrainConfig,
     TrainingError,
-    default_constrained,
     ensure_compatible,
     load_checkpoint,
     predict_with_checkpoint,
@@ -96,21 +96,35 @@ _SETTINGS = {
 }
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
+def _read(path, error, reader, *args):
+    """reader(open text handle, *args); an unreadable or non-UTF-8 file raises
+    error naming it."""
     try:
         with open(path, encoding="utf-8") as handle:
-            for lineno, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                key = key.strip()
-                if not sep or key not in _SETTINGS:
-                    raise UsageError(f"{path}:{lineno}: unknown config entry {line!r}")
-                values[key] = _SETTINGS[key][0](value.strip())
+            return reader(handle, *args)
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
+        raise error(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:  # a line is UTF-8 iff it survives a round trip
+            bad = next((lineno for lineno, raw in enumerate(handle, start=1)
+                        if raw.decode("utf-8", "replace").encode("utf-8") != raw), "?")
+        raise error(f"{path}:{bad}: not UTF-8 text") from None
+
+
+def _config_entries(handle) -> dict:
+    path, values = handle.name, {}
+    for lineno, raw in enumerate(handle, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in _SETTINGS:
+            raise UsageError(f"{path}:{lineno}: unknown config entry {line!r}")
+        try:
+            values[key] = _SETTINGS[key][0](value.strip())
+        except ValueError as exc:  # UsageError from _str2bool included
+            raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
@@ -118,7 +132,8 @@ class Settings:
     """Flag values layered over config file values over defaults."""
 
     def __init__(self, args: argparse.Namespace):
-        from_file = _load_config_file(args.config) if getattr(args, "config", None) else {}
+        config = getattr(args, "config", None)
+        from_file = _read(config, UsageError, _config_entries) if config else {}
         self._values = {}
         for name, (_, default) in _SETTINGS.items():
             flag = getattr(args, name, None)
@@ -159,7 +174,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dev-file", dest="dev_file", help="labeled validation file")
     p.add_argument("--checkpoint", help="output checkpoint path")
     p.add_argument("--embeddings", help="precomputed embedding file; omit to train a lookup table")
-    p.add_argument("--arch", choices=["crf", "bilstm-crf", "linear"],
+    p.add_argument("--arch", choices=ARCHITECTURES,
                    help="model architecture (default crf)")
     p.add_argument("--epochs", type=int, help="training epochs (default 10)")
     p.add_argument("--dropout", type=float,
@@ -183,7 +198,7 @@ def build_parser() -> _Parser:
     p.add_argument("--embeddings", help="embedding file for the input sentences")
     p.add_argument("--constrained", action="store_true", default=None,
                    help="force BIO-valid decoding (default for the linear head)")
-    p.add_argument("--repair", choices=["strict", "convert", "ignore"],
+    p.add_argument("--repair", choices=REPAIR_MODES,
                    help="post-hoc repair mode applied to predictions")
 
     p = sub.add_parser("evaluate", help="entity-level scores of predictions against gold",
@@ -191,7 +206,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--gold", help="gold labeled file")
     p.add_argument("--pred", help="predicted labeled file")
-    p.add_argument("--repair", choices=["strict", "convert", "ignore"],
+    p.add_argument("--repair", choices=REPAIR_MODES,
                    help="repair mode applied before scoring (default convert)")
     p.add_argument("--format", choices=["text", "kv"], help="report format (default text)")
 
@@ -200,7 +215,7 @@ def build_parser() -> _Parser:
     add_common(p)
     p.add_argument("--gold", help="gold labeled file")
     p.add_argument("--pred", help="predicted labeled file")
-    p.add_argument("--repair", choices=["strict", "convert", "ignore"],
+    p.add_argument("--repair", choices=REPAIR_MODES,
                    help="repair mode applied before span extraction (default convert)")
 
     return parser
@@ -212,19 +227,8 @@ def _tag_vocabulary(settings: Settings):
 
 
 def _parse_file(path, voc, settings, has_labels=True) -> Corpus:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return parse_conll(handle, voc, settings.token_col, settings.tag_col, has_labels)
-    except OSError as exc:
-        raise ConllError(f"cannot read {path}: {exc}") from None
-
-
-def _load_embedding_file(path, corpus):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return load_embeddings(handle, corpus)
-    except OSError as exc:
-        raise EmbeddingError(f"cannot read {path}: {exc}") from None
+    return _read(path, ConllError, parse_conll, voc, settings.token_col, settings.tag_col,
+                 has_labels)
 
 
 def cmd_train(settings: Settings) -> int:
@@ -235,8 +239,14 @@ def cmd_train(settings: Settings) -> int:
 
     embeddings = None
     if settings.embeddings:
-        combined = Corpus(train_corpus.sentences + dev_corpus.sentences, voc)
-        embeddings = _load_embedding_file(settings.embeddings, combined)
+        # one lookup corpus: an id that train and dev share must name the same tokens
+        by_id = {sent.id: sent for sent in train_corpus}
+        for sent in dev_corpus:
+            if by_id.setdefault(sent.id, sent).tokens != sent.tokens:
+                raise ConllError(f"sentence id {sent.id!r} names different sentences in "
+                                 f"{settings.train_file} and {settings.dev_file}")
+        embeddings = _read(settings.embeddings, EmbeddingError, load_embeddings,
+                           Corpus(tuple(by_id.values()), voc))
 
     config = TrainConfig(**{name: getattr(settings, name) for name in CONFIG_TYPES})
 
@@ -272,10 +282,11 @@ def cmd_predict(settings: Settings) -> int:
 
     embeddings = None
     if settings.embeddings:
-        embeddings = _load_embedding_file(settings.embeddings, corpus)
+        embeddings = _read(settings.embeddings, EmbeddingError, load_embeddings, corpus)
 
-    constrained = settings.constrained or default_constrained(checkpoint.config.arch)
-    predictions = predict_with_checkpoint(checkpoint, corpus, embeddings, constrained)
+    # an unforced run keeps the architecture's default
+    predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
+                                          settings.constrained or None)
     if settings.repair:
         predictions = [repair_bio(voc, tags, settings.repair) for tags in predictions]
 

@@ -109,7 +109,7 @@ def parse_conll(
                 pending_id = line[len("# id "):].strip()
             continue
         fields = line.split()
-        if token_column >= len(fields):
+        if not -len(fields) <= token_column < len(fields):
             raise ConllError(f"line {lineno}: expected token in column {token_column}: {line!r}")
         tokens.append(fields[token_column])
         if has_labels:

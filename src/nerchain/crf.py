@@ -28,6 +28,10 @@ class NoValidPathError(CrfError):
     """Constrained decoding found no path allowed by the mask."""
 
 
+class NonFiniteScoreError(CrfError):
+    """An emission or transition score is inf or nan."""
+
+
 def logsumexp(x, axis=None):
     x = np.asarray(x, dtype=np.float64)
     m = np.max(x, axis=axis, keepdims=True)
@@ -41,36 +45,41 @@ def logsumexp(x, axis=None):
 
 @dataclass
 class TransitionMatrix:
-    """(k+2) x (k+2) transition scores with pinned boundary cells."""
+    """(k+2) x (k+2) transition scores; START is state k, STOP state k+1, and
+    their impossible cells are pinned."""
 
     values: np.ndarray
-    start: int
-    stop: int
 
     def __post_init__(self):
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 3:
             raise CrfError(f"transition matrix must be square (k+2), got {v.shape}")
-        if {self.start, self.stop} != {v.shape[0] - 2, v.shape[0] - 1}:
-            raise CrfError("start/stop indices must be the last two states")
         if not np.all(np.isfinite(v)):
-            raise CrfError("non-finite transition score")
-        pin_boundary(v, self.start, self.stop)
+            raise NonFiniteScoreError("non-finite transition score")
+        pin_boundary(v)
 
     @property
     def k(self) -> int:
         return self.values.shape[0] - 2
 
+    @property
+    def start(self) -> int:
+        return self.k
+
+    @property
+    def stop(self) -> int:
+        return self.k + 1
+
     @classmethod
     def zeros(cls, voc) -> "TransitionMatrix":
-        values = np.zeros((voc.k + 2, voc.k + 2), dtype=np.float64)
-        return cls(values, voc.start_index, voc.stop_index)
+        return cls(np.zeros((voc.k + 2, voc.k + 2), dtype=np.float64))
 
 
-def pin_boundary(values: np.ndarray, start: int, stop: int) -> None:
-    """Fix the impossible cells (into START, out of STOP) at the sentinel."""
-    values[:, start] = SENTINEL
-    values[stop, :] = SENTINEL
+def pin_boundary(values: np.ndarray) -> None:
+    """Fix the impossible cells (into START, out of STOP; the last two states)
+    at the sentinel."""
+    values[:, -2] = SENTINEL
+    values[-1, :] = SENTINEL
 
 
 def _check(P: np.ndarray, A: TransitionMatrix, y=None):
@@ -80,7 +89,7 @@ def _check(P: np.ndarray, A: TransitionMatrix, y=None):
     if P.shape[1] != A.k:
         raise CrfError(f"emissions have {P.shape[1]} tags, transitions expect {A.k}")
     if not np.all(np.isfinite(P)):
-        raise CrfError("non-finite emission score")
+        raise NonFiniteScoreError("non-finite emission score")
     if y is not None:
         y = [int(t) for t in y]
         if len(y) != P.shape[0]:
@@ -129,15 +138,14 @@ class Marginals:
 
     node[i, j]      = p(y_i = j), shape (n, k)
     edge[i, j, j']  = p(y_i = j, y_{i+1} = j'), shape (n-1, k, k)
-    start_edge[j]   = p(START -> j at position 0)  (equals node[0])
-    stop_edge[j]    = p(j -> STOP at position n-1) (equals node[n-1])
     log_z           = log_partition, from the same forward pass
+
+    The START and STOP edge probabilities are node[0] and node[n-1]: every
+    path leaves START into its first tag and enters STOP from its last.
     """
 
     node: np.ndarray
     edge: np.ndarray
-    start_edge: np.ndarray
-    stop_edge: np.ndarray
     log_z: float
 
 
@@ -158,7 +166,7 @@ def forward_backward(P: np.ndarray, A: TransitionMatrix) -> Marginals:
         edge[t] = np.exp(
             log_alpha[t][:, None] + trans + (P[t + 1] + log_beta[t + 1])[None, :] - log_z
         )
-    return Marginals(node, edge, node[0].copy(), node[n - 1].copy(), log_z)
+    return Marginals(node, edge, log_z)
 
 
 def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
@@ -180,8 +188,8 @@ def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
     dA = np.zeros_like(A.values)
     if n > 1:
         dA[:k, :k] = marg.edge.sum(axis=0)
-    dA[A.start, :k] = marg.start_edge
-    dA[:k, A.stop] += marg.stop_edge
+    dA[A.start, :k] = marg.node[0]
+    dA[:k, A.stop] += marg.node[n - 1]
     dA[A.start, y[0]] -= 1.0
     for t in range(1, n):
         dA[y[t - 1], y[t]] -= 1.0

@@ -6,6 +6,10 @@ Three interchangeable paths map a sentence to per-tag scores:
   bilstm-crf  embeddings -> dropout -> BiLSTM -> dropout -> projection -> emissions
   linear      embeddings -> dropout -> FC -> relu -> dropout -> FC -> log-softmax
 
+The embeddings come from an EmbeddingSource: ingested per-sentence matrices
+(an embedding file) or a trainable lookup table. It stores only the data;
+its kind and width are read off that data.
+
 All parameters live in a flat dict[str, ndarray] so the optimizer and the
 checkpoint can treat every architecture uniformly. Keys:
 
@@ -62,38 +66,29 @@ def _dropout_mask(shape, rate, rng):
 
 @dataclass
 class EmbeddingSource:
-    """Either precomputed per-sentence matrices or a trainable lookup table."""
+    """Either precomputed per-sentence matrices (embeddings) or a trainable
+    lookup table over token_vocab; the source is trainable iff table is set."""
 
-    kind: str  # "ingested" | "trainable"
-    dim: int
     embeddings: EmbeddingSet | None = None
     table: np.ndarray | None = None
     token_vocab: TokenVocabulary | None = None
 
-    @classmethod
-    def ingested(cls, embeddings: EmbeddingSet) -> "EmbeddingSource":
-        return cls("ingested", embeddings.dim, embeddings=embeddings)
-
-    @classmethod
-    def trainable(cls, vocab: TokenVocabulary, dim: int, rng) -> "EmbeddingSource":
-        if dim < 1:
-            raise EncoderError(f"embedding dimension must be >= 1, got {dim}")
-        table = _uniform(rng, (len(vocab), dim))
-        return cls("trainable", dim, table=table, token_vocab=vocab)
+    @property
+    def dim(self) -> int:
+        return self.embeddings.dim if self.table is None else self.table.shape[1]
 
 
 @dataclass
 class EmbedCache:
-    kind: str
     mask: np.ndarray | None
-    indices: np.ndarray | None
+    indices: np.ndarray | None  # None for an ingested source
     table_shape: tuple | None
 
 
 def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0,
           rng=None, train: bool = False):
     """Token representations for one sentence, (n, d) plus backward cache."""
-    if source.kind == "ingested":
+    if source.table is None:
         base = source.embeddings[sentence.id]
         if base.shape != (len(sentence), source.dim):
             raise EmbeddingError(
@@ -101,26 +96,24 @@ def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0,
                 f"expected ({len(sentence)}, {source.dim})"
             )
         x = base.astype(np.float64, copy=True)
-        indices = None
-    elif source.kind == "trainable":
+        indices = shape = None
+    else:
         indices = np.array([source.token_vocab.lookup(t) for t in sentence.tokens])
         x = source.table[indices].astype(np.float64)
-    else:
-        raise EncoderError(f"unknown embedding source kind {source.kind!r}")
+        shape = source.table.shape
 
     mask = None
     if train and dropout > 0.0:
         mask = _dropout_mask(x.shape, dropout, rng)
         x = x * mask
-    shape = source.table.shape if source.kind == "trainable" else None
-    return x, EmbedCache(source.kind, mask, indices, shape)
+    return x, EmbedCache(mask, indices, shape)
 
 
 def embed_backward(cache: EmbedCache, grad_x: np.ndarray) -> dict:
     """Gradient of the embedding table; empty for ingested sources."""
     if cache.mask is not None:
         grad_x = grad_x * cache.mask
-    if cache.kind != "trainable":
+    if cache.indices is None:
         return {}
     grad_table = np.zeros(cache.table_shape)
     np.add.at(grad_table, cache.indices, grad_x)
@@ -267,7 +260,6 @@ class FcCache:
     z1: np.ndarray
     hidden: np.ndarray  # post-relu, post-dropout
     mask: np.ndarray | None
-    log_probs: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
 
@@ -290,7 +282,7 @@ def fc_head_forward(x: np.ndarray, params: dict, dropout: float = 0.0,
     logits = hidden @ w2.T + b2
     shift = logits - logits.max(axis=1, keepdims=True)
     log_probs = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    return logits, log_probs, FcCache(x, z1, hidden, mask, log_probs, w1, w2)
+    return logits, log_probs, FcCache(x, z1, hidden, mask, w1, w2)
 
 
 def cross_entropy_and_grads(log_probs: np.ndarray, gold, cache: FcCache):
@@ -356,7 +348,7 @@ def init_params(arch: str, dim: int, k: int, hidden: int = 256, fc_size: int = 5
     for key, shape in param_shapes(arch, dim, k, hidden, fc_size, vocab_size).items():
         if key == "crf.trans":
             params[key] = np.zeros(shape)
-            pin_boundary(params[key], k, k + 1)
+            pin_boundary(params[key])
         elif len(shape) == 2:  # weight matrices and the embedding table
             params[key] = _uniform(rng, shape)
         else:  # biases
@@ -368,9 +360,8 @@ def init_params(arch: str, dim: int, k: int, hidden: int = 256, fc_size: int = 5
 
 @dataclass
 class EmissionCache:
-    arch: str
     feats: np.ndarray  # projection input
-    lstm: BiLstmCache | None
+    lstm: BiLstmCache | None  # None for the crf architecture
     lstm_mask: np.ndarray | None
 
 
@@ -378,21 +369,21 @@ def emissions_forward(arch: str, params: dict, x: np.ndarray, dropout: float = 0
                       rng=None, train: bool = False):
     """Emission scores for the CRF-headed architectures."""
     if arch == "crf":
-        return project(x, params), EmissionCache(arch, x, None, None)
+        return project(x, params), EmissionCache(x, None, None)
     if arch == "bilstm-crf":
         hidden, lstm_cache = bilstm_forward(x, params)
         mask = None
         if train and dropout > 0.0:
             mask = _dropout_mask(hidden.shape, dropout, rng)
             hidden = hidden * mask
-        return project(hidden, params), EmissionCache(arch, hidden, lstm_cache, mask)
+        return project(hidden, params), EmissionCache(hidden, lstm_cache, mask)
     raise EncoderError(f"architecture {arch!r} does not produce raw emissions")
 
 
 def emissions_backward(params: dict, cache: EmissionCache, grad_scores: np.ndarray):
     """Backward through the emission path; returns (grad_x, param grads)."""
     dfeats, grads = project_backward(cache.feats, params, grad_scores)
-    if cache.arch == "crf":
+    if cache.lstm is None:
         return dfeats, grads
     if cache.lstm_mask is not None:
         dfeats = dfeats * cache.lstm_mask

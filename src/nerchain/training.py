@@ -12,6 +12,7 @@ with explicit dimension headers.
 """
 
 import logging
+import math
 import os
 import struct
 import tempfile
@@ -21,7 +22,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .conll_io import Corpus, EmbeddingSet, TokenVocabulary, build_token_vocabulary
-from .crf import TransitionMatrix, nll_gradients, pin_boundary, viterbi_decode
+from .crf import NonFiniteScoreError, TransitionMatrix, nll_gradients, viterbi_decode
 from .encoders import (
     ARCHITECTURES,
     EmbeddingSource,
@@ -40,6 +41,9 @@ from .tagscheme import EntityTypeSet, TagVocabulary, transition_mask
 logger = logging.getLogger(__name__)
 
 GRAD_CLIP_NORM = 5.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"NERCHKP"
 CHECKPOINT_VERSION = 1
@@ -66,9 +70,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_adam(params: dict) -> AdamState:
@@ -82,8 +83,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     """One bias-corrected Adam update, in place over every parameter array."""
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for key in sorted(params):
         if key not in grads:
             raise TrainingError(f"missing gradient for parameter {key!r}")
@@ -95,11 +96,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
             raise NonFiniteError(f"non-finite gradient in {key!r}")
         m = state.m[key]
         v = state.v[key]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     return params, state
 
 
@@ -196,15 +197,15 @@ class EpochStats:
 # per-sentence forward/backward and decoding
 
 
-def _loss_and_grads(arch, params, voc, x, gold, embed_cache, dropout, rng):
+def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng):
     if arch == "linear":
         _, log_probs, cache = fc_head_forward(x, params, dropout=dropout, rng=rng, train=True)
         loss, grads = cross_entropy_and_grads(log_probs, gold, cache)
         dx = grads.pop("x")
     else:
         emissions, cache = emissions_forward(arch, params, x, dropout=dropout, rng=rng, train=True)
-        trans = TransitionMatrix(params["crf.trans"], voc.start_index, voc.stop_index)
-        loss, d_emissions, d_trans = nll_gradients(emissions, trans, gold)
+        loss, d_emissions, d_trans = nll_gradients(emissions, TransitionMatrix(params["crf.trans"]),
+                                                   gold)
         dx, grads = emissions_backward(params, cache, d_emissions)
         grads["crf.trans"] = d_trans
     grads.update(embed_backward(embed_cache, dx))
@@ -222,27 +223,24 @@ def decode_sentence(arch, params, voc: TagVocabulary, x, constrained: bool):
     mask = transition_mask(voc) if constrained else None
     if arch == "linear":
         _, log_probs, _ = fc_head_forward(x, params, train=False)
-        trans = TransitionMatrix.zeros(voc)
-        path, _ = viterbi_decode(log_probs, trans, mask)
+        path, _ = viterbi_decode(log_probs, TransitionMatrix.zeros(voc), mask)
     else:
         emissions, _ = emissions_forward(arch, params, x, train=False)
-        trans = TransitionMatrix(params["crf.trans"], voc.start_index, voc.stop_index)
-        path, _ = viterbi_decode(emissions, trans, mask)
+        path, _ = viterbi_decode(emissions, TransitionMatrix(params["crf.trans"]), mask)
     return path
 
 
-def predict_corpus(arch, params, voc, corpus: Corpus, source: EmbeddingSource,
+def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
                    constrained: bool) -> list[list[int]]:
     predictions = []
     for sent in corpus:
         x, _ = embed(sent, source, train=False)
-        predictions.append(decode_sentence(arch, params, voc, x, constrained))
+        predictions.append(decode_sentence(arch, params, corpus.tag_vocabulary, x, constrained))
     return predictions
 
 
-def evaluate_corpus(arch, params, voc, corpus, source, constrained, repair="convert"):
-    predictions = predict_corpus(arch, params, voc, corpus, source, constrained)
-    return score(corpus, predictions, repair=repair), predictions
+def evaluate_corpus(arch, params, corpus, source, constrained):
+    return score(corpus, predict_corpus(arch, params, corpus, source, constrained))
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +251,21 @@ def evaluate_corpus(arch, params, voc, corpus, source, constrained, repair="conv
 class Checkpoint:
     config: TrainConfig
     entity_types: tuple[str, ...]
-    dim: int
     params: dict[str, np.ndarray]
     token_vocab: TokenVocabulary | None = None
     best_f1: float = 0.0
     best_epoch: int = 0
-    version: int = CHECKPOINT_VERSION
+
+    @property
+    def dim(self) -> int:
+        """Embedding width: config.dim for a trainable table, else the column
+        count of the layout's first array, the input-side weight (0 if missing)."""
+        if self.token_vocab is not None:
+            return self.config.dim
+        cfg = self.config
+        first = next(iter(param_shapes(cfg.arch, 0, 1, cfg.hidden, cfg.fc_size)))
+        weight = self.params.get(first)
+        return weight.shape[1] if weight is not None and weight.ndim == 2 else 0
 
     def tag_vocabulary(self) -> TagVocabulary:
         return TagVocabulary(EntityTypeSet(self.entity_types))
@@ -266,14 +273,13 @@ class Checkpoint:
     def embedding_source(self, embeddings: EmbeddingSet | None) -> EmbeddingSource:
         """Rebuild the embedding source this model was trained with."""
         if self.token_vocab is not None:
-            return EmbeddingSource("trainable", self.dim, table=self.params["embed.table"],
-                                   token_vocab=self.token_vocab)
+            return EmbeddingSource(table=self.params["embed.table"], token_vocab=self.token_vocab)
         if embeddings is None:
             raise CheckpointError("model was trained on ingested embeddings; none provided")
         if embeddings.dim != self.dim:
             raise CheckpointError(
                 f"embedding dimension {embeddings.dim} != checkpoint dimension {self.dim}")
-        return EmbeddingSource.ingested(embeddings)
+        return EmbeddingSource(embeddings)
 
     def __eq__(self, other):
         """Equal when both serialize to the same bytes."""
@@ -286,7 +292,7 @@ def ensure_compatible(checkpoint: Checkpoint, voc: TagVocabulary) -> None:
     """Reject a checkpoint whose label space differs from the given vocabulary."""
     if tuple(checkpoint.entity_types) != tuple(voc.entity_types.types):
         raise CheckpointError(
-            f"checkpoint label space has {1 + 2 * len(checkpoint.entity_types)} tags "
+            f"checkpoint label space has {checkpoint.tag_vocabulary().k} tags "
             f"({','.join(checkpoint.entity_types)}), vocabulary has {voc.k} "
             f"({','.join(voc.entity_types.types)})"
         )
@@ -295,7 +301,7 @@ def ensure_compatible(checkpoint: Checkpoint, voc: TagVocabulary) -> None:
 def _validate_arrays(checkpoint: Checkpoint) -> None:
     cfg = checkpoint.config
     vocab_len = len(checkpoint.token_vocab) if checkpoint.token_vocab is not None else None
-    expected = param_shapes(cfg.arch, checkpoint.dim, 1 + 2 * len(checkpoint.entity_types),
+    expected = param_shapes(cfg.arch, checkpoint.dim, checkpoint.tag_vocabulary().k,
                             cfg.hidden, cfg.fc_size, vocab_len)
     if sorted(expected) != sorted(checkpoint.params):
         raise CheckpointError(
@@ -325,7 +331,7 @@ def _serialize(checkpoint: Checkpoint) -> bytes:
         meta["tokens"] = " ".join(checkpoint.token_vocab.tokens)
 
     blob = bytearray()
-    blob += CHECKPOINT_MAGIC + bytes([checkpoint.version])
+    blob += CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
     meta_bytes = "".join(f"{k}={v}\n" for k, v in sorted(meta.items())).encode("utf-8")
     blob += struct.pack("<Q", len(meta_bytes)) + meta_bytes
     blob += struct.pack("<I", len(checkpoint.params))
@@ -380,22 +386,21 @@ def load_checkpoint(path) -> Checkpoint:
 
     (meta_len,) = struct.unpack("<Q", take(8, "metadata length"))
     meta_bytes = take(meta_len, "metadata")
-    meta: dict[str, str] = {}
-    for line in meta_bytes.decode("utf-8").splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            meta[key] = value
-
-    try:
+    try:  # every decoding failure below is a ValueError (UnicodeDecodeError included)
+        meta: dict[str, str] = {}
+        for line in meta_bytes.decode("utf-8").splitlines():
+            if line:
+                key, _, value = line.partition("=")
+                meta[key] = value
         kwargs = {}
         for f in fields(TrainConfig):
             text = meta[f.name]  # "" stands for None in the optional fields
             kwargs[f.name] = None if f.default is None and not text else CONFIG_TYPES[f.name](text)
         config = TrainConfig(**kwargs)
-        entity_types = tuple(meta["entity_types"].split())
+        entity_types = EntityTypeSet(tuple(meta["entity_types"].split())).types
         best_f1 = float(meta["best_f1"])
         best_epoch = int(meta["best_epoch"])
-    except (KeyError, ValueError, TrainingError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint metadata: {exc}") from None
     token_vocab = TokenVocabulary(meta["tokens"].split()) if "tokens" in meta else None
 
@@ -403,45 +408,27 @@ def load_checkpoint(path) -> Checkpoint:
     params: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):
         (name_len,) = struct.unpack("<H", take(2, "array name length"))
-        name = take(name_len, "array name").decode("utf-8")
+        try:
+            name = take(name_len, "array name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("corrupt checkpoint: array name is not UTF-8") from None
         (ndim,) = struct.unpack("<B", take(1, "array rank"))
+        if ndim > 2:  # every layout array is a vector or a matrix
+            raise CheckpointError(f"corrupt checkpoint: array {name!r} has rank {ndim}")
         shape = tuple(struct.unpack("<Q", take(8, "array dimension"))[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: a corrupted extent cannot wrap around
         data = take(8 * count, f"array {name!r} data")
         params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     if offset != len(blob):
         raise CheckpointError("corrupt checkpoint: trailing bytes")
 
-    checkpoint = Checkpoint(config, entity_types, config.dim if token_vocab else _infer_dim(
-        config, params), params, token_vocab, best_f1, best_epoch, version)
+    checkpoint = Checkpoint(config, entity_types, params, token_vocab, best_f1, best_epoch)
     _validate_arrays(checkpoint)
     return checkpoint
 
 
-def _infer_dim(config: TrainConfig, params: dict) -> int:
-    """Input width of an ingested-embedding model: the column count of the
-    first array in its layout, the input-side weight (0 if that is missing)."""
-    first = next(iter(param_shapes(config.arch, 0, 1, config.hidden, config.fc_size)))
-    weight = params.get(first)
-    return weight.shape[1] if weight is not None and weight.ndim == 2 else 0
-
-
 # ---------------------------------------------------------------------------
 # training loop
-
-
-def _check_labeled(corpus: Corpus, name: str) -> None:
-    for sent in corpus:
-        if sent.gold_tags is None:
-            raise TrainingError(f"{name} sentence {sent.id!r} has no gold tags")
-
-
-def _check_coverage(source: EmbeddingSource, corpus: Corpus, name: str) -> None:
-    if source.kind != "ingested":
-        return
-    for sent in corpus:
-        if sent.id not in source.embeddings:
-            raise TrainingError(f"no embeddings for {name} sentence {sent.id!r}")
 
 
 def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
@@ -454,74 +441,67 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
     voc = train_corpus.tag_vocabulary
     if dev_corpus.tag_vocabulary.tags != voc.tags:
         raise TrainingError("train and dev corpora use different tag vocabularies")
-    _check_labeled(train_corpus, "train")
-    _check_labeled(dev_corpus, "dev")
+    for name, corpus in (("train", train_corpus), ("dev", dev_corpus)):
+        for sent in corpus:
+            if sent.gold_tags is None:
+                raise TrainingError(f"{name} sentence {sent.id!r} has no gold tags")
+            if embeddings is not None and sent.id not in embeddings:
+                raise TrainingError(f"no embeddings for {name} sentence {sent.id!r}")
 
     rng = np.random.default_rng(config.seed)
     if embeddings is None:
         token_vocab = build_token_vocabulary(train_corpus, config.min_count)
-        dim = config.dim
-        params = init_params(config.arch, dim, voc.k, config.hidden, config.fc_size,
-                             vocab_size=len(token_vocab), rng=rng)
-        source = EmbeddingSource("trainable", dim, table=params["embed.table"],
-                                 token_vocab=token_vocab)
+        dim, vocab_size = config.dim, len(token_vocab)
     else:
-        token_vocab = None
-        dim = embeddings.dim
-        params = init_params(config.arch, dim, voc.k, config.hidden, config.fc_size, rng=rng)
-        source = EmbeddingSource.ingested(embeddings)
-        _check_coverage(source, train_corpus, "train")
-        _check_coverage(source, dev_corpus, "dev")
+        token_vocab, dim, vocab_size = None, embeddings.dim, None
+    params = init_params(config.arch, dim, voc.k, config.hidden, config.fc_size, vocab_size, rng)
+    source = EmbeddingSource(embeddings, params.get("embed.table"), token_vocab)
 
-    steps_per_epoch = len(train_corpus)
-    cycle = config.cycle_length or max(2, 2 * steps_per_epoch)
+    sentences = list(train_corpus.sentences)
+    cycle = config.cycle_length or max(2, 2 * len(sentences))
     schedule = LrSchedule(config.lr_min, config.lr_max, cycle)
     state = init_adam(params)
     constrained = default_constrained(config.arch)
 
-    best_f1 = -1.0
-    best_epoch = 0
     best_params: dict[str, np.ndarray] = {}
     history: list[EpochStats] = []
     step = 0
-    sentences = list(train_corpus.sentences)
 
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(sentences))
-        total_nll = 0.0
-        for idx in order:
-            sent = sentences[idx]
-            x, embed_cache = embed(sent, source, dropout=config.dropout, rng=rng, train=True)
-            loss, grads = _loss_and_grads(config.arch, params, voc, x, sent.gold_tags,
-                                          embed_cache, config.dropout, rng)
-            if not np.isfinite(loss):
-                raise NonFiniteError(
-                    f"non-finite loss {loss!r} at epoch {epoch}, sentence {sent.id!r}"
-                )
-            clip_global_norm(grads)
-            adam_step(params, grads, state, lr_at(schedule, step))
-            if "crf.trans" in params:
-                pin_boundary(params["crf.trans"], voc.start_index, voc.stop_index)
-            step += 1
-            total_nll += loss
-        mean_nll = total_nll / steps_per_epoch
+    try:  # a diverged model fails the CRF input checks; that is a numeric failure
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(len(sentences))
+            total_nll = 0.0
+            for idx in order:
+                sent = sentences[idx]
+                x, embed_cache = embed(sent, source, dropout=config.dropout, rng=rng, train=True)
+                loss, grads = _loss_and_grads(config.arch, params, x, sent.gold_tags, embed_cache,
+                                              config.dropout, rng)
+                if not np.isfinite(loss):
+                    raise NonFiniteError(
+                        f"non-finite loss {loss!r} at epoch {epoch}, sentence {sent.id!r}"
+                    )
+                clip_global_norm(grads)
+                adam_step(params, grads, state, lr_at(schedule, step))
+                step += 1
+                total_nll += loss
+            mean_nll = total_nll / len(sentences)
 
-        report, _ = evaluate_corpus(config.arch, params, voc, dev_corpus, source, constrained)
-        stats = EpochStats(epoch, mean_nll, report.macro_precision, report.macro_recall,
-                           report.macro_f1)
-        history.append(stats)
-        logger.info(
-            "epoch %d nll %.6f dev P %.4f R %.4f F1 %.4f",
-            epoch, mean_nll, stats.dev_precision, stats.dev_recall, stats.dev_f1,
-        )
-        if stats.dev_f1 > best_f1:
-            best_f1 = stats.dev_f1
-            best_epoch = epoch
-            best_params = {k: v.copy() for k, v in params.items()}
+            report = evaluate_corpus(config.arch, params, dev_corpus, source, constrained)
+            stats = EpochStats(epoch, mean_nll, report.macro_precision, report.macro_recall,
+                               report.macro_f1)
+            history.append(stats)
+            logger.info(
+                "epoch %d nll %.6f dev P %.4f R %.4f F1 %.4f",
+                epoch, mean_nll, stats.dev_precision, stats.dev_recall, stats.dev_f1,
+            )
+            if max(history, key=lambda h: h.dev_f1) is stats:  # new best; ties keep the first
+                best_params = {k: v.copy() for k, v in params.items()}
+    except NonFiniteScoreError as exc:
+        raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
 
-    best_vocab = token_vocab if embeddings is None else None
-    checkpoint = Checkpoint(config, tuple(voc.entity_types.types), dim, best_params,
-                            best_vocab, best_f1, best_epoch)
+    best = max(history, key=lambda h: h.dev_f1)
+    checkpoint = Checkpoint(config, tuple(voc.entity_types.types), best_params,
+                            token_vocab, best.dev_f1, best.epoch)
     return checkpoint, history
 
 
@@ -529,10 +509,8 @@ def predict_with_checkpoint(checkpoint: Checkpoint, corpus: Corpus,
                             embeddings: EmbeddingSet | None = None,
                             constrained: bool | None = None) -> list[list[int]]:
     """Decode a corpus with a trained model."""
-    voc = checkpoint.tag_vocabulary()
     ensure_compatible(checkpoint, corpus.tag_vocabulary)
     source = checkpoint.embedding_source(embeddings)
     if constrained is None:
         constrained = default_constrained(checkpoint.config.arch)
-    return predict_corpus(checkpoint.config.arch, checkpoint.params, voc, corpus,
-                          source, constrained)
+    return predict_corpus(checkpoint.config.arch, checkpoint.params, corpus, source, constrained)

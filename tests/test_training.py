@@ -1,9 +1,14 @@
 import dataclasses
+import functools
 import hashlib
 import io
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerchain.conll_io import Corpus, EmbeddingSet, Sentence, TokenVocabulary
 from nerchain.encoders import init_params
@@ -227,8 +232,8 @@ class TestCheckpointIO:
             vocab = None
             if vocab_size is not None:
                 vocab = TokenVocabulary([f"t{i}" for i in range(vocab_size - 2)])
-            out.append(Checkpoint(cfg, tuple(VOC.entity_types.types), 5, params,
-                                  vocab, best_f1=0.625, best_epoch=3))
+            out.append(Checkpoint(cfg, tuple(VOC.entity_types.types), params, vocab,
+                                  best_f1=0.625, best_epoch=3))
         return out
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -265,6 +270,23 @@ class TestCheckpointIO:
                 base, config=dataclasses.replace(base.config, **{f.name: value})))
         for variant in variants:
             assert variant != base
+
+    def test_dim_is_read_off_the_model_and_survives_a_reload(self, tmp_path):
+        # ingested crf and bilstm-crf: the input-side weight; linear: its table
+        inputs = ("proj.w", "lstm.fw.wx", "embed.table")
+        for i, (checkpoint, key) in enumerate(zip(self.checkpoints(), inputs)):
+            path = tmp_path / f"c{i}.ckpt"
+            save_checkpoint(checkpoint, path)
+            assert checkpoint.dim == load_checkpoint(path).dim == checkpoint.params[key].shape[1]
+
+    def test_undecodable_text_rejected(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(self.checkpoints()[2], path)
+        blob = path.read_bytes()
+        for at in (blob.index(b"arch="), blob.index(b"t0 t1"), blob.index(b"fc.w1")):
+            path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+            with pytest.raises(CheckpointError, match="corrupt"):
+                load_checkpoint(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         checkpoint = self.checkpoints()[0]
@@ -342,3 +364,34 @@ class TestCheckpointIO:
         checkpoint = self.checkpoints()[0]
         with pytest.raises(CheckpointError, match="dimension"):
             checkpoint.embedding_source(EmbeddingSet(3, {}))
+
+
+@functools.cache
+def bilstm_checkpoint_bytes() -> bytes:
+    """A small bilstm-crf checkpoint with a trainable table and token vocabulary."""
+    params = init_params("bilstm-crf", dim=4, k=VOC.k, hidden=3, vocab_size=6,
+                         rng=np.random.default_rng(2))
+    checkpoint = Checkpoint(TrainConfig(arch="bilstm-crf", hidden=3, dim=4),
+                            tuple(VOC.entity_types.types), params,
+                            TokenVocabulary(["John", "lives", "in", "Acme"]), 0.5, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ckpt")
+        save_checkpoint(checkpoint, path)
+        with open(path, "rb") as handle:
+            return handle.read()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 255)), min_size=1, max_size=4))
+def test_corrupted_checkpoint_loads_or_raises_checkpoint_error(edits):
+    blob = bytearray(bilstm_checkpoint_bytes())
+    for at, value in edits:
+        blob[at % len(blob)] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.ckpt")
+        with open(path, "wb") as handle:
+            handle.write(blob)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
