@@ -98,10 +98,12 @@ _SETTINGS = {
 
 def _read(path, error, reader, *args):
     """reader(open text handle, *args); an unreadable or non-UTF-8 file raises
-    error naming it."""
+    error naming it, and a data error of the reader gains the path."""
     try:
         with open(path, encoding="utf-8") as handle:
             return reader(handle, *args)
+    except (ConllError, EmbeddingError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
     except OSError as exc:
         raise error(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError:

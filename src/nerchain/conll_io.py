@@ -114,8 +114,11 @@ def parse_conll(
         tokens.append(fields[token_column])
         if has_labels:
             col = tag_column if tag_column >= 0 else len(fields) + tag_column
-            if not 0 <= col < len(fields) or col == token_column:
+            if not 0 <= col < len(fields) or len(fields) == 1:
                 raise ConllError(f"line {lineno}: too few fields for tag column: {line!r}")
+            if col == token_column % len(fields):
+                raise ConllError(f"line {lineno}: token column {token_column} and tag column "
+                                 f"{tag_column} are the same field: {line!r}")
             name = fields[col]
             try:
                 tags.append(voc.index(name))
@@ -207,11 +210,9 @@ def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
     sid = None
     rows: list[list[float]] = []
 
-    def flush(lineno):
+    def flush():
         nonlocal sid, rows
         if sid is None:
-            if rows:
-                raise EmbeddingError(f"line {lineno}: rows before any '# id' line")
             return
         if len(rows) != lengths[sid]:
             raise EmbeddingError(
@@ -224,7 +225,7 @@ def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
-            flush(lineno)
+            flush()
             continue
         if dim is None:
             parts = line.split()
@@ -238,7 +239,7 @@ def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
                 raise EmbeddingError(f"line {lineno}: bad dimension {parts[1]!r}")
             continue
         if line.startswith("# id "):
-            flush(lineno)
+            flush()
             sid = line[len("# id "):].strip()
             if sid not in lengths:
                 raise EmbeddingError(f"line {lineno}: unknown sentence id {sid!r}")
@@ -256,7 +257,7 @@ def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
         if not all(np.isfinite(values)):
             raise EmbeddingError(f"line {lineno}: non-finite embedding value")
         rows.append(values)
-    flush(-1)
+    flush()
     if dim is None:
         raise EmbeddingError("empty embedding file")
     return EmbeddingSet(dim, matrices)

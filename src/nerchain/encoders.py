@@ -1,10 +1,14 @@
 """Token encoders: embedding lookup, BiLSTM, linear projection, FC softmax head.
 
-Three interchangeable paths map a sentence to per-tag scores:
+One pair, emissions_forward/emissions_backward, maps a sentence's embeddings
+to per-tag scores (n, k) and back for all three heads:
 
   crf         embeddings -> dropout -> linear projection -> emissions
   bilstm-crf  embeddings -> dropout -> BiLSTM -> dropout -> projection -> emissions
   linear      embeddings -> dropout -> FC -> relu -> dropout -> FC -> log-softmax
+
+The CRF heads' scores are emissions; the linear head's are log-probabilities,
+and its backward takes the gradient at the logits (cross_entropy_and_grads).
 
 The embeddings come from an EmbeddingSource: ingested per-sentence matrices
 (an embedding file) or a trainable lookup table. It stores only the data;
@@ -54,10 +58,14 @@ def _uniform(rng, shape):
     return rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
 
 
-def _dropout_mask(shape, rate, rng):
-    if not 0.0 <= rate < 1.0:
+def _dropout(values, rate, rng, train):
+    """Inverted dropout in training mode: (values, mask), mask None when off."""
+    if not (train and rate > 0.0):
+        return values, None
+    if rate >= 1.0:
         raise EncoderError(f"dropout rate must be in [0, 1), got {rate}")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    mask = (rng.random(values.shape) >= rate) / (1.0 - rate)
+    return values * mask, mask
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +110,7 @@ def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0,
         x = source.table[indices].astype(np.float64)
         shape = source.table.shape
 
-    mask = None
-    if train and dropout > 0.0:
-        mask = _dropout_mask(x.shape, dropout, rng)
-        x = x * mask
+    x, mask = _dropout(x, dropout, rng, train)
     return x, EmbedCache(mask, indices, shape)
 
 
@@ -254,40 +259,26 @@ def project_backward(features: np.ndarray, params: dict, grad_scores: np.ndarray
 # FC softmax head
 
 
-@dataclass
-class FcCache:
-    x: np.ndarray
-    z1: np.ndarray
-    hidden: np.ndarray  # post-relu, post-dropout
-    mask: np.ndarray | None
-    w1: np.ndarray
-    w2: np.ndarray
-
-
 def fc_head_forward(x: np.ndarray, params: dict, dropout: float = 0.0,
                     rng=None, train: bool = False):
     """Two affine layers with relu between, then per-token log-softmax.
 
-    Returns (logits, log_probs, cache); probability rows sum to 1.
+    Returns (log_probs, cache); probability rows sum to 1.
     """
     w1, b1, w2, b2 = params["fc.w1"], params["fc.b1"], params["fc.w2"], params["fc.b2"]
     if x.ndim != 2 or x.shape[1] != w1.shape[1]:
         raise EncoderError(f"input shape {x.shape} does not match W1 {w1.shape}")
     z1 = x @ w1.T + b1
-    hidden = np.maximum(z1, 0.0)
-    mask = None
-    if train and dropout > 0.0:
-        mask = _dropout_mask(hidden.shape, dropout, rng)
-        hidden = hidden * mask
+    hidden, mask = _dropout(np.maximum(z1, 0.0), dropout, rng, train)
     logits = hidden @ w2.T + b2
     shift = logits - logits.max(axis=1, keepdims=True)
     log_probs = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
-    return logits, log_probs, FcCache(x, z1, hidden, mask, w1, w2)
+    return log_probs, EmissionCache(hidden, mask, x=x, z1=z1)
 
 
-def cross_entropy_and_grads(log_probs: np.ndarray, gold, cache: FcCache):
-    """Mean token-level negative log probability of the gold tags, with exact
-    gradients for both FC layers and the input (key "x")."""
+def cross_entropy_and_grads(log_probs: np.ndarray, gold):
+    """Mean token-level negative log probability of the gold tags and its
+    gradient with respect to the logits; returns (loss, d_logits)."""
     gold = [int(t) for t in gold]
     n, k = log_probs.shape
     if len(gold) != n:
@@ -296,21 +287,10 @@ def cross_entropy_and_grads(log_probs: np.ndarray, gold, cache: FcCache):
         raise EncoderError("gold tag index out of range")
     loss = -float(log_probs[np.arange(n), gold].mean())
 
-    dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), gold] -= 1.0
-    dlogits /= n
-    grads = {
-        "fc.w2": dlogits.T @ cache.hidden,
-        "fc.b2": dlogits.sum(axis=0),
-    }
-    dhidden = dlogits @ cache.w2
-    if cache.mask is not None:
-        dhidden = dhidden * cache.mask
-    dz1 = dhidden * (cache.z1 > 0.0)
-    grads["fc.w1"] = dz1.T @ cache.x
-    grads["fc.b1"] = dz1.sum(axis=0)
-    grads["x"] = dz1 @ cache.w1
-    return loss, grads
+    d_logits = np.exp(log_probs)
+    d_logits[np.arange(n), gold] -= 1.0
+    d_logits /= n
+    return loss, d_logits
 
 
 # ---------------------------------------------------------------------------
@@ -360,33 +340,45 @@ def init_params(arch: str, dim: int, k: int, hidden: int = 256, fc_size: int = 5
 
 @dataclass
 class EmissionCache:
-    feats: np.ndarray  # projection input
-    lstm: BiLstmCache | None  # None for the crf architecture
-    lstm_mask: np.ndarray | None
+    feats: np.ndarray  # input of the output layer (proj.w or fc.w2)
+    mask: np.ndarray | None  # dropout mask applied to feats
+    lstm: BiLstmCache | None = None  # bilstm-crf only
+    x: np.ndarray | None = None  # linear only: the head's input
+    z1: np.ndarray | None = None  # linear only: the first layer before relu
 
 
 def emissions_forward(arch: str, params: dict, x: np.ndarray, dropout: float = 0.0,
                       rng=None, train: bool = False):
-    """Emission scores for the CRF-headed architectures."""
+    """Per-tag scores (n, k) of one sentence plus backward cache: emissions
+    for the CRF heads, log-probabilities for the linear head."""
+    if arch == "linear":
+        return fc_head_forward(x, params, dropout, rng, train)
     if arch == "crf":
-        return project(x, params), EmissionCache(x, None, None)
+        return project(x, params), EmissionCache(x, None)
     if arch == "bilstm-crf":
         hidden, lstm_cache = bilstm_forward(x, params)
-        mask = None
-        if train and dropout > 0.0:
-            mask = _dropout_mask(hidden.shape, dropout, rng)
-            hidden = hidden * mask
-        return project(hidden, params), EmissionCache(hidden, lstm_cache, mask)
-    raise EncoderError(f"architecture {arch!r} does not produce raw emissions")
+        hidden, mask = _dropout(hidden, dropout, rng, train)
+        return project(hidden, params), EmissionCache(hidden, mask, lstm_cache)
+    raise EncoderError(f"unknown architecture {arch!r}")
 
 
 def emissions_backward(params: dict, cache: EmissionCache, grad_scores: np.ndarray):
-    """Backward through the emission path; returns (grad_x, param grads)."""
-    dfeats, grads = project_backward(cache.feats, params, grad_scores)
-    if cache.lstm is None:
-        return dfeats, grads
-    if cache.lstm_mask is not None:
-        dfeats = dfeats * cache.lstm_mask
-    dx, lstm_grads = bilstm_backward(cache.lstm, dfeats)
-    grads.update(lstm_grads)
-    return dx, grads
+    """Backward through the emission path; returns (grad_x, param grads).
+    For the linear head grad_scores is the gradient at the logits."""
+    if cache.z1 is None:
+        dfeats, grads = project_backward(cache.feats, params, grad_scores)
+    else:
+        grads = {"fc.w2": grad_scores.T @ cache.feats, "fc.b2": grad_scores.sum(axis=0)}
+        dfeats = grad_scores @ params["fc.w2"]
+    if cache.mask is not None:
+        dfeats = dfeats * cache.mask
+    if cache.lstm is not None:
+        dx, lstm_grads = bilstm_backward(cache.lstm, dfeats)
+        grads.update(lstm_grads)
+        return dx, grads
+    if cache.z1 is not None:
+        dz1 = dfeats * (cache.z1 > 0.0)
+        grads["fc.w1"] = dz1.T @ cache.x
+        grads["fc.b1"] = dz1.sum(axis=0)
+        return dz1 @ params["fc.w1"], grads
+    return dfeats, grads

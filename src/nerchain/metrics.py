@@ -51,7 +51,6 @@ class ClassScore:
 @dataclass
 class MetricsReport:
     per_class: list[ClassScore]
-    confusion: dict[tuple[str, str], int]
     invalid_transition_count: int
 
     @property
@@ -136,9 +135,8 @@ def score(gold: Corpus, predicted, repair: str = "convert") -> MetricsReport:
     BIO is repaired per `repair` before span extraction; raw violations are
     counted in the report.
     """
-    counts, invalid, breakdown = _match(gold, predicted, repair)
-    per_class = [ClassScore(t, *c) for t, c in counts.items()]
-    return MetricsReport(per_class, breakdown.confusion, invalid)
+    counts, invalid, _ = _match(gold, predicted, repair)
+    return MetricsReport([ClassScore(t, *c) for t, c in counts.items()], invalid)
 
 
 def error_breakdown(gold: Corpus, predicted, repair: str = "convert") -> ErrorBreakdown:

@@ -31,7 +31,6 @@ from .encoders import (
     embed_backward,
     emissions_backward,
     emissions_forward,
-    fc_head_forward,
     init_params,
     param_shapes,
 )
@@ -198,16 +197,16 @@ class EpochStats:
 
 
 def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng):
+    scores, cache = emissions_forward(arch, params, x, dropout=dropout, rng=rng, train=True)
     if arch == "linear":
-        _, log_probs, cache = fc_head_forward(x, params, dropout=dropout, rng=rng, train=True)
-        loss, grads = cross_entropy_and_grads(log_probs, gold, cache)
-        dx = grads.pop("x")
+        loss, d_scores = cross_entropy_and_grads(scores, gold)
+        head_grads = {}
     else:
-        emissions, cache = emissions_forward(arch, params, x, dropout=dropout, rng=rng, train=True)
-        loss, d_emissions, d_trans = nll_gradients(emissions, TransitionMatrix(params["crf.trans"]),
-                                                   gold)
-        dx, grads = emissions_backward(params, cache, d_emissions)
-        grads["crf.trans"] = d_trans
+        trans = TransitionMatrix(params["crf.trans"])
+        loss, d_scores, d_trans = nll_gradients(scores, trans, gold)
+        head_grads = {"crf.trans": d_trans}
+    dx, grads = emissions_backward(params, cache, d_scores)
+    grads.update(head_grads)
     grads.update(embed_backward(embed_cache, dx))
     return loss, grads
 
@@ -218,24 +217,19 @@ def default_constrained(arch: str) -> bool:
     return arch == "linear"
 
 
-def decode_sentence(arch, params, voc: TagVocabulary, x, constrained: bool):
-    """Predicted tag indices for one encoded sentence (evaluation mode)."""
-    mask = transition_mask(voc) if constrained else None
-    if arch == "linear":
-        _, log_probs, _ = fc_head_forward(x, params, train=False)
-        path, _ = viterbi_decode(log_probs, TransitionMatrix.zeros(voc), mask)
-    else:
-        emissions, _ = emissions_forward(arch, params, x, train=False)
-        path, _ = viterbi_decode(emissions, TransitionMatrix(params["crf.trans"]), mask)
-    return path
-
-
 def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
                    constrained: bool) -> list[list[int]]:
+    """Predicted tag indices for every sentence (evaluation mode). The linear
+    head's log-probabilities are decoded with zero transitions."""
+    voc = corpus.tag_vocabulary
+    trans = (TransitionMatrix.zeros(voc) if arch == "linear"
+             else TransitionMatrix(params["crf.trans"]))
+    mask = transition_mask(voc) if constrained else None
     predictions = []
     for sent in corpus:
         x, _ = embed(sent, source, train=False)
-        predictions.append(decode_sentence(arch, params, corpus.tag_vocabulary, x, constrained))
+        scores, _ = emissions_forward(arch, params, x)
+        predictions.append(viterbi_decode(scores, trans, mask)[0])
     return predictions
 
 
@@ -467,37 +461,39 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
     history: list[EpochStats] = []
     step = 0
 
-    try:  # a diverged model fails the CRF input checks; that is a numeric failure
-        for epoch in range(1, config.epochs + 1):
-            order = rng.permutation(len(sentences))
-            total_nll = 0.0
-            for idx in order:
-                sent = sentences[idx]
-                x, embed_cache = embed(sent, source, dropout=config.dropout, rng=rng, train=True)
-                loss, grads = _loss_and_grads(config.arch, params, x, sent.gold_tags, embed_cache,
-                                              config.dropout, rng)
-                if not np.isfinite(loss):
-                    raise NonFiniteError(
-                        f"non-finite loss {loss!r} at epoch {epoch}, sentence {sent.id!r}"
-                    )
-                clip_global_norm(grads)
-                adam_step(params, grads, state, lr_at(schedule, step))
-                step += 1
-                total_nll += loss
-            mean_nll = total_nll / len(sentences)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteError, not warned
+        try:  # a diverged model fails the CRF input checks; that is a numeric failure
+            for epoch in range(1, config.epochs + 1):
+                order = rng.permutation(len(sentences))
+                total_nll = 0.0
+                for idx in order:
+                    sent = sentences[idx]
+                    x, embed_cache = embed(sent, source, dropout=config.dropout, rng=rng,
+                                           train=True)
+                    loss, grads = _loss_and_grads(config.arch, params, x, sent.gold_tags,
+                                                  embed_cache, config.dropout, rng)
+                    if not np.isfinite(loss):
+                        raise NonFiniteError(
+                            f"non-finite loss {loss!r} at epoch {epoch}, sentence {sent.id!r}"
+                        )
+                    clip_global_norm(grads)
+                    adam_step(params, grads, state, lr_at(schedule, step))
+                    step += 1
+                    total_nll += loss
+                mean_nll = total_nll / len(sentences)
 
-            report = evaluate_corpus(config.arch, params, dev_corpus, source, constrained)
-            stats = EpochStats(epoch, mean_nll, report.macro_precision, report.macro_recall,
-                               report.macro_f1)
-            history.append(stats)
-            logger.info(
-                "epoch %d nll %.6f dev P %.4f R %.4f F1 %.4f",
-                epoch, mean_nll, stats.dev_precision, stats.dev_recall, stats.dev_f1,
-            )
-            if max(history, key=lambda h: h.dev_f1) is stats:  # new best; ties keep the first
-                best_params = {k: v.copy() for k, v in params.items()}
-    except NonFiniteScoreError as exc:
-        raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
+                report = evaluate_corpus(config.arch, params, dev_corpus, source, constrained)
+                stats = EpochStats(epoch, mean_nll, report.macro_precision, report.macro_recall,
+                                   report.macro_f1)
+                history.append(stats)
+                logger.info(
+                    "epoch %d nll %.6f dev P %.4f R %.4f F1 %.4f",
+                    epoch, mean_nll, stats.dev_precision, stats.dev_recall, stats.dev_f1,
+                )
+                if max(history, key=lambda h: h.dev_f1) is stats:  # new best; ties keep the first
+                    best_params = {k: v.copy() for k, v in params.items()}
+        except NonFiniteScoreError as exc:
+            raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
 
     best = max(history, key=lambda h: h.dev_f1)
     checkpoint = Checkpoint(config, tuple(voc.entity_types.types), best_params,

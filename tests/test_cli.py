@@ -113,6 +113,7 @@ class TestHelpAndUsage:
             code, _, err = run(capsys, "train", "--config", str(cfg))
             assert code == 1
             assert f"{cfg}:2: bad value" in err
+            assert err.count(str(cfg)) == 1
 
     def test_non_utf8_config_names_path_and_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -173,7 +174,7 @@ class TestTrain:
             argv[argv.index("--dev-file") + 1] = str(dev)
             code, _, err = run(capsys, *argv)
             assert code == 2
-            assert message in err
+            assert f"{emb}: {message}" in err
 
     def test_non_utf8_data_files_exit_two_naming_the_file(self, capsys, tiny, tmp_path):
         bad = tmp_path / "bad.data"
@@ -369,6 +370,20 @@ class TestEvaluate:
         code, _, err = run(capsys, "evaluate", "--gold", tiny, "--pred", tiny, "--token-col", "-9")
         assert code == 2
         assert "line 2: expected token in column -9" in err
+
+    def test_bad_gold_file_error_names_the_file(self, capsys, tmp_path, tiny):
+        bad = tmp_path / "bad.conll"
+        bad.write_text("# id s0\nJohn _ _ B-NOPE\n")
+        code, _, err = run(capsys, "evaluate", "--gold", str(bad), "--pred", tiny)
+        assert code == 2
+        assert f"{bad}: line 2: unknown tag name 'B-NOPE'" in err
+
+    def test_token_column_equal_to_tag_column_exits_two(self, capsys, tiny):
+        code, out, err = run(capsys, "evaluate", "--gold", tiny, "--pred", tiny,
+                             "--token-col", "-1", "--tag-col", "-1")
+        assert code == 2
+        assert out == ""
+        assert f"{tiny}: line 2: token column -1 and tag column -1 are the same field" in err
 
     def test_sentence_count_mismatch_exits_two(self, capsys, tmp_path, tiny):
         bad = tmp_path / "bad.conll"

@@ -61,6 +61,12 @@ class TestParseConll:
         with pytest.raises(ConllError):
             parse_conll("a O\n", VOC, token_column=5)
 
+    def test_token_column_equal_to_tag_column(self):
+        for text, token_column, tag_column in (("a _ O\n", -1, -1), ("a O\n", -2, 0),
+                                               ("a O\n", 1, -1)):
+            with pytest.raises(ConllError, match="line 1: .* are the same field"):
+                parse_conll(text, VOC, token_column=token_column, tag_column=tag_column)
+
     def test_custom_columns(self):
         corpus = parse_conll("x a B-PER\nx b I-PER\n", VOC, token_column=1, tag_column=2)
         assert corpus.sentences[0].tokens == ("a", "b")

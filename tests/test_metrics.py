@@ -174,7 +174,7 @@ class TestScore:
     def test_macro_is_unweighted_mean(self):
         per = [ClassScore(t, *np.random.default_rng(i).integers(0, 9, 3))
                for i, t in enumerate(VOC.entity_types)]
-        report = MetricsReport(per, {}, 0)
+        report = MetricsReport(per, 0)
         assert report.macro_precision == pytest.approx(
             np.mean([c.precision for c in per]), abs=1e-12)
         assert report.macro_f1 == pytest.approx(np.mean([c.f1 for c in per]), abs=1e-12)
