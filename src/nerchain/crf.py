@@ -8,9 +8,18 @@ scores
 
 with y_0 = START and y_{n+1} = STOP. The path distribution is the global
 softmax of s over all k^n label sequences. All dynamic programs run in log
-space with max-shifted logsumexp, in float64. Everything here is pure.
+space with max-shifted log-sum-exp, in float64. Everything here is pure.
+
+Kernel invariant: each step of the forward and backward recursions does the
+float operations of one generic log-sum-exp call, in the same order and over
+arrays of the same layout (max over the reduced axis, a shift of 0 where that
+max is not finite, exp, sum, log, add the shift back). The kernels only
+reuse buffers and skip the per-call overhead, so every result is bit-identical
+to the per-step log-sum-exp recursion; the tests hold them to that reference
+(tests/oracles.py) bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,18 +38,7 @@ class NoValidPathError(CrfError):
 
 
 class NonFiniteScoreError(CrfError):
-    """An emission or transition score is inf or nan."""
-
-
-def logsumexp(x, axis=None):
-    x = np.asarray(x, dtype=np.float64)
-    m = np.max(x, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.exp(x - shift).sum(axis=axis, keepdims=True)) + shift
-    if axis is None:
-        return out.item()
-    return np.squeeze(out, axis=axis)
+    """An emission, transition or path score is inf or nan."""
 
 
 @dataclass
@@ -84,41 +82,110 @@ def pin_boundary(values: np.ndarray) -> None:
 
 def _check(P: np.ndarray, A: TransitionMatrix, y=None):
     P = np.asarray(P, dtype=np.float64)
+    k = A.k
     if P.ndim != 2 or P.shape[0] < 1:
         raise CrfError(f"emission matrix must be (n, k) with n >= 1, got {P.shape}")
-    if P.shape[1] != A.k:
-        raise CrfError(f"emissions have {P.shape[1]} tags, transitions expect {A.k}")
-    if not np.all(np.isfinite(P)):
+    if P.shape[1] != k:
+        raise CrfError(f"emissions have {P.shape[1]} tags, transitions expect {k}")
+    if not np.isfinite(P).all():
         raise NonFiniteScoreError("non-finite emission score")
     if y is not None:
         y = [int(t) for t in y]
         if len(y) != P.shape[0]:
             raise CrfError(f"label path length {len(y)} != sequence length {P.shape[0]}")
-        if any(not 0 <= t < A.k for t in y):
+        if min(y) < 0 or max(y) >= k:
             raise CrfError("label path contains an out-of-range tag index")
     return P, y
+
+
+def _path_score(P: np.ndarray, A: TransitionMatrix, y: list[int]) -> float:
+    """Score of a checked path, added left to right: the START edge, then each
+    emission followed by the edge out of it."""
+    n, k = P.shape
+    av = A.values
+    emissions = P[np.arange(n), y].tolist()
+    steps = av[y[:-1], y[1:]].tolist()
+    score = float(av[k, y[0]]) + emissions[0]
+    for t in range(1, n):
+        score = score + steps[t - 1]
+        score = score + emissions[t]
+    return score + float(av[y[n - 1], k + 1])
 
 
 def sequence_score(P: np.ndarray, A: TransitionMatrix, y) -> float:
     """Score of one label path (transitions including START/STOP, plus emissions)."""
     P, y = _check(P, A, y)
-    n = P.shape[0]
-    score = A.values[A.start, y[0]] + P[0, y[0]]
-    for t in range(1, n):
-        score = score + A.values[y[t - 1], y[t]]
-        score = score + P[t, y[t]]
-    return float(score + A.values[y[n - 1], A.stop])
+    return _path_score(P, A, y)
 
 
-def _forward(P: np.ndarray, A: TransitionMatrix):
-    """Forward algorithm on checked input: log_alpha (n, k) and log Z."""
+def _log_sum_exp(buf, axis, shift, out, guard):
+    """out = log(sum(exp(buf - shift), axis)) + shift, where shift is the max of
+    buf over axis. shift and out keep the reduced axis, so they broadcast over
+    buf; buf is overwritten. Where the max is not finite the per-step reference
+    shifts by 0 instead; only the guard pass does that (see _forward)."""
+    np.maximum.reduce(buf, axis=axis, out=shift, keepdims=True)
+    if guard:
+        np.copyto(shift, 0.0, where=~np.isfinite(shift))
+    np.subtract(buf, shift, out=buf)
+    np.exp(buf, out=buf)
+    np.add.reduce(buf, axis=axis, out=out, keepdims=True)
+    np.log(out, out=out)
+    np.add(out, shift, out=out)
+
+
+def _forward(P: np.ndarray, A: TransitionMatrix, guard: bool = False):
+    """Forward algorithm on checked input: log_alpha (n, k) and log Z.
+
+    A max that is not finite (only once scores overflow float64) makes the
+    unguarded pass subtract inf from inf, and the nan reaches log Z; the pass
+    is then rerun with the reference's shift of 0, so overflowing scores give
+    the reference's inf, -inf or nan as well. Finite maxima need no guard."""
     n, k = P.shape
-    trans = A.values[:k, :k]
+    av = A.values
+    trans = av[:k, :k]
     log_alpha = np.empty((n, k))
-    log_alpha[0] = A.values[A.start, :k] + P[0]
-    for t in range(1, n):
-        log_alpha[t] = logsumexp(log_alpha[t - 1][:, None] + trans, axis=0) + P[t]
-    return log_alpha, logsumexp(log_alpha[n - 1] + A.values[:k, A.stop])
+    np.add(av[k, :k], P[0], out=log_alpha[0])
+    cols = log_alpha[:, :, None]
+    rows = log_alpha[:, None, :]
+    buf = np.empty((k, k))
+    shift = np.empty((1, k))
+    log_z = np.empty((1, 1))
+    with np.errstate(invalid="ignore"):  # inf - inf: only in an unguarded pass, rerun below
+        for t in range(1, n):
+            np.add(cols[t - 1], trans, out=buf)
+            _log_sum_exp(buf, 0, shift, rows[t], guard)
+            np.add(rows[t], P[t], out=rows[t])
+        last = (log_alpha[n - 1] + av[:k, k + 1])[None, :]
+        _log_sum_exp(last, 1, shift[:, :1], log_z, guard)
+    log_z = log_z.item()
+    if not guard and not math.isfinite(log_z):
+        with np.errstate(divide="ignore"):  # log(0) of an all -inf column is -inf
+            return _forward(P, A, guard=True)
+    return log_alpha, log_z
+
+
+def _backward(P: np.ndarray, A: TransitionMatrix, guard: bool = False) -> np.ndarray:
+    """Backward algorithm on checked input: log_beta (n, k), with
+    log_beta[n-1] the STOP column. As in _forward, a max that is not finite
+    leaves nan in log_beta[0], and the pass is rerun with the guard."""
+    n, k = P.shape
+    av = A.values
+    trans = av[:k, :k]
+    log_beta = np.empty((n, k))
+    log_beta[n - 1] = av[:k, k + 1]
+    cols = log_beta[:, :, None]
+    buf = np.empty((k, k))
+    shift = np.empty((k, 1))
+    ahead = np.empty(k)
+    with np.errstate(invalid="ignore"):
+        for t in range(n - 2, -1, -1):
+            np.add(P[t + 1], log_beta[t + 1], out=ahead)
+            np.add(trans, ahead, out=buf)
+            _log_sum_exp(buf, 1, shift, cols[t], guard)
+    if not guard and not np.isfinite(log_beta[0]).all():
+        with np.errstate(divide="ignore"):
+            return _backward(P, A, guard=True)
+    return log_beta
 
 
 def log_partition(P: np.ndarray, A: TransitionMatrix) -> float:
@@ -129,7 +196,8 @@ def log_partition(P: np.ndarray, A: TransitionMatrix) -> float:
 
 def log_likelihood(P: np.ndarray, A: TransitionMatrix, y) -> float:
     """log p(y) = sequence_score(y) - log_partition; always <= 0."""
-    return sequence_score(P, A, y) - log_partition(P, A)
+    P, y = _check(P, A, y)
+    return _path_score(P, A, y) - _forward(P, A)[1]
 
 
 @dataclass
@@ -149,24 +217,21 @@ class Marginals:
     log_z: float
 
 
+def _marginals(P: np.ndarray, A: TransitionMatrix) -> Marginals:
+    k = P.shape[1]
+    log_alpha, log_z = _forward(P, A)
+    log_beta = _backward(P, A)
+    node = np.exp(log_alpha + log_beta - log_z)
+    edge = log_alpha[:-1, :, None] + A.values[:k, :k]
+    edge += (P[1:] + log_beta[1:])[:, None, :]
+    edge -= log_z
+    np.exp(edge, out=edge)
+    return Marginals(node, edge, log_z)
+
+
 def forward_backward(P: np.ndarray, A: TransitionMatrix) -> Marginals:
     P, _ = _check(P, A)
-    n, k = P.shape
-    trans = A.values[:k, :k]
-    log_alpha, log_z = _forward(P, A)
-
-    log_beta = np.empty((n, k))
-    log_beta[n - 1] = A.values[:k, A.stop]
-    for t in range(n - 2, -1, -1):
-        log_beta[t] = logsumexp(trans + (P[t + 1] + log_beta[t + 1])[None, :], axis=1)
-
-    node = np.exp(log_alpha + log_beta - log_z)
-    edge = np.empty((n - 1, k, k))
-    for t in range(n - 1):
-        edge[t] = np.exp(
-            log_alpha[t][:, None] + trans + (P[t + 1] + log_beta[t + 1])[None, :] - log_z
-        )
-    return Marginals(node, edge, log_z)
+    return _marginals(P, A)
 
 
 def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
@@ -179,21 +244,20 @@ def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
     """
     P, y = _check(P, A, y)
     n, k = P.shape
-    marg = forward_backward(P, A)
-    nll = -(sequence_score(P, A, y) - marg.log_z)  # as -log_likelihood, to the bit
-
-    dP = marg.node.copy()
-    dP[np.arange(n), y] -= 1.0
+    marg = _marginals(P, A)
+    nll = -(_path_score(P, A, y) - marg.log_z)  # as -log_likelihood, to the bit
 
     dA = np.zeros_like(A.values)
-    if n > 1:
-        dA[:k, :k] = marg.edge.sum(axis=0)
-    dA[A.start, :k] = marg.node[0]
-    dA[:k, A.stop] += marg.node[n - 1]
-    dA[A.start, y[0]] -= 1.0
-    for t in range(1, n):
-        dA[y[t - 1], y[t]] -= 1.0
-    dA[y[n - 1], A.stop] -= 1.0
+    dA[:k, :k] = marg.edge.sum(axis=0)
+    dA[k, :k] = marg.node[0]
+    dA[:k, k + 1] += marg.node[n - 1]
+    gold = np.asarray(y, dtype=np.intp)
+    dA[k, y[0]] -= 1.0
+    np.subtract.at(dA, (gold[:-1], gold[1:]), 1.0)
+    dA[y[n - 1], k + 1] -= 1.0
+
+    dP = marg.node
+    dP[np.arange(n), gold] -= 1.0
     return nll, dP, dA
 
 
@@ -203,7 +267,9 @@ def viterbi_decode(P: np.ndarray, A: TransitionMatrix, mask: np.ndarray | None =
 
     Ties are broken toward the lowest tag index at every backtracking step,
     i.e. the returned path is the minimum of the argmax set under reversed
-    lexicographic order.
+    lexicographic order. A best score of -inf under a mask means no path is
+    allowed (NoValidPathError); any other non-finite best score comes from
+    overflowing scores (NonFiniteScoreError).
     """
     P, _ = _check(P, A)
     n, k = P.shape
@@ -215,21 +281,26 @@ def viterbi_decode(P: np.ndarray, A: TransitionMatrix, mask: np.ndarray | None =
         av = A.values + np.where(mask, 0.0, -np.inf)
 
     trans = av[:k, :k]
-    delta = av[A.start, :k] + P[0]
+    columns = np.arange(k)
+    cand = np.empty((k, k))
     back = np.empty((n, k), dtype=np.intp)
+    delta = av[k, :k] + P[0]
     for t in range(1, n):
-        cand = delta[:, None] + trans
-        back[t] = np.argmax(cand, axis=0)
-        delta = cand[back[t], np.arange(k)] + P[t]
+        np.add(delta[:, None], trans, out=cand)
+        best_from = back[t]
+        cand.argmax(axis=0, out=best_from)
+        delta = cand[best_from, columns] + P[t]
 
-    final = delta + av[:k, A.stop]
+    final = delta + av[:k, k + 1]
     best = int(np.argmax(final))
-    score = final[best]
-    if not np.isfinite(score):
+    score = float(final[best])
+    if not math.isfinite(score):
+        if mask is None or score != -math.inf:
+            raise NonFiniteScoreError(f"non-finite best path score {score}")
         raise NoValidPathError("no path satisfies the transition mask")
 
-    path = [0] * n
-    path[n - 1] = best
+    rows = back.tolist()
+    path = [best] * n
     for t in range(n - 1, 0, -1):
-        path[t - 1] = int(back[t, path[t]])
-    return path, float(score)
+        path[t - 1] = rows[t][path[t]]
+    return path, score

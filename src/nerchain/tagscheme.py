@@ -5,6 +5,7 @@ order, followed by two virtual states START and STOP used only by the chain
 model. All functions here are pure and all containers immutable.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,11 +146,13 @@ def is_valid_transition(voc: TagVocabulary, from_tag: int, to_tag: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=16)
 def transition_mask(voc: TagVocabulary) -> np.ndarray:
     """(k+2)x(k+2) boolean mask, True where a transition is BIO-valid.
 
     Cells into START and out of STOP are structurally impossible and masked
-    False; decoders never consult them.
+    False; decoders never consult them. Built once per vocabulary (which is
+    frozen and hashable) and shared, so the array is read-only.
     """
     n = voc.k + 2
     mask = np.zeros((n, n), dtype=bool)
@@ -158,6 +161,7 @@ def transition_mask(voc: TagVocabulary) -> np.ndarray:
             mask[i, j] = is_valid_transition(voc, i, j)
     mask[:, voc.start_index] = False
     mask[voc.stop_index, :] = False
+    mask.flags.writeable = False
     return mask
 
 

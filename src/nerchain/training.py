@@ -462,7 +462,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
     step = 0
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteError, not warned
-        try:  # a diverged model fails the CRF input checks; that is a numeric failure
+        try:  # a diverged model fails the CRF score checks; that is a numeric failure
             for epoch in range(1, config.epochs + 1):
                 order = rng.permutation(len(sentences))
                 total_nll = 0.0
@@ -477,7 +477,11 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                             f"non-finite loss {loss!r} at epoch {epoch}, sentence {sent.id!r}"
                         )
                     clip_global_norm(grads)
-                    adam_step(params, grads, state, lr_at(schedule, step))
+                    try:
+                        adam_step(params, grads, state, lr_at(schedule, step))
+                    except NonFiniteError as exc:
+                        raise NonFiniteError(
+                            f"{exc} at epoch {epoch}, sentence {sent.id!r}") from None
                     step += 1
                     total_nll += loss
                 mean_nll = total_nll / len(sentences)

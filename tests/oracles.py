@@ -71,6 +71,97 @@ def enum_marginals(P, A, start, stop):
 
 
 # ---------------------------------------------------------------------------
+# chain model: the dynamic programs with one generic log-sum-exp call per step
+# (the kernels must match these bit for bit). A is the raw (k+2) x (k+2) array
+# with START = k and STOP = k + 1.
+
+
+def logsumexp(x, axis=None):
+    x = np.asarray(x, dtype=np.float64)
+    m = np.max(x, axis=axis, keepdims=True)
+    shift = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.exp(x - shift).sum(axis=axis, keepdims=True)) + shift
+    if axis is None:
+        return out.item()
+    return np.squeeze(out, axis=axis)
+
+
+def reference_forward_backward(P, A):
+    """(node, edge, log_z) by the per-step log-sum-exp recursions."""
+    n, k = P.shape
+    trans = A[:k, :k]
+    log_alpha = np.empty((n, k))
+    log_alpha[0] = A[k, :k] + P[0]
+    for t in range(1, n):
+        log_alpha[t] = logsumexp(log_alpha[t - 1][:, None] + trans, axis=0) + P[t]
+    log_z = logsumexp(log_alpha[n - 1] + A[:k, k + 1])
+
+    log_beta = np.empty((n, k))
+    log_beta[n - 1] = A[:k, k + 1]
+    for t in range(n - 2, -1, -1):
+        log_beta[t] = logsumexp(trans + (P[t + 1] + log_beta[t + 1])[None, :], axis=1)
+
+    node = np.exp(log_alpha + log_beta - log_z)
+    edge = np.empty((n - 1, k, k))
+    for t in range(n - 1):
+        edge[t] = np.exp(
+            log_alpha[t][:, None] + trans + (P[t + 1] + log_beta[t + 1])[None, :] - log_z
+        )
+    return node, edge, log_z
+
+
+def reference_nll_gradients(P, A, y):
+    """(nll, dP, dA): expected minus observed counts, one step at a time."""
+    n, k = P.shape
+    node, edge, log_z = reference_forward_backward(P, A)
+    y = [int(t) for t in y]
+    score = A[k, y[0]] + P[0, y[0]]
+    for t in range(1, n):
+        score = score + A[y[t - 1], y[t]]
+        score = score + P[t, y[t]]
+    nll = -(float(score + A[y[n - 1], k + 1]) - log_z)
+
+    dP = node.copy()
+    for t in range(n):
+        dP[t, y[t]] -= 1.0
+    dA = np.zeros_like(A)
+    if n > 1:
+        dA[:k, :k] = edge.sum(axis=0)
+    dA[k, :k] = node[0]
+    dA[:k, k + 1] += node[n - 1]
+    dA[k, y[0]] -= 1.0
+    for t in range(1, n):
+        dA[y[t - 1], y[t]] -= 1.0
+    dA[y[n - 1], k + 1] -= 1.0
+    return nll, dP, dA
+
+
+def reference_viterbi(P, A, mask=None):
+    """(path, score) of the best path, lowest tag index on ties, or
+    (None, score) when the best score is not finite."""
+    n, k = P.shape
+    av = A if mask is None else A + np.where(mask, 0.0, -np.inf)
+    trans = av[:k, :k]
+    delta = av[k, :k] + P[0]
+    back = np.empty((n, k), dtype=np.intp)
+    for t in range(1, n):
+        cand = delta[:, None] + trans
+        back[t] = np.argmax(cand, axis=0)
+        delta = cand[back[t], np.arange(k)] + P[t]
+    final = delta + av[:k, k + 1]
+    best = int(np.argmax(final))
+    score = float(final[best])
+    if not np.isfinite(score):
+        return None, score
+    path = [0] * n
+    path[n - 1] = best
+    for t in range(n - 1, 0, -1):
+        path[t - 1] = int(back[t, path[t]])
+    return path, score
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 
 

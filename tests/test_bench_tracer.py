@@ -1,17 +1,45 @@
 """The benchmark tracer looks its layer names up only in traced runs, so a
-renamed function passes every untraced run; this checks the names directly."""
+renamed function passes every untraced run; this checks the names directly,
+and that a traced run still reaches the layers the benchmark reports."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from nerchain import training
+from nerchain.tagscheme import EntityTypeSet, expand_bio
+from nerchain.training import TrainConfig
+
+from oracles import random_corpus
+
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def test_every_traced_layer_resolves_to_a_callable():
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_layer_resolves_to_a_callable():
+    tracer = load_tracer()
     assert tracer.LAYERS
     for name, module, attr in tracer.LAYERS:
         assert callable(getattr(importlib.import_module(module), attr, None)), name
+
+
+def test_traced_training_and_tagging_reach_the_crf_and_training_layers():
+    # a layer inlined into its caller would read 0 in every traced benchmark run
+    corpus = random_corpus(np.random.default_rng(0), expand_bio(EntityTypeSet(("PER",))), 4)
+    tracer = load_tracer().Tracer()
+    with tracer.tracing(0):
+        for arch in ("crf", "linear"):
+            config = TrainConfig(arch=arch, epochs=1, dim=4, fc_size=4)
+            checkpoint, _ = training.train(corpus, corpus, config)
+            training.predict_with_checkpoint(checkpoint, corpus)
+    recorded = {name for name, *_ in tracer.spans}
+    assert {"crf.nll_gradients", "crf.viterbi_decode", "training.adam_step",
+            "training.evaluate_corpus", "tagscheme.transition_mask"} <= recorded

@@ -195,6 +195,18 @@ class TestTrain:
         assert code == 3
         assert "training diverged at epoch 1: non-finite emission score" in err
 
+    def test_diverged_crf_decode_names_the_epoch(self, capsys, tmp_path):
+        # the unmasked decode of a diverged crf model overflows its best path
+        # score: a numeric failure at that epoch, not a mask failure
+        mixed = tmp_path / "mixed.conll"
+        mixed.write_text("a _ _ B-PER\nb _ _ I-PER\nc _ _ O\n\nd _ _ O\ne _ _ B-LOC\n",
+                         encoding="utf-8")
+        code, _, err = run(capsys, "train", "--train-file", str(mixed), "--dev-file",
+                           str(mixed), "--checkpoint", str(tmp_path / "m.ckpt"), "--lr-min",
+                           "1e307", "--lr-max", "1e308", "--dropout", "0", "--epochs", "3")
+        assert code == 3
+        assert "training diverged at epoch 1: non-finite best path score inf" in err
+
     def test_embeddings_with_train_file_as_dev_file(self, capsys, tmp_path):
         for text in (TINY, TINY.replace("# id s0\n", "").replace("# id s1\n", "")
                      .replace("# id s2\n", "")):  # explicit, then ordinal ids

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from nerchain.crf import (
     CrfError,
+    NonFiniteScoreError,
     NoValidPathError,
     SENTINEL,
     TransitionMatrix,
     forward_backward,
     log_likelihood,
     log_partition,
-    logsumexp,
     nll_gradients,
     sequence_score,
     viterbi_decode,
@@ -31,8 +31,12 @@ from oracles import (
     enum_log_partition,
     enum_marginals,
     finite_difference,
+    logsumexp,
     max_rel_err,
     path_score,
+    reference_forward_backward,
+    reference_nll_gradients,
+    reference_viterbi,
 )
 
 
@@ -325,9 +329,71 @@ class TestViterbi:
         with pytest.raises(NoValidPathError):
             viterbi_decode(np.zeros((2, 2)), A, mask)
 
+    def test_overflowing_best_score_is_a_non_finite_score(self):
+        # finite scores whose path sum overflows: not the mask's doing
+        A = zero_trans(2)
+        P = np.full((2, 2), 1e308)
+        with np.errstate(over="ignore"):
+            for mask in (None, np.ones((4, 4), dtype=bool)):
+                with pytest.raises(NonFiniteScoreError, match="non-finite best path score inf"):
+                    viterbi_decode(P, A, mask)
+            with pytest.raises(NonFiniteScoreError, match="-inf"):
+                viterbi_decode(-P, A)
+
     def test_purity(self):
         rng = np.random.default_rng(59)
         P, A = make_instance(rng, n=5, k=4)
         first = viterbi_decode(P, A)
         for _ in range(3):
             assert viterbi_decode(P, A) == first
+
+
+def _bits(value):
+    value = np.asarray(value, dtype=np.float64)
+    return value.shape, value.tobytes()
+
+
+@st.composite
+def chain_instances(draw):
+    """(P, A, y, mask) with k 1-15 and n 1-45: uniform scores at magnitudes
+    1e-3 to 1e5, small integers (ties everywhere), or magnitudes near the
+    float64 limit, where the recursions overflow; mask is None or random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 15))
+    n = draw(st.integers(1, 45))
+    kind = draw(st.sampled_from(["uniform", "ties", "overflow"]))
+    if kind == "ties":
+        P = rng.integers(-2, 3, (n, k)).astype(float)
+        values = rng.integers(-2, 3, (k + 2, k + 2)).astype(float)
+    else:
+        scale = 10.0 ** (draw(st.floats(-3.0, 5.0)) if kind == "uniform"
+                         else draw(st.floats(300.0, 307.9)))
+        P = scale * rng.uniform(-1.0, 1.0, (n, k))
+        values = scale * rng.uniform(-1.0, 1.0, (k + 2, k + 2))
+    mask = rng.random((k + 2, k + 2)) < 0.8 if draw(st.booleans()) else None
+    return P, TransitionMatrix(values), rng.integers(0, k, n).tolist(), mask
+
+
+@given(chain_instances())
+@settings(max_examples=300, deadline=None)
+def test_kernels_match_the_per_step_reference_bit_for_bit(instance):
+    P, A, y, mask = instance
+    with np.errstate(all="ignore"):
+        expected_nll = reference_nll_gradients(P, A.values, y)
+        node, edge, log_z = reference_forward_backward(P, A.values)
+        expected_path, expected_score = reference_viterbi(P, A.values, mask)
+        got_nll = nll_gradients(P, A, y)
+        marg = forward_backward(P, A)
+        got_z = log_partition(P, A)
+        try:
+            got_path, got_score = viterbi_decode(P, A, mask)
+        except (NoValidPathError, NonFiniteScoreError):
+            got_path, got_score = None, expected_score
+            assert not math.isfinite(expected_score)
+    for got, expected in zip(got_nll, expected_nll):
+        assert _bits(got) == _bits(expected)
+    assert _bits(marg.node) == _bits(node)
+    assert _bits(marg.edge) == _bits(edge)
+    assert _bits(marg.log_z) == _bits(log_z) == _bits(got_z)
+    assert got_path == expected_path
+    assert _bits(got_score) == _bits(expected_score)

@@ -105,6 +105,12 @@ class TestIsValidTransition:
         assert not mask[:, VOC.start_index].any()
         assert not mask[VOC.stop_index, :].any()
 
+    def test_mask_is_built_once_and_read_only(self):
+        mask = transition_mask(VOC)
+        assert transition_mask(expand_bio(EntityTypeSet(VOC.entity_types.types))) is mask
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
+
 
 class TestExtractSpans:
     def test_three_token_location(self):

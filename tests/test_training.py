@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nerchain import training
 from nerchain.conll_io import Corpus, EmbeddingSet, Sentence, TokenVocabulary
 from nerchain.encoders import init_params
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
@@ -31,7 +32,7 @@ from nerchain.training import (
     train,
 )
 
-from oracles import scalar_adam
+from oracles import reference_nll_gradients, reference_viterbi, scalar_adam
 
 VOC = expand_bio(EntityTypeSet())
 
@@ -218,6 +219,31 @@ class TestTrain:
         best = max(history, key=lambda h: h.dev_f1)
         assert checkpoint.best_f1 == best.dev_f1
         assert checkpoint.best_epoch <= 12
+
+    def test_non_finite_gradient_names_epoch_and_sentence(self, monkeypatch):
+        real = training._loss_and_grads
+
+        def nan_gradient(*args):
+            loss, grads = real(*args)
+            grads["crf.trans"][0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "_loss_and_grads", nan_gradient)
+        corpus = tiny_corpus()
+        with pytest.raises(NonFiniteError,
+                           match=r"gradient in 'crf.trans' at epoch 1, sentence 's\d'"):
+            train(corpus, corpus, TrainConfig(epochs=1, dim=4))
+
+    def test_crf_kernels_give_the_reference_checkpoint_bytes(self, monkeypatch):
+        corpus = tiny_corpus()
+        cfg = TrainConfig(arch="crf", epochs=3, dropout=0.2, lr_min=1e-3, lr_max=1e-1, seed=7,
+                          dim=6)
+        kernels, _ = train(corpus, corpus, cfg)
+        monkeypatch.setattr(training, "nll_gradients",
+                            lambda P, A, y: reference_nll_gradients(P, A.values, y))
+        monkeypatch.setattr(training, "viterbi_decode",
+                            lambda P, A, mask=None: reference_viterbi(P, A.values, mask))
+        assert train(corpus, corpus, cfg)[0] == kernels  # same checkpoint bytes
 
 
 class TestCheckpointIO:
