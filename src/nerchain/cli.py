@@ -37,6 +37,7 @@ from .tagscheme import (
 from .training import (
     CONFIG_TYPES,
     CheckpointError,
+    LayoutError,
     NonFiniteError,
     TrainConfig,
     TrainingError,
@@ -352,7 +353,7 @@ def main(argv=None) -> int:
     try:
         settings = Settings(args)
         return _COMMANDS[args.command](settings)
-    except UsageError as exc:
+    except (UsageError, LayoutError) as exc:  # a layout too large is a bad flag value
         print(f"nerchain: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonFiniteError, NoValidPathError) as exc:

@@ -32,6 +32,15 @@ The LSTM cell is the standard 4-gate form: gate order (i, f, g, o) with
 sigmoid/sigmoid/tanh/sigmoid, c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t),
 zero initial state. Weights initialize uniform(-0.1, 0.1); biases zero
 except the forget-gate section, which starts at 1.
+
+Only the recurrence runs in the Python time loop. The forward computes the
+input projection x @ wx.T + b of all n tokens in one matmul before the loop;
+each step adds wh @ h_prev to its row and applies one in-place sigmoid to the
+(4h,) gate block, with tanh on the g slice. The backward writes each step's
+gate gradient into a row of dZ and, after the loop, forms the weight
+gradients as one matmul each: dwx = dZ.T @ x, dwh = dZ[1:].T @ h[:-1],
+db = dZ.sum(0), and dx = dZ @ wx. The sums run in a different order than a
+per-step loop would take, so results agree with one to rounding, not bits.
 """
 
 from dataclasses import dataclass
@@ -48,10 +57,6 @@ INIT_SCALE = 0.1
 
 class EncoderError(ValueError):
     pass
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _uniform(rng, shape):
@@ -134,10 +139,7 @@ class _LstmCache:
     x: np.ndarray
     wx: np.ndarray
     wh: np.ndarray
-    i: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
-    o: np.ndarray
+    gates: np.ndarray  # (n, 4h): sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) per step
     c: np.ndarray
     tanh_c: np.ndarray
     h: np.ndarray  # (n, h), h[t] is the state emitted at step t
@@ -150,55 +152,57 @@ def _lstm_forward(x, wx, wh, b):
         raise EncoderError(
             f"inconsistent lstm shapes wx={wx.shape} wh={wh.shape} b={b.shape} d={x.shape[1]}"
         )
-    gi = np.empty((n, h)); gf = np.empty((n, h)); gg = np.empty((n, h)); go = np.empty((n, h))
+    gates = x @ wx.T + b  # every step's input projection; the loop adds wh @ h_prev
     cs = np.empty((n, h)); tc = np.empty((n, h)); hs = np.empty((n, h))
-    h_prev = np.zeros(h)
-    c_prev = np.zeros(h)
-    for t in range(n):
-        z = wx @ x[t] + wh @ h_prev + b
-        gi[t] = _sigmoid(z[:h])
-        gf[t] = _sigmoid(z[h:2 * h])
-        gg[t] = np.tanh(z[2 * h:3 * h])
-        go[t] = _sigmoid(z[3 * h:])
-        cs[t] = gf[t] * c_prev + gi[t] * gg[t]
-        tc[t] = np.tanh(cs[t])
-        hs[t] = go[t] * tc[t]
-        h_prev = hs[t]
-        c_prev = cs[t]
-    return hs, _LstmCache(x, wx, wh, gi, gf, gg, go, cs, tc, hs)
+    g = np.empty(h)
+    h_prev = c_prev = None
+    # one row view per step and array, so the loop body only calls ufuncs
+    for z, (i, f, g_z, o), c, tanh_c, h_t in zip(gates, gates.reshape(n, 4, h), cs, tc, hs):
+        if h_prev is not None:
+            z += wh @ h_prev
+        np.tanh(g_z, out=g)
+        np.negative(z, out=z)  # sigmoid over the whole gate block, in place ...
+        np.exp(z, out=z)
+        z += 1.0
+        np.reciprocal(z, out=z)
+        g_z[...] = g  # ... with tanh on the g slice
+        np.multiply(i, g, out=c)
+        if c_prev is not None:
+            c += f * c_prev
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h_t)
+        h_prev, c_prev = h_t, c
+    return hs, _LstmCache(x, wx, wh, gates, cs, tc, hs)
 
 
 def _lstm_backward(cache: _LstmCache, grad_h):
-    x, wx, wh = cache.x, cache.wx, cache.wh
+    x, wx, wh, tc = cache.x, cache.wx, cache.wh, cache.tanh_c
     n, h = cache.h.shape
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * h)
-    dx = np.zeros_like(x)
+    i, f, g, o = cache.gates.reshape(n, 4, h).transpose(1, 0, 2)
+    c_prev = np.zeros((n, h))
+    c_prev[1:] = cache.c[:-1]
+    # the factors that do not depend on the recurrence, for every step at once:
+    # dc = dc_next + dh * dc_dh, dz_(i,f,g) = dc * dz_dc and dz_o = dh * dz_dh
+    dz_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=1)
+    dz_dh = tc * o * (1.0 - o)
+    dc_dh = o * (1.0 - tc * tc)
+    dz = np.empty((n, 4, h))  # row t is the gradient at step t's gate pre-activations
+    flat = dz.reshape(n, 4 * h)
     dh_next = np.zeros(h)
     dc_next = np.zeros(h)
-    for t in range(n - 1, -1, -1):
-        dh = grad_h[t] + dh_next
-        do = dh * cache.tanh_c[t]
-        dc = dc_next + dh * cache.o[t] * (1.0 - cache.tanh_c[t] ** 2)
-        c_prev = cache.c[t - 1] if t > 0 else np.zeros(h)
-        h_prev = cache.h[t - 1] if t > 0 else np.zeros(h)
-        di = dc * cache.g[t]
-        df = dc * c_prev
-        dg = dc * cache.i[t]
-        dc_next = dc * cache.f[t]
-        dz = np.concatenate([
-            di * cache.i[t] * (1.0 - cache.i[t]),
-            df * cache.f[t] * (1.0 - cache.f[t]),
-            dg * (1.0 - cache.g[t] ** 2),
-            do * cache.o[t] * (1.0 - cache.o[t]),
-        ])
-        dwx += np.outer(dz, x[t])
-        dwh += np.outer(dz, h_prev)
-        db += dz
-        dx[t] = wx.T @ dz
-        dh_next = wh.T @ dz
-    return dx, dwx, dwh, db
+    steps = zip(grad_h, dc_dh, dz_dc, dz_dh, f, dz, flat)
+    for grad, dc_dh_t, dz_dc_t, dz_dh_t, f_t, dz_t, dz_flat in reversed(list(steps)):
+        dh = grad + dh_next
+        dc = dh * dc_dh_t
+        dc += dc_next
+        np.multiply(dz_dc_t, dc, out=dz_t[:3])
+        np.multiply(dz_dh_t, dh, out=dz_t[3])
+        dc_next = dc * f_t
+        dh_next = dz_flat @ wh
+    # each weight gradient sums every step's outer product in one matmul;
+    # step 0 has no h_prev, so it adds nothing to dwh
+    dwh = flat[1:].T @ cache.h[:-1]
+    return flat @ wx, flat.T @ x, dwh, flat.sum(axis=0)
 
 
 @dataclass

@@ -209,7 +209,7 @@ def spans_to_tags(voc: TagVocabulary, spans, length: int) -> list[int]:
 
 
 def repair_bio(voc: TagVocabulary, tags, mode: str = "convert") -> list[int]:
-    """Repair orphan I tags so every pair passes is_valid_transition.
+    """Repair orphan I tags so every pair is valid in transition_mask.
 
     strict  -> raise SchemeViolation at the first offending position;
     convert -> promote the orphan I-X to B-X;
@@ -218,13 +218,15 @@ def repair_bio(voc: TagVocabulary, tags, mode: str = "convert") -> list[int]:
     """
     if mode not in REPAIR_MODES:
         raise TagSchemeError(f"unknown repair mode: {mode!r}")
+    valid = transition_mask(voc)
+    k = voc.k
     out: list[int] = []
     prev = voc.start_index
     for pos, tag in enumerate(tags):
         tag = int(tag)
-        if not 0 <= tag < voc.k:
+        if not 0 <= tag < k:
             raise TagSchemeError(f"tag index out of range at position {pos}: {tag}")
-        if not is_valid_transition(voc, prev, tag):
+        if not valid[prev, tag]:
             if mode == "strict":
                 raise SchemeViolation(
                     f"invalid transition {voc.name(prev)} -> {voc.name(tag)} at position {pos}"
@@ -236,11 +238,20 @@ def repair_bio(voc: TagVocabulary, tags, mode: str = "convert") -> list[int]:
 
 
 def count_invalid_transitions(voc: TagVocabulary, tags) -> int:
-    """Number of invalid bigrams in a tag sequence, counting START -> first."""
+    """Number of invalid bigrams in a tag sequence, counting START -> first.
+
+    A virtual state inside the sequence counts as the mask has it: nothing
+    enters START and nothing leaves STOP.
+    """
+    valid = transition_mask(voc)
+    hi = voc.stop_index
     bad = 0
     prev = voc.start_index
     for tag in tags:
-        if not is_valid_transition(voc, prev, int(tag)):
+        tag = int(tag)
+        if not 0 <= tag <= hi:
+            raise TagSchemeError(f"transition index out of range: ({prev}, {tag})")
+        if not valid[prev, tag]:
             bad += 1
-        prev = int(tag)
+        prev = tag
     return bad

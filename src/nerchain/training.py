@@ -56,6 +56,10 @@ class NonFiniteError(TrainingError):
     """A loss or gradient stopped being finite."""
 
 
+class LayoutError(TrainingError):
+    """The configured parameter layout cannot be allocated."""
+
+
 class CheckpointError(ValueError):
     pass
 
@@ -448,13 +452,22 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
         dim, vocab_size = config.dim, len(token_vocab)
     else:
         token_vocab, dim, vocab_size = None, embeddings.dim, None
-    params = init_params(config.arch, dim, voc.k, config.hidden, config.fc_size, vocab_size, rng)
+    layout = (config.arch, dim, voc.k, config.hidden, config.fc_size, vocab_size)
+    try:
+        params = init_params(*layout, rng)
+        state = init_adam(params)
+    except MemoryError:
+        floats = sum(math.prod(shape) for shape in param_shapes(*layout).values())
+        raise LayoutError(
+            f"cannot allocate the {config.arch} layout (hidden={config.hidden}, "
+            f"fc_size={config.fc_size}, dim={dim}): {floats} parameter floats, "
+            f"three times that with the Adam moments"
+        ) from None
     source = EmbeddingSource(embeddings, params.get("embed.table"), token_vocab)
 
     sentences = list(train_corpus.sentences)
     cycle = config.cycle_length or max(2, 2 * len(sentences))
     schedule = LrSchedule(config.lr_min, config.lr_max, cycle)
-    state = init_adam(params)
     constrained = default_constrained(config.arch)
 
     best_params: dict[str, np.ndarray] = {}

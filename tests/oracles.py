@@ -235,6 +235,73 @@ def scalar_bilstm(x, wx_f, wh_f, b_f, wx_b, wh_b, b_b):
 
 
 # ---------------------------------------------------------------------------
+# one LSTM direction, one token at a time: an input matmul and four gate
+# activations per step forward, two rank-1 weight updates per step backward
+# (the hoisted cell loop must match these to rounding). The cache is the tuple
+# (x, wx, wh, i, f, g, o, c, tanh_c, h) of per-step (n, h) gate arrays.
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_lstm_forward(x, wx, wh, b):
+    """(h, cache): the (n, h) states of one direction and what backward reads."""
+    n = x.shape[0]
+    h = wh.shape[1]
+    gi = np.empty((n, h)); gf = np.empty((n, h)); gg = np.empty((n, h)); go = np.empty((n, h))
+    cs = np.empty((n, h)); tc = np.empty((n, h)); hs = np.empty((n, h))
+    h_prev = np.zeros(h)
+    c_prev = np.zeros(h)
+    for t in range(n):
+        z = wx @ x[t] + wh @ h_prev + b
+        gi[t] = _sigmoid(z[:h])
+        gf[t] = _sigmoid(z[h:2 * h])
+        gg[t] = np.tanh(z[2 * h:3 * h])
+        go[t] = _sigmoid(z[3 * h:])
+        cs[t] = gf[t] * c_prev + gi[t] * gg[t]
+        tc[t] = np.tanh(cs[t])
+        hs[t] = go[t] * tc[t]
+        h_prev = hs[t]
+        c_prev = cs[t]
+    return hs, (x, wx, wh, gi, gf, gg, go, cs, tc, hs)
+
+
+def reference_lstm_backward(cache, grad_h):
+    """(dx, dwx, dwh, db) of one direction given the gradient at its states."""
+    x, wx, wh, gi, gf, gg, go, cs, tc, hs = cache
+    n, h = hs.shape
+    dwx = np.zeros_like(wx)
+    dwh = np.zeros_like(wh)
+    db = np.zeros(4 * h)
+    dx = np.zeros_like(x)
+    dh_next = np.zeros(h)
+    dc_next = np.zeros(h)
+    for t in range(n - 1, -1, -1):
+        dh = grad_h[t] + dh_next
+        do = dh * tc[t]
+        dc = dc_next + dh * go[t] * (1.0 - tc[t] ** 2)
+        c_prev = cs[t - 1] if t > 0 else np.zeros(h)
+        h_prev = hs[t - 1] if t > 0 else np.zeros(h)
+        di = dc * gg[t]
+        df = dc * c_prev
+        dg = dc * gi[t]
+        dc_next = dc * gf[t]
+        dz = np.concatenate([
+            di * gi[t] * (1.0 - gi[t]),
+            df * gf[t] * (1.0 - gf[t]),
+            dg * (1.0 - gg[t] ** 2),
+            do * go[t] * (1.0 - go[t]),
+        ])
+        dwx += np.outer(dz, x[t])
+        dwh += np.outer(dz, h_prev)
+        db += dz
+        dx[t] = wx.T @ dz
+        dh_next = wh.T @ dz
+    return dx, dwx, dwh, db
+
+
+# ---------------------------------------------------------------------------
 # scalar Adam reference
 
 
@@ -286,6 +353,41 @@ def reference_prf(gold_spans_by_sentence, pred_spans_by_sentence, entity_types):
         for s in gset - pset:
             fn[s[2]] += 1
     return tp, fp, fn
+
+
+# ---------------------------------------------------------------------------
+# BIO repair and invalid-transition count through the is_valid_transition
+# predicate, one call per token (the mask lookups must give the same results)
+
+
+def predicate_repair_bio(voc, tags, mode):
+    from nerchain.tagscheme import SchemeViolation, TagSchemeError, is_valid_transition
+
+    out = []
+    prev = voc.start_index
+    for pos, tag in enumerate(tags):
+        if not 0 <= tag < voc.k:
+            raise TagSchemeError(f"tag index out of range at position {pos}: {tag}")
+        if not is_valid_transition(voc, prev, tag):
+            if mode == "strict":
+                raise SchemeViolation(
+                    f"invalid transition {voc.name(prev)} -> {voc.name(tag)} at position {pos}"
+                )
+            tag = tag - 1 if mode == "convert" else 0
+        out.append(tag)
+        prev = tag
+    return out
+
+
+def predicate_count_invalid(voc, tags):
+    from nerchain.tagscheme import is_valid_transition
+
+    bad = 0
+    prev = voc.start_index
+    for tag in tags:
+        bad += not is_valid_transition(voc, prev, tag)
+        prev = tag
+    return bad
 
 
 # ---------------------------------------------------------------------------

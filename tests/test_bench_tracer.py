@@ -35,11 +35,15 @@ def test_traced_training_and_tagging_reach_the_crf_and_training_layers():
     # a layer inlined into its caller would read 0 in every traced benchmark run
     corpus = random_corpus(np.random.default_rng(0), expand_bio(EntityTypeSet(("PER",))), 4)
     tracer = load_tracer().Tracer()
-    with tracer.tracing(0):
-        for arch in ("crf", "linear"):
-            config = TrainConfig(arch=arch, epochs=1, dim=4, fc_size=4)
+    archs = ("crf", "linear", "bilstm-crf")
+    for op, arch in enumerate(archs):  # one traced operation per head
+        with tracer.tracing(op):
+            config = TrainConfig(arch=arch, epochs=1, dim=4, fc_size=4, hidden=4)
             checkpoint, _ = training.train(corpus, corpus, config)
             training.predict_with_checkpoint(checkpoint, corpus)
     recorded = {name for name, *_ in tracer.spans}
     assert {"crf.nll_gradients", "crf.viterbi_decode", "training.adam_step",
             "training.evaluate_corpus", "tagscheme.transition_mask"} <= recorded
+    bilstm = {name for name, *_, op in tracer.spans if op == archs.index("bilstm-crf")}
+    assert {"encoders.emissions_forward", "encoders.emissions_backward",
+            "encoders.embed_backward", "tagscheme.repair_bio"} <= bilstm

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import math
 import os
 import tempfile
 
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerchain import cli
+from nerchain import cli, training
 from nerchain.cli import main
 from nerchain.conll_io import parse_conll
 from nerchain.crf import NoValidPathError
+from nerchain.encoders import param_shapes
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
 from nerchain.training import NonFiniteError, TrainConfig
 
@@ -206,6 +208,28 @@ class TestTrain:
                            "1e307", "--lr-max", "1e308", "--dropout", "0", "--epochs", "3")
         assert code == 3
         assert "training diverged at epoch 1: non-finite best path score inf" in err
+
+    def test_unallocatable_layout_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
+        # `--hidden 3000000` asks init_params for 262 TiB; the allocation is
+        # simulated, never attempted
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(training, "init_params", no_memory)
+        two = tmp_path / "two.conll"
+        two.write_text("John _ _ B-PER\nlives _ _ O\n\nAcme _ _ B-CORP\nships _ _ O\n",
+                       encoding="utf-8")
+        code, _, err = run(capsys, "train", "--train-file", str(two), "--dev-file", str(two),
+                           "--checkpoint", str(tmp_path / "m.ckpt"), "--arch", "bilstm-crf",
+                           "--hidden", "3000000")
+        assert code == 1
+        dim, fc_size = TrainConfig().dim, TrainConfig().fc_size
+        vocab_size = 2 + 4  # PAD, UNK and the four tokens
+        floats = sum(math.prod(shape) for shape in param_shapes(
+            "bilstm-crf", dim, VOC.k, 3000000, fc_size, vocab_size).values())
+        assert (f"nerchain: error: cannot allocate the bilstm-crf layout (hidden=3000000, "
+                f"fc_size={fc_size}, dim={dim}): {floats} parameter floats") in err
+        assert "Traceback" not in err and not (tmp_path / "m.ckpt").exists()
 
     def test_embeddings_with_train_file_as_dev_file(self, capsys, tmp_path):
         for text in (TINY, TINY.replace("# id s0\n", "").replace("# id s1\n", "")

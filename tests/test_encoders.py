@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerchain.conll_io import EmbeddingError, EmbeddingSet, Sentence, TokenVocabulary
 from nerchain.encoders import (
@@ -18,7 +20,13 @@ from nerchain.encoders import (
     project_backward,
 )
 
-from oracles import finite_difference, max_rel_err, scalar_bilstm
+from oracles import (
+    finite_difference,
+    max_rel_err,
+    reference_lstm_backward,
+    reference_lstm_forward,
+    scalar_bilstm,
+)
 
 SENT = Sentence("s0", ("a", "b", "c"))
 
@@ -221,6 +229,48 @@ class TestBiLstmBackward:
             assert max_rel_err(dx, fd["x"]) <= 1e-4, trial
             for key in params:
                 assert max_rel_err(grads[key], fd[key]) <= 1e-4, (trial, key)
+
+
+def reference_cache(cache):
+    """The per-step reference's cache tuple holding one direction's states."""
+    i, f, g, o = np.split(cache.gates, 4, axis=1)
+    return (cache.x, cache.wx, cache.wh, i, f, g, o, cache.c, cache.tanh_c, cache.h)
+
+
+@given(n=st.integers(1, 40), d=st.integers(1, 8), h=st.integers(1, 8),
+       log_scale=st.floats(-3.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_hoisted_cell_loop_matches_the_per_step_reference(n, d, h, log_scale, seed):
+    # The hoisted input projection sums in a different order than the per-step
+    # matmul, so states differ by rounding. The forward is compared end to end;
+    # each backward runs against the reference backward on the same states, so
+    # that a state's rounding is not amplified by the gradient's sensitivity to it.
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale  # multiplies init draws: weights up to 1, forget bias up to 10
+    params = {key: arr * scale
+              for key, arr in init_params("bilstm-crf", d, k=1, hidden=h, rng=rng).items()
+              if key.startswith("lstm.")}
+    x = rng.standard_normal((n, d))
+    grad_out = rng.standard_normal((n, 2 * h))
+    out, cache = bilstm_forward(x, params)
+    dx, grads = bilstm_backward(cache, grad_out)
+
+    def assert_close(got, ref):
+        assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
+
+    ref_dx = np.zeros_like(x)
+    for name, inp, states, cols, rev in (("fw", x, cache.fw, slice(0, h), slice(None)),
+                                         ("bw", x[::-1], cache.bw, slice(h, 2 * h),
+                                          slice(None, None, -1))):
+        wx, wh, b = (params[f"lstm.{name}.{p}"] for p in ("wx", "wh", "b"))
+        ref_h, _ = reference_lstm_forward(inp, wx, wh, b)
+        assert_close(out[:, cols], ref_h[rev])
+        dx_dir, *ref_grads = reference_lstm_backward(reference_cache(states),
+                                                     grad_out[rev, cols])
+        ref_dx += dx_dir[rev]
+        for p, ref in zip(("wx", "wh", "b"), ref_grads):
+            assert_close(grads[f"lstm.{name}.{p}"], ref)
+    assert_close(dx, ref_dx)
 
 
 class TestProject:

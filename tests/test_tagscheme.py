@@ -18,7 +18,12 @@ from nerchain.tagscheme import (
     transition_mask,
 )
 
-from oracles import random_valid_tags, reference_spans
+from oracles import (
+    predicate_count_invalid,
+    predicate_repair_bio,
+    random_valid_tags,
+    reference_spans,
+)
 
 VOC = expand_bio(EntityTypeSet())
 PER_VOC = expand_bio(EntityTypeSet(("PER",)))
@@ -219,3 +224,34 @@ class TestRepairBio:
         else:
             with pytest.raises(SchemeViolation):
                 repair_bio(VOC, tags, "strict")
+
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of the TagSchemeError it raised."""
+    try:
+        return fn(*args)
+    except TagSchemeError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mask_lookups_match_the_predicate(data):
+    voc = expand_bio(EntityTypeSet(DEFAULT_ENTITY_TYPES[:data.draw(st.integers(1, 4))]))
+    # real tags, and indices out of range on either side; the virtual states
+    # START and STOP are left to test_virtual_states_count_as_the_mask_has_them
+    index = st.one_of(st.integers(0, voc.k - 1), st.integers(-3, -1),
+                      st.integers(voc.k + 2, voc.k + 4))
+    tags = data.draw(st.lists(st.one_of(index, st.integers(0, voc.k - 1)), max_size=30))
+    for mode in ("strict", "convert", "ignore"):
+        assert outcome(repair_bio, voc, tags, mode) == \
+            outcome(predicate_repair_bio, voc, tags, mode)
+    assert outcome(count_invalid_transitions, voc, tags) == \
+        outcome(predicate_count_invalid, voc, tags)
+
+
+def test_virtual_states_count_as_the_mask_has_them():
+    # nothing enters START and nothing leaves STOP
+    assert count_invalid_transitions(VOC, [tag("O"), VOC.start_index]) == 1
+    assert count_invalid_transitions(VOC, [tag("O"), VOC.stop_index, tag("O")]) == 1
+    assert count_invalid_transitions(VOC, [tag("O"), VOC.stop_index]) == 0
