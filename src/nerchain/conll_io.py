@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tagscheme import TagVocabulary
+from .tagscheme import TagSchemeError, TagVocabulary
 
 PAD_INDEX = 0
 UNK_INDEX = 1
@@ -55,21 +55,46 @@ class Corpus:
 
     def __post_init__(self):
         seen = set()
+        k = self.tag_vocabulary.k
         for sent in self.sentences:
             if sent.id in seen:
                 raise ConllError(f"duplicate sentence id {sent.id!r}")
             seen.add(sent.id)
-            if sent.gold_tags is not None:
-                k = self.tag_vocabulary.k
-                for tag in sent.gold_tags:
-                    if not 0 <= tag < k:
-                        raise ConllError(f"sentence {sent.id!r}: tag index {tag} out of range")
+            tags = sent.gold_tags
+            if tags and not (0 <= min(tags) and max(tags) < k):
+                bad = next(tag for tag in tags if not 0 <= tag < k)
+                raise ConllError(f"sentence {sent.id!r}: tag index {bad} out of range")
 
     def __iter__(self):
         return iter(self.sentences)
 
     def __len__(self):
         return len(self.sentences)
+
+
+def _id_line(line: str) -> str | None:
+    """The sentence id an id line carries, "" when it carries none; None for any
+    other line. Both readers recognise id lines here: "# id", a space and the id,
+    or "# id" with nothing but whitespace after it."""
+    if line.startswith("# id ") or line.rstrip() == "# id":
+        return line[len("# id"):].strip()
+    return None
+
+
+def _columns(n_fields, token_column, tag_column, has_labels, lineno, line):
+    """(token position, tag position) in a row of n_fields fields; raises the
+    row's ConllError where there are none. They depend only on the field count."""
+    if not -n_fields <= token_column < n_fields:
+        raise ConllError(f"line {lineno}: expected token in column {token_column}: {line!r}")
+    if not has_labels:
+        return token_column, None
+    col = tag_column if tag_column >= 0 else n_fields + tag_column
+    if not 0 <= col < n_fields or n_fields == 1:
+        raise ConllError(f"line {lineno}: too few fields for tag column: {line!r}")
+    if col == token_column % n_fields:
+        raise ConllError(f"line {lineno}: token column {token_column} and tag column "
+                         f"{tag_column} are the same field: {line!r}")
+    return token_column, col
 
 
 def parse_conll(
@@ -83,47 +108,49 @@ def parse_conll(
     "# id" line are numbered by their ordinal position."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
+    index = {name: i for i, name in enumerate(voc.tags)}
+    columns = {}  # field count -> (token position, tag position)
     sentences: list[Sentence] = []
     tokens: list[str] = []
     tags: list[int] = []
     pending_id: str | None = None
 
     def flush():
-        nonlocal pending_id, tokens, tags
+        nonlocal pending_id
         if tokens:
             sid = pending_id if pending_id is not None else str(len(sentences))
             sentences.append(
                 Sentence(sid, tuple(tokens), tuple(tags) if has_labels else None)
             )
+            tokens.clear()
+            tags.clear()
         pending_id = None
-        tokens = []
-        tags = []
 
+    add_token, add_tag = tokens.append, tags.append
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip():
+        fields = raw.split()
+        if not fields:
             flush()
             continue
-        if line.startswith("#"):
-            if line.startswith("# id "):
-                pending_id = line[len("# id "):].strip()
+        if raw[0] == "#":
+            sid = _id_line(raw)
+            if sid == "":
+                raise ConllError(f"line {lineno}: empty sentence id")
+            if sid is not None:
+                pending_id = sid
             continue
-        fields = line.split()
-        if not -len(fields) <= token_column < len(fields):
-            raise ConllError(f"line {lineno}: expected token in column {token_column}: {line!r}")
-        tokens.append(fields[token_column])
+        positions = columns.get(len(fields))
+        if positions is None:
+            positions = columns[len(fields)] = _columns(
+                len(fields), token_column, tag_column, has_labels, lineno,
+                raw.rstrip("\n").rstrip("\r"))
+        token_at, tag_at = positions
+        add_token(fields[token_at])
         if has_labels:
-            col = tag_column if tag_column >= 0 else len(fields) + tag_column
-            if not 0 <= col < len(fields) or len(fields) == 1:
-                raise ConllError(f"line {lineno}: too few fields for tag column: {line!r}")
-            if col == token_column % len(fields):
-                raise ConllError(f"line {lineno}: token column {token_column} and tag column "
-                                 f"{tag_column} are the same field: {line!r}")
-            name = fields[col]
             try:
-                tags.append(voc.index(name))
-            except ValueError:
-                raise ConllError(f"line {lineno}: unknown tag name {name!r}") from None
+                add_tag(index[fields[tag_at]])
+            except KeyError:
+                raise ConllError(f"line {lineno}: unknown tag name {fields[tag_at]!r}") from None
     flush()
     return Corpus(tuple(sentences), voc)
 
@@ -135,15 +162,19 @@ def write_conll(corpus: Corpus, stream, tags=None) -> None:
     """
     if tags is not None and len(tags) != len(corpus.sentences):
         raise ConllError(f"{len(tags)} tag sequences for {len(corpus.sentences)} sentences")
+    names = corpus.tag_vocabulary.tags + ("<START>", "<STOP>")
     for pos, sent in enumerate(corpus.sentences):
         seq = tags[pos] if tags is not None else sent.gold_tags
         if seq is None or len(seq) != len(sent):
             raise ConllError(f"sentence {sent.id!r} is missing a full tag sequence")
         stream.write(f"# id {sent.id}\n")
         for token, tag in zip(sent.tokens, seq):
-            if not token or any(c.isspace() for c in token) or token.startswith("#"):
+            if token.split() != [token] or token.startswith("#"):
                 raise ConllError(f"token {token!r} cannot be serialized")
-            stream.write(f"{token} _ _ {corpus.tag_vocabulary.name(int(tag))}\n")
+            tag = int(tag)
+            if not 0 <= tag < len(names):
+                raise TagSchemeError(f"tag index out of range: {tag}")
+            stream.write(f"{token} _ _ {names[tag]}\n")
         stream.write("\n")
 
 
@@ -200,54 +231,12 @@ class EmbeddingSet:
             raise EmbeddingError(f"no embeddings for sentence id {sid!r}") from None
 
 
-def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
-    """Load per-token embedding matrices keyed by sentence id."""
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    lengths = {s.id: len(s) for s in corpus}
-    dim = None
-    matrices: dict[str, np.ndarray] = {}
-    sid = None
-    rows: list[list[float]] = []
-
-    def flush():
-        nonlocal sid, rows
-        if sid is None:
-            return
-        if len(rows) != lengths[sid]:
-            raise EmbeddingError(
-                f"sentence {sid!r}: {len(rows)} rows for {lengths[sid]} tokens"
-            )
-        matrices[sid] = np.array(rows, dtype=np.float64)
-        sid = None
-        rows = []
-
-    for lineno, raw in enumerate(stream, start=1):
+def _reject_rows(rows, first_lineno, dim):
+    """Raise the error of the first bad row in a block the bulk parse rejected,
+    checking one row and one value at a time. float() is the parser
+    np.array(..., dtype=np.float64) applies to strings, so some row fails."""
+    for lineno, raw in enumerate(rows, start=first_lineno):
         line = raw.strip()
-        if not line:
-            flush()
-            continue
-        if dim is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "dim":
-                raise EmbeddingError(f"line {lineno}: expected 'dim <d>' header, got {line!r}")
-            try:
-                dim = int(parts[1])
-            except ValueError:
-                dim = 0
-            if dim < 1:
-                raise EmbeddingError(f"line {lineno}: bad dimension {parts[1]!r}")
-            continue
-        if line.startswith("# id "):
-            flush()
-            sid = line[len("# id "):].strip()
-            if sid not in lengths:
-                raise EmbeddingError(f"line {lineno}: unknown sentence id {sid!r}")
-            if sid in matrices:
-                raise EmbeddingError(f"line {lineno}: duplicate sentence id {sid!r}")
-            continue
-        if sid is None:
-            raise EmbeddingError(f"line {lineno}: row outside a sentence block")
         try:
             values = [float(v) for v in line.split()]
         except ValueError:
@@ -256,7 +245,76 @@ def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
             raise EmbeddingError(f"line {lineno}: {len(values)} values, header says dim {dim}")
         if not all(np.isfinite(values)):
             raise EmbeddingError(f"line {lineno}: non-finite embedding value")
-        rows.append(values)
+
+
+def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
+    """Load per-token embedding matrices keyed by sentence id.
+
+    The file is read line by line. A block's values are kept as strings and
+    converted once the block ends, in one np.array call and one finiteness
+    check; a rejected block is re-read row by row for the error."""
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    lengths = {s.id: len(s) for s in corpus}
+    dim = None
+    matrices: dict[str, np.ndarray] = {}
+    sid = None
+    first = 0  # line number of the block's first row
+    rows: list[str] = []  # the block's lines
+    values: list[str] = []  # the block's fields, row after row
+
+    def flush():
+        nonlocal sid, rows, values
+        if sid is None:
+            return
+        try:
+            matrix = np.array(values, dtype=np.float64).reshape(len(rows), dim)
+        except ValueError:
+            matrix = None
+        if matrix is None or not np.isfinite(matrix).all():
+            _reject_rows(rows, first, dim)
+        if len(rows) != lengths[sid]:
+            raise EmbeddingError(
+                f"sentence {sid!r}: {len(rows)} rows for {lengths[sid]} tokens"
+            )
+        matrices[sid] = matrix
+        sid = None
+        rows = []
+        values = []
+
+    for lineno, raw in enumerate(stream, start=1):
+        fields = raw.split()
+        if not fields:
+            flush()
+            continue
+        if dim is None:
+            if len(fields) != 2 or fields[0] != "dim":
+                raise EmbeddingError(
+                    f"line {lineno}: expected 'dim <d>' header, got {raw.strip()!r}")
+            try:
+                dim = int(fields[1])
+            except ValueError:
+                dim = 0
+            if dim < 1:
+                raise EmbeddingError(f"line {lineno}: bad dimension {fields[1]!r}")
+            continue
+        new_sid = _id_line(raw.strip()) if "#" in raw else None
+        if new_sid is not None:
+            flush()
+            if not new_sid:
+                raise EmbeddingError(f"line {lineno}: empty sentence id")
+            if new_sid not in lengths:
+                raise EmbeddingError(f"line {lineno}: unknown sentence id {new_sid!r}")
+            if new_sid in matrices:
+                raise EmbeddingError(f"line {lineno}: duplicate sentence id {new_sid!r}")
+            sid, first = new_sid, lineno + 1
+            continue
+        if sid is None:
+            raise EmbeddingError(f"line {lineno}: row outside a sentence block")
+        rows.append(raw)
+        if len(fields) != dim:
+            _reject_rows(rows, first, dim)
+        values += fields
     flush()
     if dim is None:
         raise EmbeddingError("empty embedding file")

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from .conll_io import Corpus
 from .tagscheme import (
     EntitySpan,
+    _span_triples,
     count_invalid_transitions,
-    extract_spans,
     repair_bio,
 )
 
@@ -101,30 +101,30 @@ def _match(gold: Corpus, predicted, repair: str):
                 f"sentence {sent.id!r}: {len(tags)} predicted tags for {len(sent)} tokens"
             )
         invalid += count_invalid_transitions(voc, tags)
-        gold_spans = extract_spans(voc, sent.gold_tags)
-        pred_spans = extract_spans(voc, repair_bio(voc, tags, repair))
+        gold_spans = _span_triples(voc, sent.gold_tags)
+        pred_spans = _span_triples(voc, repair_bio(voc, tags, repair))
         gold_set, pred_set = set(gold_spans), set(pred_spans)
         fp = [s for s in pred_spans if s not in gold_set]
         fn = [s for s in gold_spans if s not in pred_set]
         for span in pred_spans:
-            counts[span.entity_type][0 if span in gold_set else 1] += 1
+            counts[span[2]][0 if span in gold_set else 1] += 1
         for span in fn:
-            counts[span.entity_type][2] += 1
+            counts[span[2]][2] += 1
         touched_gold = set()
         touched_pred = set()
         for g in fn:
             for p in fp:
-                if not g.overlaps(p):
+                if not (g[0] < p[1] and p[0] < g[1]):  # no overlap
                     continue
                 touched_gold.add(g)
                 touched_pred.add(p)
-                if g.entity_type == p.entity_type:
-                    out.boundary.append((sent.id, g, p))
+                if g[2] == p[2]:
+                    out.boundary.append((sent.id, EntitySpan(*g), EntitySpan(*p)))
                 else:
-                    key = (g.entity_type, p.entity_type)
+                    key = (g[2], p[2])
                     out.confusion[key] = out.confusion.get(key, 0) + 1
-        out.misses.extend((sent.id, g) for g in fn if g not in touched_gold)
-        out.spurious.extend((sent.id, p) for p in fp if p not in touched_pred)
+        out.misses.extend((sent.id, EntitySpan(*g)) for g in fn if g not in touched_gold)
+        out.spurious.extend((sent.id, EntitySpan(*p)) for p in fp if p not in touched_pred)
     return counts, invalid, out
 
 

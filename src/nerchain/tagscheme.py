@@ -165,31 +165,47 @@ def transition_mask(voc: TagVocabulary) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=16)
+def _tables(voc: TagVocabulary):
+    """Lookup tables for the per-token loops, built once per vocabulary: the
+    entity type of each real tag (None for O), whether it is a B tag, and
+    transition_mask as nested tuples."""
+    types = (None,) + tuple(name for name in voc.entity_types for _ in "BI")
+    begins = (False,) + (True, False) * len(voc.entity_types)
+    return types, begins, tuple(map(tuple, transition_mask(voc).tolist()))
+
+
 def extract_spans(voc: TagVocabulary, tags) -> list[EntitySpan]:
     """Entity spans of a real-tag sequence.
 
     A span opens at B-X and extends through consecutive I-X of the same X.
     Orphan I tags (no matching open span) do not open or extend anything.
     """
-    spans: list[EntitySpan] = []
+    return [EntitySpan(*span) for span in _span_triples(voc, tags)]
+
+
+def _span_triples(voc: TagVocabulary, tags) -> list[tuple[int, int, str]]:
+    """extract_spans as (start, end, entity type) tuples, which hash and
+    compare in C; span matching runs on these."""
+    types, begins, _ = _tables(voc)
+    k = voc.k
+    spans = []
     open_start = -1
     open_type = None
     for pos, tag in enumerate(tags):
         tag = int(tag)
-        if not 0 <= tag < voc.k:
+        if not 0 <= tag < k:
             raise TagSchemeError(f"tag index out of range at position {pos}: {tag}")
-        if voc.is_begin(tag):
+        if begins[tag]:
             if open_type is not None:
-                spans.append(EntitySpan(open_start, pos, open_type))
-            open_start, open_type = pos, voc.type_of(tag)
-        elif voc.is_inside(tag) and open_type == voc.type_of(tag):
-            continue
-        else:  # O, or an I tag that does not continue the open span
+                spans.append((open_start, pos, open_type))
+            open_start, open_type = pos, types[tag]
+        elif types[tag] != open_type:  # O, or an I tag that does not continue the open span
             if open_type is not None:
-                spans.append(EntitySpan(open_start, pos, open_type))
+                spans.append((open_start, pos, open_type))
             open_start, open_type = -1, None
     if open_type is not None:
-        spans.append(EntitySpan(open_start, len(tags), open_type))
+        spans.append((open_start, len(tags), open_type))
     return spans
 
 
@@ -218,7 +234,7 @@ def repair_bio(voc: TagVocabulary, tags, mode: str = "convert") -> list[int]:
     """
     if mode not in REPAIR_MODES:
         raise TagSchemeError(f"unknown repair mode: {mode!r}")
-    valid = transition_mask(voc)
+    valid = _tables(voc)[2]
     k = voc.k
     out: list[int] = []
     prev = voc.start_index
@@ -226,7 +242,7 @@ def repair_bio(voc: TagVocabulary, tags, mode: str = "convert") -> list[int]:
         tag = int(tag)
         if not 0 <= tag < k:
             raise TagSchemeError(f"tag index out of range at position {pos}: {tag}")
-        if not valid[prev, tag]:
+        if not valid[prev][tag]:
             if mode == "strict":
                 raise SchemeViolation(
                     f"invalid transition {voc.name(prev)} -> {voc.name(tag)} at position {pos}"
@@ -243,7 +259,7 @@ def count_invalid_transitions(voc: TagVocabulary, tags) -> int:
     A virtual state inside the sequence counts as the mask has it: nothing
     enters START and nothing leaves STOP.
     """
-    valid = transition_mask(voc)
+    valid = _tables(voc)[2]
     hi = voc.stop_index
     bad = 0
     prev = voc.start_index
@@ -251,7 +267,7 @@ def count_invalid_transitions(voc: TagVocabulary, tags) -> int:
         tag = int(tag)
         if not 0 <= tag <= hi:
             raise TagSchemeError(f"transition index out of range: ({prev}, {tag})")
-        if not valid[prev, tag]:
+        if not valid[prev][tag]:
             bad += 1
         prev = tag
     return bad

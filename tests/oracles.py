@@ -390,6 +390,196 @@ def predicate_count_invalid(voc, tags):
     return bad
 
 
+def predicate_extract_spans(voc, tags):
+    """Span extraction through the is_begin/is_inside/type_of predicates, one
+    call each per token (the table lookups must give the same spans)."""
+    from nerchain.tagscheme import EntitySpan, TagSchemeError
+
+    spans = []
+    open_start = -1
+    open_type = None
+    for pos, tag in enumerate(tags):
+        tag = int(tag)
+        if not 0 <= tag < voc.k:
+            raise TagSchemeError(f"tag index out of range at position {pos}: {tag}")
+        if voc.is_begin(tag):
+            if open_type is not None:
+                spans.append(EntitySpan(open_start, pos, open_type))
+            open_start, open_type = pos, voc.type_of(tag)
+        elif voc.is_inside(tag) and open_type == voc.type_of(tag):
+            continue
+        else:  # O, or an I tag that does not continue the open span
+            if open_type is not None:
+                spans.append(EntitySpan(open_start, pos, open_type))
+            open_start, open_type = -1, None
+    if open_type is not None:
+        spans.append(EntitySpan(open_start, len(tags), open_type))
+    return spans
+
+
+def predicate_error_breakdown(gold, predicted, repair):
+    """Span matching over EntitySpan objects from the predicate extractor and
+    repair: per-type [tp, fp, fn] counts and the error listings."""
+    from nerchain.metrics import ErrorBreakdown
+
+    voc = gold.tag_vocabulary
+    counts = {t: [0, 0, 0] for t in voc.entity_types}
+    out = ErrorBreakdown()
+    for sent, tags in zip(gold.sentences, predicted):
+        gold_spans = predicate_extract_spans(voc, sent.gold_tags)
+        pred_spans = predicate_extract_spans(voc, predicate_repair_bio(voc, tags, repair))
+        fp = [s for s in pred_spans if s not in gold_spans]
+        fn = [s for s in gold_spans if s not in pred_spans]
+        for span in pred_spans:
+            counts[span.entity_type][0 if span in gold_spans else 1] += 1
+        for span in fn:
+            counts[span.entity_type][2] += 1
+        touched_gold, touched_pred = [], []
+        for g in fn:
+            for p in fp:
+                if g.overlaps(p):
+                    touched_gold.append(g)
+                    touched_pred.append(p)
+                    if g.entity_type == p.entity_type:
+                        out.boundary.append((sent.id, g, p))
+                    else:
+                        key = (g.entity_type, p.entity_type)
+                        out.confusion[key] = out.confusion.get(key, 0) + 1
+        out.misses.extend((sent.id, g) for g in fn if g not in touched_gold)
+        out.spurious.extend((sent.id, p) for p in fp if p not in touched_pred)
+    return counts, out
+
+
+# ---------------------------------------------------------------------------
+# file readers one line and one value at a time (the streamed readers must
+# build equal corpora, bit-identical matrices and the same errors). The one
+# change from the original per-line readers: a "# id" line with no id after
+# it is a data error in both, where it used to give the id "" in a column
+# file and read as an embedding row.
+
+
+def reference_parse_conll(stream, voc, token_column=0, tag_column=-1, has_labels=True):
+    import io
+
+    from nerchain.conll_io import ConllError, Corpus, Sentence
+
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    sentences = []
+    tokens = []
+    tags = []
+    pending_id = None
+
+    def flush():
+        nonlocal pending_id, tokens, tags
+        if tokens:
+            sid = pending_id if pending_id is not None else str(len(sentences))
+            sentences.append(
+                Sentence(sid, tuple(tokens), tuple(tags) if has_labels else None)
+            )
+        pending_id = None
+        tokens = []
+        tags = []
+
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            flush()
+            continue
+        if line.startswith("#"):
+            if line.startswith("# id ") or line.rstrip() == "# id":
+                pending_id = line[len("# id "):].strip()
+                if not pending_id:
+                    raise ConllError(f"line {lineno}: empty sentence id")
+            continue
+        fields = line.split()
+        if not -len(fields) <= token_column < len(fields):
+            raise ConllError(f"line {lineno}: expected token in column {token_column}: {line!r}")
+        tokens.append(fields[token_column])
+        if has_labels:
+            col = tag_column if tag_column >= 0 else len(fields) + tag_column
+            if not 0 <= col < len(fields) or len(fields) == 1:
+                raise ConllError(f"line {lineno}: too few fields for tag column: {line!r}")
+            if col == token_column % len(fields):
+                raise ConllError(f"line {lineno}: token column {token_column} and tag column "
+                                 f"{tag_column} are the same field: {line!r}")
+            name = fields[col]
+            try:
+                tags.append(voc.index(name))
+            except ValueError:
+                raise ConllError(f"line {lineno}: unknown tag name {name!r}") from None
+    flush()
+    return Corpus(tuple(sentences), voc)
+
+
+def reference_load_embeddings(stream, corpus):
+    import io
+
+    from nerchain.conll_io import EmbeddingError, EmbeddingSet
+
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    lengths = {s.id: len(s) for s in corpus}
+    dim = None
+    matrices = {}
+    sid = None
+    rows = []
+
+    def flush():
+        nonlocal sid, rows
+        if sid is None:
+            return
+        if len(rows) != lengths[sid]:
+            raise EmbeddingError(
+                f"sentence {sid!r}: {len(rows)} rows for {lengths[sid]} tokens"
+            )
+        matrices[sid] = np.array(rows, dtype=np.float64)
+        sid = None
+        rows = []
+
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line:
+            flush()
+            continue
+        if dim is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "dim":
+                raise EmbeddingError(f"line {lineno}: expected 'dim <d>' header, got {line!r}")
+            try:
+                dim = int(parts[1])
+            except ValueError:
+                dim = 0
+            if dim < 1:
+                raise EmbeddingError(f"line {lineno}: bad dimension {parts[1]!r}")
+            continue
+        if line.startswith("# id ") or line == "# id":
+            flush()
+            sid = line[len("# id "):].strip()
+            if not sid:
+                raise EmbeddingError(f"line {lineno}: empty sentence id")
+            if sid not in lengths:
+                raise EmbeddingError(f"line {lineno}: unknown sentence id {sid!r}")
+            if sid in matrices:
+                raise EmbeddingError(f"line {lineno}: duplicate sentence id {sid!r}")
+            continue
+        if sid is None:
+            raise EmbeddingError(f"line {lineno}: row outside a sentence block")
+        try:
+            values = [float(v) for v in line.split()]
+        except ValueError:
+            raise EmbeddingError(f"line {lineno}: non-numeric embedding value in {line!r}") from None
+        if len(values) != dim:
+            raise EmbeddingError(f"line {lineno}: {len(values)} values, header says dim {dim}")
+        if not all(np.isfinite(values)):
+            raise EmbeddingError(f"line {lineno}: non-finite embedding value")
+        rows.append(values)
+    flush()
+    if dim is None:
+        raise EmbeddingError("empty embedding file")
+    return EmbeddingSet(dim, matrices)
+
+
 # ---------------------------------------------------------------------------
 # corpus generators
 

@@ -2,13 +2,16 @@
 renamed function passes every untraced run; this checks the names directly,
 and that a traced run still reaches the layers the benchmark reports."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
 
 import numpy as np
 
-from nerchain import training
+from nerchain import cli, training
+from nerchain.conll_io import EmbeddingSet, write_conll, write_embeddings
 from nerchain.tagscheme import EntityTypeSet, expand_bio
 from nerchain.training import TrainConfig
 
@@ -47,3 +50,27 @@ def test_traced_training_and_tagging_reach_the_crf_and_training_layers():
     bilstm = {name for name, *_, op in tracer.spans if op == archs.index("bilstm-crf")}
     assert {"encoders.emissions_forward", "encoders.emissions_backward",
             "encoders.embed_backward", "tagscheme.repair_bio"} <= bilstm
+
+
+def test_traced_cli_round_reaches_the_tag_workload_layers(tmp_path):
+    # predict, evaluate and inspect on files, as the tag workload runs them
+    rng = np.random.default_rng(0)
+    corpus = random_corpus(rng, expand_bio(EntityTypeSet()), 6)
+    embeddings = EmbeddingSet(3, {s.id: rng.standard_normal((len(s), 3)) for s in corpus})
+    paths = {name: str(tmp_path / name) for name in ("data", "emb", "ckpt", "out")}
+    with open(paths["data"], "w", encoding="utf-8") as handle:
+        write_conll(corpus, handle)
+    with open(paths["emb"], "w", encoding="utf-8") as handle:
+        write_embeddings(embeddings, handle)
+    checkpoint, _ = training.train(corpus, corpus, TrainConfig(arch="crf", epochs=1), embeddings)
+    training.save_checkpoint(checkpoint, paths["ckpt"])
+    tracer = load_tracer().Tracer()
+    with tracer.tracing(0), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["predict", "--checkpoint", paths["ckpt"], "--input", paths["data"],
+                         "--embeddings", paths["emb"], "--output", paths["out"]]) == 0
+        for command in ("evaluate", "inspect"):
+            assert cli.main([command, "--gold", paths["data"], "--pred", paths["out"]]) == 0
+    recorded = {name for name, *_ in tracer.spans}
+    assert {"conll_io.parse_conll", "conll_io.load_embeddings", "conll_io.write_conll",
+            "tagscheme.repair_bio", "metrics.score"} <= recorded
+    assert tracer.counters["conll_io.bytes_read"] > 0

@@ -178,6 +178,20 @@ class TestTrain:
             assert code == 2
             assert f"{emb}: {message}" in err
 
+    def test_empty_sentence_id_exits_two_naming_path_and_line(self, capsys, tiny, tmp_path):
+        # the writers put "# id " before an empty id; both readers refuse it
+        data = tmp_path / "data.conll"
+        data.write_text(TINY.replace("# id s1", "# id "), encoding="utf-8")
+        code, _, err = run(capsys, "evaluate", "--gold", str(data), "--pred", tiny)
+        assert code == 2
+        assert f"{data}: line 8: empty sentence id" in err
+        emb = tmp_path / "e.emb"
+        emb.write_text("dim 1\n# id \n1\n", encoding="utf-8")
+        _, argv = self.train_args(tiny, tmp_path, "--embeddings", str(emb))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert f"{emb}: line 2: empty sentence id" in err
+
     def test_non_utf8_data_files_exit_two_naming_the_file(self, capsys, tiny, tmp_path):
         bad = tmp_path / "bad.data"
         bad.write_bytes(TINY.encode("utf-8").replace(b"Acme", b"Ac\xe9me"))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nerchain.conll_io import Corpus, Sentence
 from nerchain.metrics import (
@@ -14,7 +16,13 @@ from nerchain.metrics import (
 )
 from nerchain.tagscheme import EntityTypeSet, expand_bio, extract_spans, spans_to_tags
 
-from oracles import random_corpus, random_valid_tags, reference_prf, reference_spans
+from oracles import (
+    predicate_error_breakdown,
+    random_corpus,
+    random_valid_tags,
+    reference_prf,
+    reference_spans,
+)
 
 VOC = expand_bio(EntityTypeSet())
 
@@ -221,6 +229,20 @@ class TestErrorBreakdown:
             assert len(breakdown.misses) <= total_fn
             assert len(breakdown.spurious) <= total_fp
             assert confused + len(breakdown.boundary) + len(breakdown.misses) >= total_fn
+
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["convert", "ignore"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_predicate_matching(self, seed, repair):
+        # predictions of any tags, valid or not, against random gold corpora
+        rng = np.random.default_rng(seed)
+        corpus = random_corpus(rng, VOC, 12, max_len=12)
+        preds = [list(rng.integers(0, VOC.k, len(s))) if rng.random() < 0.5
+                 else random_valid_tags(rng, VOC, len(s)) for s in corpus]
+        counts, expected = predicate_error_breakdown(corpus, preds, repair)
+        assert error_breakdown(corpus, preds, repair) == expected
+        report = score(corpus, preds, repair)
+        assert {c.entity_type: [c.tp, c.fp, c.fn] for c in report.per_class} == counts
 
 
 class TestRendering:

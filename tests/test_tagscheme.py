@@ -20,6 +20,7 @@ from nerchain.tagscheme import (
 
 from oracles import (
     predicate_count_invalid,
+    predicate_extract_spans,
     predicate_repair_bio,
     random_valid_tags,
     reference_spans,
@@ -248,6 +249,18 @@ def test_mask_lookups_match_the_predicate(data):
             outcome(predicate_repair_bio, voc, tags, mode)
     assert outcome(count_invalid_transitions, voc, tags) == \
         outcome(predicate_count_invalid, voc, tags)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_span_tables_match_the_predicates(data):
+    voc = expand_bio(EntityTypeSet(DEFAULT_ENTITY_TYPES[:data.draw(st.integers(1, 4))]))
+    index = st.one_of(st.integers(0, voc.k - 1), st.integers(0, voc.k - 1),
+                      st.integers(-3, -1), st.integers(voc.k, voc.k + 3))
+    tags = data.draw(st.lists(index, max_size=30))
+    if data.draw(st.booleans()):
+        tags = np.array(tags, dtype=np.int64)  # predictions may come as numpy integers
+    assert outcome(extract_spans, voc, tags) == outcome(predicate_extract_spans, voc, tags)
 
 
 def test_virtual_states_count_as_the_mask_has_them():
