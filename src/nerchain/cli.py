@@ -263,15 +263,14 @@ def cmd_train(settings: Settings) -> int:
     train_logger.addHandler(handler)
     train_logger.addHandler(echo)
     try:
-        checkpoint, _ = train(train_corpus, dev_corpus, config, embeddings)
+        checkpoint, history = train(train_corpus, dev_corpus, config, embeddings)
     finally:
         train_logger.removeHandler(handler)
         train_logger.removeHandler(echo)
         handler.close()
 
     save_checkpoint(checkpoint, settings.checkpoint)
-    predictions = predict_with_checkpoint(checkpoint, dev_corpus, embeddings)
-    report = score(dev_corpus, predictions)
+    report = history[checkpoint.best_epoch - 1].report  # the kept epoch's dev scores
     print(render_kv(report) if settings.format == "kv" else render_text(report))
     return EXIT_OK
 

@@ -3,7 +3,7 @@
 File grammar: sentences are maximal runs of non-blank lines; a line starting
 with "# id " carries the sentence id, other "#" lines are comments; fields
 are whitespace separated, token in column 0 and tag in the last column by
-default (filler columns written as "_").
+default (filler columns written as "_"). A token may not begin with "#".
 
 The embedding file format replaces the contextual encoder: a "dim <d>"
 header, then per sentence a "# id <sid>" line followed by one row of d
@@ -145,6 +145,8 @@ def parse_conll(
                 len(fields), token_column, tag_column, has_labels, lineno,
                 raw.rstrip("\n").rstrip("\r"))
         token_at, tag_at = positions
+        if "#" in raw and fields[token_at][0] == "#":  # write_conll could not write it back
+            raise ConllError(f"line {lineno}: token {fields[token_at]!r} starts with '#'")
         add_token(fields[token_at])
         if has_labels:
             try:

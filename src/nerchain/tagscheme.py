@@ -2,11 +2,14 @@
 
 Tag indices are laid out as [O, B-T1, I-T1, B-T2, I-T2, ...] in entity-type
 order, followed by two virtual states START and STOP used only by the chain
-model. All functions here are pure and all containers immutable.
+model. All functions here are pure and all containers immutable. Entity spans
+are plain (start, end, entity_type) tuples; spans_to_tags, the one function
+that takes spans built by a caller, checks their bounds.
 """
 
 import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,17 +48,16 @@ class EntityTypeSet:
         return len(self.types)
 
 
-@dataclass(frozen=True)
-class EntitySpan:
-    """Half-open token span [start, end) carrying one entity type."""
+class EntitySpan(NamedTuple):
+    """Half-open token span [start, end) carrying one entity type.
+
+    A tuple: it equals and hashes like (start, end, entity_type), in C.
+    Construction does not check the bounds; spans_to_tags does.
+    """
 
     start: int
     end: int
     entity_type: str
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise TagSchemeError(f"bad span bounds ({self.start}, {self.end})")
 
     def overlaps(self, other: "EntitySpan") -> bool:
         return self.start < other.end and other.start < self.end
@@ -181,12 +183,6 @@ def extract_spans(voc: TagVocabulary, tags) -> list[EntitySpan]:
     A span opens at B-X and extends through consecutive I-X of the same X.
     Orphan I tags (no matching open span) do not open or extend anything.
     """
-    return [EntitySpan(*span) for span in _span_triples(voc, tags)]
-
-
-def _span_triples(voc: TagVocabulary, tags) -> list[tuple[int, int, str]]:
-    """extract_spans as (start, end, entity type) tuples, which hash and
-    compare in C; span matching runs on these."""
     types, begins, _ = _tables(voc)
     k = voc.k
     spans = []
@@ -198,14 +194,14 @@ def _span_triples(voc: TagVocabulary, tags) -> list[tuple[int, int, str]]:
             raise TagSchemeError(f"tag index out of range at position {pos}: {tag}")
         if begins[tag]:
             if open_type is not None:
-                spans.append((open_start, pos, open_type))
+                spans.append(EntitySpan(open_start, pos, open_type))
             open_start, open_type = pos, types[tag]
         elif types[tag] != open_type:  # O, or an I tag that does not continue the open span
             if open_type is not None:
-                spans.append((open_start, pos, open_type))
+                spans.append(EntitySpan(open_start, pos, open_type))
             open_start, open_type = -1, None
     if open_type is not None:
-        spans.append((open_start, len(tags), open_type))
+        spans.append(EntitySpan(open_start, len(tags), open_type))
     return spans
 
 
@@ -215,6 +211,8 @@ def spans_to_tags(voc: TagVocabulary, spans, length: int) -> list[int]:
     ordered = sorted(spans, key=lambda s: s.start)
     prev_end = 0
     for span in ordered:
+        if not 0 <= span.start < span.end:
+            raise TagSchemeError(f"bad span bounds ({span.start}, {span.end})")
         if span.start < prev_end or span.end > length:
             raise TagSchemeError(f"overlapping or out-of-range span {span}")
         prev_end = span.end

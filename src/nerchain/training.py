@@ -34,7 +34,7 @@ from .encoders import (
     init_params,
     param_shapes,
 )
-from .metrics import score
+from .metrics import MetricsReport, score
 from .tagscheme import EntityTypeSet, TagVocabulary, transition_mask
 
 logger = logging.getLogger(__name__)
@@ -191,9 +191,7 @@ CONFIG_TYPES = {f.name: (typing.get_args(f.type) or (f.type,))[0]
 class EpochStats:
     epoch: int
     mean_nll: float
-    dev_precision: float
-    dev_recall: float
-    dev_f1: float
+    report: MetricsReport  # the epoch's dev scores
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +429,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
           embeddings: EmbeddingSet | None = None):
-    """Train one architecture; returns (best checkpoint, per-epoch stats).
+    """Train one architecture; returns (best checkpoint, per-epoch stats), where
+    each epoch's stats carry its dev MetricsReport.
 
     embeddings: precomputed vectors covering both corpora, or None to learn
     a token embedding table (built from the train corpus, UNK for the rest).
@@ -500,21 +499,21 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                 mean_nll = total_nll / len(sentences)
 
                 report = evaluate_corpus(config.arch, params, dev_corpus, source, constrained)
-                stats = EpochStats(epoch, mean_nll, report.macro_precision, report.macro_recall,
-                                   report.macro_f1)
+                stats = EpochStats(epoch, mean_nll, report)
                 history.append(stats)
                 logger.info(
                     "epoch %d nll %.6f dev P %.4f R %.4f F1 %.4f",
-                    epoch, mean_nll, stats.dev_precision, stats.dev_recall, stats.dev_f1,
+                    epoch, mean_nll, report.macro_precision, report.macro_recall, report.macro_f1,
                 )
-                if max(history, key=lambda h: h.dev_f1) is stats:  # new best; ties keep the first
+                # a new best epoch; ties keep the first
+                if max(history, key=lambda h: h.report.macro_f1) is stats:
                     best_params = {k: v.copy() for k, v in params.items()}
         except NonFiniteScoreError as exc:
             raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
 
-    best = max(history, key=lambda h: h.dev_f1)
+    best = max(history, key=lambda h: h.report.macro_f1)
     checkpoint = Checkpoint(config, tuple(voc.entity_types.types), best_params,
-                            token_vocab, best.dev_f1, best.epoch)
+                            token_vocab, best.report.macro_f1, best.epoch)
     return checkpoint, history
 
 

@@ -452,10 +452,12 @@ def predicate_error_breakdown(gold, predicted, repair):
 
 # ---------------------------------------------------------------------------
 # file readers one line and one value at a time (the streamed readers must
-# build equal corpora, bit-identical matrices and the same errors). The one
-# change from the original per-line readers: a "# id" line with no id after
+# build equal corpora, bit-identical matrices and the same errors). Two
+# changes from the original per-line readers: a "# id" line with no id after
 # it is a data error in both, where it used to give the id "" in a column
-# file and read as an embedding row.
+# file and read as an embedding row; and a column-file token that starts with
+# "#" (an indented row such as " #tag _ _ O") is a data error, where it used
+# to be read as a token that write_conll then refused.
 
 
 def reference_parse_conll(stream, voc, token_column=0, tag_column=-1, has_labels=True):
@@ -495,7 +497,7 @@ def reference_parse_conll(stream, voc, token_column=0, tag_column=-1, has_labels
         fields = line.split()
         if not -len(fields) <= token_column < len(fields):
             raise ConllError(f"line {lineno}: expected token in column {token_column}: {line!r}")
-        tokens.append(fields[token_column])
+        token = fields[token_column]
         if has_labels:
             col = tag_column if tag_column >= 0 else len(fields) + tag_column
             if not 0 <= col < len(fields) or len(fields) == 1:
@@ -503,6 +505,10 @@ def reference_parse_conll(stream, voc, token_column=0, tag_column=-1, has_labels
             if col == token_column % len(fields):
                 raise ConllError(f"line {lineno}: token column {token_column} and tag column "
                                  f"{tag_column} are the same field: {line!r}")
+        if token.startswith("#"):
+            raise ConllError(f"line {lineno}: token {token!r} starts with '#'")
+        tokens.append(token)
+        if has_labels:
             name = fields[col]
             try:
                 tags.append(voc.index(name))

@@ -235,7 +235,7 @@ def test_criterion_5_transition_learning_separation():
         config = TrainConfig(arch=arch, epochs=10, dropout=0.0, lr_min=1e-3, lr_max=1e-3,
                              cycle_length=2, seed=7, dim=16, fc_size=32)
         _, history = train(train_corpus, dev_corpus, config)
-        results[arch] = max(h.dev_f1 for h in history)
+        results[arch] = max(h.report.macro_f1 for h in history)
     elapsed = time.monotonic() - started
     ok = results["crf"] >= 0.95 and results["linear"] <= 0.80 and elapsed < 300.0
     verdict(5, ok, f"chain-head dev F1 {results['crf']:.3f} (>=0.95), "

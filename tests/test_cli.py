@@ -7,7 +7,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerchain import cli, training
@@ -15,6 +15,7 @@ from nerchain.cli import main
 from nerchain.conll_io import parse_conll
 from nerchain.crf import NoValidPathError
 from nerchain.encoders import param_shapes
+from nerchain.metrics import render_kv, render_text, score
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
 from nerchain.training import NonFiniteError, TrainConfig
 
@@ -148,6 +149,36 @@ class TestTrain:
         assert log.count("epoch") == 2
         assert "dev P" in log
         assert "Average" in out
+
+    # settings under which epoch 2 of 3 scores best, so the kept epoch is not the last
+    @pytest.mark.parametrize("extra", [
+        ("--seed", "3", "--lr-min", "1", "--lr-max", "1"),
+        ("--arch", "bilstm-crf", "--hidden", "3", "--seed", "5", "--lr-min", "0.3",
+         "--lr-max", "0.3"),
+        ("--arch", "linear", "--fc-size", "8", "--seed", "1", "--lr-min", "0.3",
+         "--lr-max", "0.3", "--format", "kv"),
+    ])
+    def test_report_is_the_kept_epochs_dev_scores(self, capsys, tiny, tmp_path, monkeypatch,
+                                                  extra):
+        decoded = []
+        real = training.predict_corpus
+
+        def counted(arch, params, corpus, *args):
+            decoded.append(corpus)
+            return real(arch, params, corpus, *args)
+
+        monkeypatch.setattr(training, "predict_corpus", counted)
+        ckpt, argv = self.train_args(tiny, tmp_path, "--epochs", "3", *extra)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(decoded) == 3  # once per epoch, and not again after train()
+        monkeypatch.undo()
+        dev = parse_conll(TINY, VOC)
+        checkpoint = training.load_checkpoint(str(ckpt))
+        assert checkpoint.best_epoch == 2
+        report = score(dev, training.predict_with_checkpoint(checkpoint, dev))
+        render = render_kv if "kv" in extra else render_text
+        assert out == render(report) + "\n"
 
     def test_missing_dev_file_names_path(self, capsys, tiny, tmp_path):
         _, argv = self.train_args(tiny, tmp_path)
@@ -344,6 +375,18 @@ class TestPredict:
                          "--input", tiny)
         assert code == 2
 
+    def test_hash_token_exits_two_naming_file_and_line_and_writes_nothing(
+            self, capsys, tiny, tmp_path):
+        ckpt = self.memorize(capsys, tiny, tmp_path)
+        bad = tmp_path / "bad.conll"
+        bad.write_text("John _ _ O\n #tag _ _ O\n", encoding="utf-8")
+        out_path = tmp_path / "out.conll"
+        code, _, err = run(capsys, "predict", "--checkpoint", ckpt, "--input", str(bad),
+                           "--output", str(out_path))
+        assert code == 2
+        assert f"{bad}: line 2: token '#tag' starts with '#'" in err
+        assert not out_path.exists()
+
     def test_repair_flag_applies(self, capsys, tiny, tmp_path):
         ckpt = self.memorize(capsys, tiny, tmp_path)
         code, out, _ = run(capsys, "predict", "--checkpoint", ckpt, "--input", tiny,
@@ -512,3 +555,44 @@ def test_arbitrary_bytes_end_in_an_exit_code(command, gold, pred, config):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)
+
+
+@pytest.fixture(scope="module")
+def tiny_models(tmp_path_factory):
+    """One-epoch checkpoints of a CRF-headed and a linear model on TINY."""
+    root = tmp_path_factory.mktemp("models")
+    data = root / "tiny.conll"
+    data.write_text(TINY, encoding="utf-8")
+    models = {}
+    for arch in ("crf", "linear"):
+        models[arch] = str(root / f"{arch}.ckpt")
+        argv = ["train", "--train-file", str(data), "--dev-file", str(data), "--checkpoint",
+                models[arch], "--epochs", "1", "--arch", arch, "--fc-size", "8"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == cli.EXIT_OK
+    return models
+
+
+@settings(max_examples=200, deadline=None)
+@given(arch=st.sampled_from(["crf", "linear"]),
+       data=st.just(TINY.encode("utf-8")) | HOSTILE,
+       config=st.none() | _CONFIG | HOSTILE,
+       constrained=st.booleans())
+@example(arch="crf", data=b" #tag _ _ O\nx _ _ O\n", config=None, constrained=False)
+def test_predict_on_arbitrary_bytes_ends_in_an_exit_code(tiny_models, arch, data, config,
+                                                         constrained):
+    with tempfile.TemporaryDirectory() as tmp:
+        output = os.path.join(tmp, "out.conll")
+        argv = ["predict", "--checkpoint", tiny_models[arch], "--output", output]
+        argv += ["--constrained"] if constrained else []
+        for flag, content in (("--input", data), ("--config", config)):
+            if content is not None:
+                path = os.path.join(tmp, flag[2:])
+                with open(path, "wb") as handle:
+                    handle.write(content)
+                argv += [flag, path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)
+        if code != cli.EXIT_OK:  # a failed run fails before it writes output
+            assert not os.path.exists(output)

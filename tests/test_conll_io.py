@@ -115,6 +115,27 @@ class TestParseConll:
             assert str(caught.value) == message
 
 
+    def test_token_starting_with_hash_is_a_data_error(self):
+        # write_conll refuses such a token, so the reader does not hand it out
+        for text, kwargs, message in (
+            (" #tag _ _ O\nx _ _ O\n", {}, "line 1: token '#tag' starts with '#'"),
+            ("a _ _ O\n\t# _ _ O\n", {}, "line 2: token '#' starts with '#'"),
+            ("a #b\n", {"token_column": 1, "has_labels": False},
+             "line 1: token '#b' starts with '#'"),
+            ("x _ #y O\n", {"token_column": 2}, "line 1: token '#y' starts with '#'"),
+        ):
+            with pytest.raises(ConllError) as caught:
+                parse_conll(text, VOC, **kwargs)
+            assert str(caught.value) == message
+
+    def test_hash_elsewhere_in_a_row_is_kept(self):
+        corpus = parse_conll("a#b _ _ O\nx #y _ O\n", VOC)
+        assert corpus.sentences[0].tokens == ("a#b", "x")
+        out = io.StringIO()
+        write_conll(corpus, out)
+        assert parse_conll(out.getvalue(), VOC).sentences[0].tokens == ("a#b", "x")
+
+
 def test_corpus_names_the_first_out_of_range_tag():
     for tags, bad in (((0, 99, -1), 99), ((-1, 99, 0), -1), ((0, VOC.k), VOC.k)):
         with pytest.raises(ConllError, match=f"^sentence 's0': tag index {bad} out of range$"):
@@ -303,7 +324,8 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-_ROW_FIELDS = st.sampled_from(["a", "b", "_", "O", "B-PER", "I-PER", "B-LOC", "I-XYZ", "#", "x#"])
+_ROW_FIELDS = st.sampled_from(["a", "b", "_", "O", "B-PER", "I-PER", "B-LOC", "I-XYZ",
+                              "#", "x#", "#x"])
 _SEPARATOR = st.sampled_from([" ", "  ", "\t", "\xa0"])
 _CONLL_LINE = st.one_of(
     st.sampled_from(["", " ", "\t", "\r", "# id s1", "# id s2", "# id s1 ", "# id ", "# id",

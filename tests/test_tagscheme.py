@@ -151,6 +151,16 @@ class TestExtractSpans:
         with pytest.raises(TagSchemeError):
             extract_spans(VOC, [VOC.start_index])
 
+    def test_spans_equal_and_hash_like_plain_tuples(self):
+        assert EntitySpan(1, 3, "PER") == (1, 3, "PER")
+        tags = [tag("B-PER"), tag("I-PER"), tag("O"), tag("B-LOC")]
+        spans = extract_spans(VOC, tags)
+        plain = [(0, 2, "PER"), (3, 4, "LOC")]
+        assert spans == plain
+        assert [hash(s) for s in spans] == [hash(t) for t in plain]
+        assert set(spans) == set(plain)
+        assert [(s.start, s.end, s.entity_type) for s in spans] == plain
+
     @given(st.integers(0, 2**32 - 1), st.integers(1, 50))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_on_valid_sequences(self, seed, n):
@@ -164,6 +174,23 @@ class TestExtractSpans:
             assert e1 <= s2  # non-overlapping
         for s in spans:
             assert 0 <= s.start < s.end <= n
+
+
+class TestSpansToTags:
+    @pytest.mark.parametrize("start, end", [(2, 2), (3, 1), (-1, 2)])
+    def test_rejects_bad_bounds(self, start, end):
+        with pytest.raises(TagSchemeError, match=rf"bad span bounds \({start}, {end}\)"):
+            spans_to_tags(VOC, [EntitySpan(start, end, "PER")], 5)
+
+    def test_rejects_overlap_and_overrun(self):
+        for spans in ([EntitySpan(0, 2, "PER"), EntitySpan(1, 3, "LOC")],
+                      [EntitySpan(3, 6, "PER")]):
+            with pytest.raises(TagSchemeError, match="overlapping or out-of-range span"):
+                spans_to_tags(VOC, spans, 5)
+
+    def test_renders_spans_in_any_order(self):
+        got = spans_to_tags(VOC, [EntitySpan(3, 4, "LOC"), EntitySpan(0, 2, "PER")], 5)
+        assert got == [tag("B-PER"), tag("I-PER"), tag("O"), tag("B-LOC"), tag("O")]
 
 
 class TestRepairBio:

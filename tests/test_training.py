@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from nerchain import training
 from nerchain.conll_io import Corpus, EmbeddingSet, Sentence, TokenVocabulary
-from nerchain.encoders import init_params
+from nerchain.encoders import ARCHITECTURES, init_params
+from nerchain.metrics import MetricsReport, score
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
 from nerchain.training import (
     Checkpoint,
@@ -216,9 +217,27 @@ class TestTrain:
 
     def test_best_epoch_selected(self):
         corpus, checkpoint, history = self.overfit(epochs=12)
-        best = max(history, key=lambda h: h.dev_f1)
-        assert checkpoint.best_f1 == best.dev_f1
+        best = max(history, key=lambda h: h.report.macro_f1)
+        assert checkpoint.best_f1 == best.report.macro_f1
         assert checkpoint.best_epoch <= 12
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_history_carries_each_epochs_dev_report(self, arch):
+        corpus = tiny_corpus()
+        cfg = TrainConfig(arch=arch, epochs=3, hidden=3, fc_size=8, seed=4, dim=6)
+        checkpoint, history = train(corpus, corpus, cfg)
+        assert [h.epoch for h in history] == [1, 2, 3]
+        for h in history:
+            assert isinstance(h.report, MetricsReport)
+            assert isinstance(h.report.invalid_transition_count, int)
+            assert h.report.invalid_transition_count >= 0
+        best = history[checkpoint.best_epoch - 1]
+        assert checkpoint.best_f1 == best.report.macro_f1
+        # the kept epoch's report is what decoding with the checkpoint gives
+        predictions = predict_with_checkpoint(checkpoint, corpus)
+        assert best.report == score(corpus, predictions)
+        assert best.report.invalid_transition_count == sum(
+            count_invalid_transitions(VOC, tags) for tags in predictions)
 
     def test_non_finite_gradient_names_epoch_and_sentence(self, monkeypatch):
         real = training._loss_and_grads
