@@ -11,6 +11,7 @@ decimal floats per token, sentences separated by blank lines.
 """
 
 import io
+from itertools import repeat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,6 +200,10 @@ class TokenVocabulary:
 
     def lookup(self, token: str) -> int:
         return self._index.get(token, UNK_INDEX)
+
+    def indices(self, tokens) -> np.ndarray:
+        """lookup of every token of a sequence, in one pass, as an index array."""
+        return np.fromiter(map(self._index.get, tokens, repeat(UNK_INDEX)), np.intp, len(tokens))
 
     def __contains__(self, token):
         return token in self._index

@@ -9,6 +9,8 @@ to per-tag scores (n, k) and back for all three heads:
 
 The CRF heads' scores are emissions; the linear head's are log-probabilities,
 and its backward takes the gradient at the logits (cross_entropy_and_grads).
+emissions_batch gives the evaluation-mode scores of a list of sentences, bit
+for bit those of emissions_forward on each.
 
 The embeddings come from an EmbeddingSource: ingested per-sentence matrices
 (an embedding file) or a trainable lookup table. It stores only the data;
@@ -33,14 +35,28 @@ sigmoid/sigmoid/tanh/sigmoid, c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t),
 zero initial state. Weights initialize uniform(-0.1, 0.1); biases zero
 except the forget-gate section, which starts at 1.
 
-Only the recurrence runs in the Python time loop. The forward computes the
-input projection x @ wx.T + b of all n tokens in one matmul before the loop;
-each step adds wh @ h_prev to its row and applies one in-place sigmoid to the
-(4h,) gate block, with tanh on the g slice. The backward writes each step's
-gate gradient into a row of dZ and, after the loop, forms the weight
-gradients as one matmul each: dwx = dZ.T @ x, dwh = dZ[1:].T @ h[:-1],
-db = dZ.sum(0), and dx = dZ @ wx. The sums run in a different order than a
-per-step loop would take, so results agree with one to rounding, not bits.
+Only the recurrence runs in the Python time loop, and one loop serves a list
+of sentences. The forward computes each sentence's input projection
+x @ wx.T + b in one matmul before the loop (one matmul per sentence: a single
+stacked one would send 1-token sentences down another BLAS path). Several sentences are stacked
+longest first as the rows of a (steps, rows, 4h) gate array, so the rows
+still running at any step are a prefix and the loop takes as many steps as
+the longest sentence. Each step adds wh @ h_prev to its rows and applies one
+in-place sigmoid to the gate block, with tanh on the g slice. The recurrent
+product is a stacked gemv: the states are kept as (rows, h, 1) columns, for
+which np.matmul(wh, h_prev) makes one BLAS gemv call per row, the call that
+wh @ h_prev makes for a single sentence. Everything else a step does is
+elementwise, so every sentence gets the same bits as when it runs alone,
+whatever else shares its batch (h_prev @ wh.T would be one gemm, whose row
+results may depend on the batch). Training runs one sentence at a time and
+the backward reads that run's cache; decoding (emissions_batch) passes
+batches of sentences and keeps no cache.
+
+The backward writes each step's gate gradient into a row of dZ and, after
+the loop, forms the weight gradients as one matmul each: dwx = dZ.T @ x,
+dwh = dZ[1:].T @ h[:-1], db = dZ.sum(0), and dx = dZ @ wx. The sums run in
+a different order than a per-step loop would take, so results agree with one
+to rounding, not bits.
 """
 
 from dataclasses import dataclass
@@ -111,7 +127,7 @@ def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0,
         x = base.astype(np.float64, copy=True)
         indices = shape = None
     else:
-        indices = np.array([source.token_vocab.lookup(t) for t in sentence.tokens])
+        indices = source.token_vocab.indices(sentence.tokens)
         x = source.table[indices].astype(np.float64)
         shape = source.table.shape
 
@@ -145,34 +161,85 @@ class _LstmCache:
     h: np.ndarray  # (n, h), h[t] is the state emitted at step t
 
 
-def _lstm_forward(x, wx, wh, b):
-    n = x.shape[0]
+def _lstm_forward(xs, wx, wh, b):
+    """One direction's states for every sentence in xs, from one time loop.
+
+    Returns (states, cache): states[j] is the (n_j, h) state matrix of xs[j];
+    cache is what _lstm_backward reads when xs holds one sentence, else None.
+    """
     h = wh.shape[1]
-    if wx.shape != (4 * h, x.shape[1]) or wh.shape != (4 * h, h) or b.shape != (4 * h,):
-        raise EncoderError(
-            f"inconsistent lstm shapes wx={wx.shape} wh={wh.shape} b={b.shape} d={x.shape[1]}"
-        )
-    gates = x @ wx.T + b  # every step's input projection; the loop adds wh @ h_prev
-    cs = np.empty((n, h)); tc = np.empty((n, h)); hs = np.empty((n, h))
-    g = np.empty(h)
+    for x in xs:
+        if x.ndim != 2 or x.shape[0] < 1:
+            raise EncoderError(f"input must be (n, d) with n >= 1, got {x.shape}")
+        if wx.shape != (4 * h, x.shape[1]) or wh.shape != (4 * h, h) or b.shape != (4 * h,):
+            raise EncoderError(
+                f"inconsistent lstm shapes wx={wx.shape} wh={wh.shape} b={b.shape} d={x.shape[1]}"
+            )
+    rows = len(xs)
+    if rows == 0:
+        return [], None
+    if rows == 1:  # no rows axis: each step works on (4h,) and (h,) vectors, as wh @ h_prev
+        x, = xs
+        gates = x @ wx.T + b  # every step's input projection; the loop adds wh @ h_prev
+        steps = len(x)
+        cs = np.empty((steps, h)); tc = np.empty((steps, h)); hs = np.empty((steps, h))
+        rec = np.empty(4 * h)
+        runs = [(gates, gates.reshape(steps, 4, h), cs, tc, hs, hs, np.empty(h), rec, rec, None)]
+    else:
+        # rows run longest first, so the rows still running at a step are a prefix
+        order = sorted(range(rows), key=lambda j: -len(xs[j]))
+        lengths = [len(xs[j]) for j in order]
+        steps = lengths[0]
+        gates = np.empty((steps, rows, 4 * h))
+        for row, (j, n) in enumerate(zip(order, lengths)):
+            gates[:n, row] = xs[j] @ wx.T + b
+        split = gates.reshape(steps, rows, 4, h).transpose(0, 2, 1, 3)  # step -> (4, rows, h)
+        cs = np.empty((steps, rows, h)); tc = np.empty((steps, rows, h))
+        cols = np.empty((steps, rows, h, 1))  # states as a stack of (h, 1) columns, so
+        hs = cols[..., 0]  # that matmul(wh, h_prev) makes one gemv call per row
+        g = np.empty((rows, h))
+        rec = np.empty((rows, 4 * h, 1))
+        runs, start = [], 0
+        for count in range(rows, 0, -1):  # the steps that run exactly `count` rows
+            end = lengths[count - 1]
+            if end > start:
+                carried = (cols[start - 1, :count], cs[start - 1, :count]) if start else None
+                runs.append((gates[start:end, :count], split[start:end, :, :count],
+                             cs[start:end, :count], tc[start:end, :count],
+                             hs[start:end, :count], cols[start:end, :count],
+                             g[:count], rec[:count], rec[:count, :, 0], carried))
+                start = end
+    # each run of steps: its views of the gates (rows, and (i, f, g, o) blocks), c,
+    # tanh(c), the states (rows and columns), the tanh(g) and wh @ h_prev buffers
+    # (columns and rows), and the states its rows carry in from the run before
     h_prev = c_prev = None
-    # one row view per step and array, so the loop body only calls ufuncs
-    for z, (i, f, g_z, o), c, tanh_c, h_t in zip(gates, gates.reshape(n, 4, h), cs, tc, hs):
-        if h_prev is not None:
-            z += wh @ h_prev
-        np.tanh(g_z, out=g)
-        np.negative(z, out=z)  # sigmoid over the whole gate block, in place ...
-        np.exp(z, out=z)
-        z += 1.0
-        np.reciprocal(z, out=z)
-        g_z[...] = g  # ... with tanh on the g slice
-        np.multiply(i, g, out=c)
-        if c_prev is not None:
-            c += f * c_prev
-        np.tanh(c, out=tanh_c)
-        np.multiply(o, tanh_c, out=h_t)
-        h_prev, c_prev = h_t, c
-    return hs, _LstmCache(x, wx, wh, gates, cs, tc, hs)
+    for zs, blocks, c_run, tc_run, h_run, col_run, g, rec, rec_rows, carried in runs:
+        if carried:
+            h_prev, c_prev = carried
+        # one view per step and array, so the loop body only calls ufuncs
+        for z, (i, f, g_z, o), c, tanh_c, h_t, col in zip(zs, blocks, c_run, tc_run, h_run,
+                                                           col_run):
+            if h_prev is not None:
+                np.matmul(wh, h_prev, out=rec)
+                z += rec_rows
+            np.tanh(g_z, out=g)
+            np.negative(z, out=z)  # sigmoid over the whole gate block, in place ...
+            np.exp(z, out=z)
+            z += 1.0
+            np.reciprocal(z, out=z)
+            g_z[...] = g  # ... with tanh on the g slice
+            np.multiply(i, g, out=c)
+            if c_prev is not None:
+                c += f * c_prev
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h_t)
+            h_prev, c_prev = col, c
+    if rows == 1:
+        return [hs], _LstmCache(x, wx, wh, gates, cs, tc, hs)
+    states = [None] * rows
+    for row, (j, n) in enumerate(zip(order, lengths)):
+        states[j] = hs[:n, row]
+    return states, None
 
 
 def _lstm_backward(cache: _LstmCache, grad_h):
@@ -217,14 +284,19 @@ def bilstm_forward(x: np.ndarray, params: dict):
     Row t is [h_fw(t) ; h_bw(t)] where the backward direction scans the
     reversed sequence and its states are re-aligned to token positions.
     """
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise EncoderError(f"input must be (n, d) with n >= 1, got {x.shape}")
-    h_fw, cache_fw = _lstm_forward(x, params["lstm.fw.wx"], params["lstm.fw.wh"],
-                                   params["lstm.fw.b"])
-    h_bw, cache_bw = _lstm_forward(x[::-1], params["lstm.bw.wx"], params["lstm.bw.wh"],
-                                   params["lstm.bw.b"])
-    out = np.concatenate([h_fw, h_bw[::-1]], axis=1)
-    return out, BiLstmCache(cache_fw, cache_bw)
+    (out,), cache = _bilstm([x], params)
+    return out, cache
+
+
+def _bilstm(xs, params):
+    """bilstm_forward of every sentence in xs, one time loop per direction;
+    the caches are set when xs holds one sentence."""
+    fw, cache_fw = _lstm_forward(xs, params["lstm.fw.wx"], params["lstm.fw.wh"],
+                                 params["lstm.fw.b"])
+    bw, cache_bw = _lstm_forward([x[::-1] for x in xs], params["lstm.bw.wx"],
+                                 params["lstm.bw.wh"], params["lstm.bw.b"])
+    outs = [np.concatenate([h_fw, h_bw[::-1]], axis=1) for h_fw, h_bw in zip(fw, bw)]
+    return outs, BiLstmCache(cache_fw, cache_bw)
 
 
 def bilstm_backward(cache: BiLstmCache, grad_out: np.ndarray):
@@ -364,6 +436,14 @@ def emissions_forward(arch: str, params: dict, x: np.ndarray, dropout: float = 0
         hidden, mask = _dropout(hidden, dropout, rng, train)
         return project(hidden, params), EmissionCache(hidden, mask, lstm_cache)
     raise EncoderError(f"unknown architecture {arch!r}")
+
+
+def emissions_batch(arch: str, params: dict, xs: list) -> list[np.ndarray]:
+    """Evaluation-mode scores of several sentences, bit for bit emissions_forward
+    of each; the bilstm-crf head runs one LSTM time loop per direction for all."""
+    if arch != "bilstm-crf":
+        return [emissions_forward(arch, params, x)[0] for x in xs]
+    return [project(hidden, params) for hidden in _bilstm(xs, params)[0]]
 
 
 def emissions_backward(params: dict, cache: EmissionCache, grad_scores: np.ndarray):

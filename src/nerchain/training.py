@@ -6,6 +6,12 @@ global-norm clipping at 5.0, and evaluates entity macro-F1 on the dev set.
 The checkpoint of the best dev epoch is returned. Given the same seed,
 config and data, training is bit-for-bit reproducible.
 
+Training stays at batch size 1. Decoding (predict_corpus, and so each
+epoch's dev evaluation) runs the bilstm-crf head over the corpus sorted by
+length, in batches of at most DECODE_BATCH sentences, one LSTM time loop per
+batch; the cap bounds the loop's buffers. A sentence's tags do not depend on
+its batch: the batched kernel gives each sentence the bits it gets alone.
+
 Checkpoint container format (little endian): magic b"NERCHKP" + one version
 byte, a UTF-8 metadata block of key=value lines, then named float64 arrays
 with explicit dimension headers.
@@ -30,6 +36,7 @@ from .encoders import (
     embed,
     embed_backward,
     emissions_backward,
+    emissions_batch,
     emissions_forward,
     init_params,
     param_shapes,
@@ -40,6 +47,7 @@ from .tagscheme import EntityTypeSet, TagVocabulary, transition_mask
 logger = logging.getLogger(__name__)
 
 GRAD_CLIP_NORM = 5.0
+DECODE_BATCH = 32  # sentences per LSTM time loop when decoding; bounds its buffers
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -222,16 +230,24 @@ def default_constrained(arch: str) -> bool:
 def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
                    constrained: bool) -> list[list[int]]:
     """Predicted tag indices for every sentence (evaluation mode). The linear
-    head's log-probabilities are decoded with zero transitions."""
+    head's log-probabilities are decoded with zero transitions. The bilstm-crf
+    head decodes the corpus sorted by length, DECODE_BATCH sentences per LSTM
+    time loop; the other heads decode one sentence at a time."""
     voc = corpus.tag_vocabulary
     trans = (TransitionMatrix.zeros(voc) if arch == "linear"
              else TransitionMatrix(params["crf.trans"]))
     mask = transition_mask(voc) if constrained else None
-    predictions = []
-    for sent in corpus:
-        x, _ = embed(sent, source, train=False)
-        scores, _ = emissions_forward(arch, params, x)
-        predictions.append(viterbi_decode(scores, trans, mask)[0])
+    sentences = corpus.sentences
+    if arch == "bilstm-crf":
+        order, size = sorted(range(len(sentences)), key=lambda j: len(sentences[j])), DECODE_BATCH
+    else:
+        order, size = range(len(sentences)), 1
+    predictions = [None] * len(sentences)
+    for start in range(0, len(sentences), size):
+        batch = order[start:start + size]
+        xs = [embed(sentences[j], source, train=False)[0] for j in batch]
+        for j, scores in zip(batch, emissions_batch(arch, params, xs)):
+            predictions[j] = viterbi_decode(scores, trans, mask)[0]
     return predictions
 
 

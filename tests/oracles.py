@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from nerchain.encoders import _LstmCache
+
 
 # ---------------------------------------------------------------------------
 # chain model: exhaustive enumeration over all k^n label paths
@@ -299,6 +301,38 @@ def reference_lstm_backward(cache, grad_h):
         dx[t] = wx.T @ dz
         dh_next = wh.T @ dz
     return dx, dwx, dwh, db
+
+
+# ---------------------------------------------------------------------------
+# one LSTM direction of one sentence with the input projection hoisted out of
+# the time loop: the kernel that the batched _lstm_forward must match bit for
+# bit, on every sentence of a batch, and whose cache it must give for one
+
+
+def reference_lstm_kernel(x, wx, wh, b):
+    """(h, cache): the (n, h) states of one direction and _lstm_backward's cache."""
+    n = x.shape[0]
+    h = wh.shape[1]
+    gates = x @ wx.T + b  # every step's input projection; the loop adds wh @ h_prev
+    cs = np.empty((n, h)); tc = np.empty((n, h)); hs = np.empty((n, h))
+    g = np.empty(h)
+    h_prev = c_prev = None
+    for z, (i, f, g_z, o), c, tanh_c, h_t in zip(gates, gates.reshape(n, 4, h), cs, tc, hs):
+        if h_prev is not None:
+            z += wh @ h_prev
+        np.tanh(g_z, out=g)
+        np.negative(z, out=z)  # sigmoid over the whole gate block, in place ...
+        np.exp(z, out=z)
+        z += 1.0
+        np.reciprocal(z, out=z)
+        g_z[...] = g  # ... with tanh on the g slice
+        np.multiply(i, g, out=c)
+        if c_prev is not None:
+            c += f * c_prev
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h_t)
+        h_prev, c_prev = h_t, c
+    return hs, _LstmCache(x, wx, wh, gates, cs, tc, hs)
 
 
 # ---------------------------------------------------------------------------

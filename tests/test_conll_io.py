@@ -228,6 +228,11 @@ class TestTokenVocabulary:
             assert vocab.lookup(probe) >= 2
         else:
             assert vocab.lookup(probe) == UNK_INDEX
+        # the one-pass lookup that embed uses gives the same indices
+        sequence = (probe, *tokens, probe)
+        indices = vocab.indices(sequence)
+        assert indices.dtype == np.intp
+        assert indices.tolist() == [vocab.lookup(t) for t in sequence]
 
 
 class TestEmbeddings:

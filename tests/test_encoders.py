@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerchain.conll_io import EmbeddingError, EmbeddingSet, Sentence, TokenVocabulary
 from nerchain.encoders import (
+    ARCHITECTURES,
     EncoderError,
     EmbeddingSource,
+    _lstm_forward,
     bilstm_backward,
     bilstm_forward,
     cross_entropy_and_grads,
     embed,
     embed_backward,
     emissions_backward,
+    emissions_batch,
     emissions_forward,
     fc_head_forward,
     init_params,
@@ -25,6 +28,7 @@ from oracles import (
     max_rel_err,
     reference_lstm_backward,
     reference_lstm_forward,
+    reference_lstm_kernel,
     scalar_bilstm,
 )
 
@@ -271,6 +275,77 @@ def test_hoisted_cell_loop_matches_the_per_step_reference(n, d, h, log_scale, se
         for p, ref in zip(("wx", "wh", "b"), ref_grads):
             assert_close(grads[f"lstm.{name}.{p}"], ref)
     assert_close(dx, ref_dx)
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def assert_same_bits(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(bits(got), bits(ref))
+
+
+# lengths 1-40, weighted towards 1-token sentences and towards repeats
+LENGTHS = st.lists(st.one_of(st.just(1), st.integers(2, 4), st.integers(1, 40)),
+                   min_size=1, max_size=12)
+
+
+@given(lengths=LENGTHS, d=st.integers(1, 8), h=st.integers(1, 8),
+       log_scale=st.floats(-3.0, 1.0), reverse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(lengths=[7] * 12, d=3, h=4, log_scale=0.0, reverse=False, seed=0)
+@example(lengths=[1] * 12, d=3, h=4, log_scale=0.0, reverse=True, seed=0)
+@example(lengths=[40, 1, 1, 17, 17, 1, 40], d=8, h=8, log_scale=1.0, reverse=True, seed=1)
+@settings(max_examples=200, deadline=None)
+def test_batched_kernel_matches_the_single_sentence_kernel_bit_for_bit(lengths, d, h, log_scale,
+                                                                       reverse, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** log_scale
+    wx = rng.uniform(-1.0, 1.0, (4 * h, d)) * scale
+    wh = rng.uniform(-1.0, 1.0, (4 * h, h)) * scale
+    b = rng.uniform(-1.0, 1.0, 4 * h) * scale
+    xs = [rng.standard_normal((n, d)) for n in lengths]
+    if reverse:  # the backward direction passes reversed views
+        xs = [x[::-1] for x in xs]
+    states, cache = _lstm_forward(xs, wx, wh, b)
+    refs = [reference_lstm_kernel(x, wx, wh, b) for x in xs]
+    assert len(states) == len(xs)
+    for got, (ref, _) in zip(states, refs):
+        assert_same_bits(got, ref)
+    if len(xs) > 1:
+        assert cache is None
+        return
+    ref_cache = refs[0][1]  # one sentence: the cache _lstm_backward reads
+    assert cache.x is xs[0] and cache.wx is wx and cache.wh is wh
+    for name in ("gates", "c", "tanh_c", "h"):
+        assert_same_bits(getattr(cache, name), getattr(ref_cache, name))
+
+
+def test_batched_kernel_takes_an_empty_batch_and_rejects_an_empty_sentence():
+    rng = np.random.default_rng(2)
+    params = lstm_params(rng, 3, 2)
+    wx, wh, b = params["lstm.fw.wx"], params["lstm.fw.wh"], params["lstm.fw.b"]
+    assert _lstm_forward([], wx, wh, b) == ([], None)
+    assert emissions_batch("bilstm-crf", params, []) == []
+    empty = np.zeros((0, 3))
+    messages = []
+    for call in (lambda: bilstm_forward(empty, params),
+                 lambda: _lstm_forward([rng.standard_normal((2, 3)), empty], wx, wh, b)):
+        with pytest.raises(EncoderError) as info:
+            call()
+        messages.append(str(info.value))
+    assert messages == ["input must be (n, d) with n >= 1, got (0, 3)"] * 2
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_emissions_batch_is_emissions_forward_of_each_sentence(arch):
+    rng = np.random.default_rng(4)
+    params = init_params(arch, 3, k=5, hidden=4, fc_size=6, rng=rng)
+    xs = [rng.standard_normal((n, 3)) for n in (4, 1, 7, 4, 2)]
+    scores = emissions_batch(arch, params, xs)
+    assert len(scores) == len(xs)
+    for got, x in zip(scores, xs):
+        assert_same_bits(got, emissions_forward(arch, params, x)[0])
 
 
 class TestProject:

@@ -16,6 +16,7 @@ from nerchain.tagscheme import (
     repair_bio,
     spans_to_tags,
     transition_mask,
+    _tables,
 )
 
 from oracles import (
@@ -110,6 +111,25 @@ class TestIsValidTransition:
                 assert mask[i, j] == is_valid_transition(VOC, i, j)
         assert not mask[:, VOC.start_index].any()
         assert not mask[VOC.stop_index, :].any()
+
+    @pytest.mark.parametrize("types", [("PER",), ("LOC", "PER"), DEFAULT_ENTITY_TYPES,
+                                       tuple("ABCDEFGHIJ")])
+    def test_tables_equal_the_predicates_and_are_shared_by_equal_vocabularies(self, types):
+        voc = expand_bio(EntityTypeSet(types))
+        n = voc.k + 2
+        mask = [[is_valid_transition(voc, i, j) and j != voc.start_index and i != voc.stop_index
+                 for j in range(n)] for i in range(n)]
+        real = range(voc.k)
+        expected = (tuple(voc.type_of(t) for t in real), tuple(voc.is_begin(t) for t in real),
+                    tuple(map(tuple, mask)))
+        assert _tables(voc) == expected
+        assert transition_mask(voc).tolist() == mask
+        # a vocabulary built anew equals and hashes alike, so it reaches the same tables
+        again = expand_bio(EntityTypeSet(types))
+        assert again == voc and hash(again) == hash(voc)
+        assert _tables(again) is _tables(voc)
+        assert transition_mask(again) is transition_mask(voc)
+        assert expand_bio(EntityTypeSet(types + ("EXTRA",))) != voc
 
     def test_mask_is_built_once_and_read_only(self):
         mask = transition_mask(VOC)

@@ -4,15 +4,16 @@ import hashlib
 import io
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nerchain import training
+from nerchain import encoders, training
 from nerchain.conll_io import Corpus, EmbeddingSet, Sentence, TokenVocabulary
-from nerchain.encoders import ARCHITECTURES, init_params
+from nerchain.encoders import ARCHITECTURES, EmbeddingSource, init_params
 from nerchain.metrics import MetricsReport, score
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
 from nerchain.training import (
@@ -33,7 +34,13 @@ from nerchain.training import (
     train,
 )
 
-from oracles import reference_nll_gradients, reference_viterbi, scalar_adam
+from oracles import (
+    random_corpus,
+    reference_lstm_kernel,
+    reference_nll_gradients,
+    reference_viterbi,
+    scalar_adam,
+)
 
 VOC = expand_bio(EntityTypeSet())
 
@@ -263,6 +270,65 @@ class TestTrain:
         monkeypatch.setattr(training, "viterbi_decode",
                             lambda P, A, mask=None: reference_viterbi(P, A.values, mask))
         assert train(corpus, corpus, cfg)[0] == kernels  # same checkpoint bytes
+
+    def test_bilstm_kernel_gives_the_reference_checkpoint_bytes(self, monkeypatch):
+        # 40 dev sentences: each epoch decodes them in two length-sorted batches
+        corpus = random_corpus(np.random.default_rng(3), VOC, 40, max_len=12,
+                               vocab=tuple("abcdefgh"))
+        cfg = TrainConfig(arch="bilstm-crf", epochs=3, dropout=0.2, hidden=4, lr_min=1e-3,
+                          lr_max=1e-1, seed=7, dim=6)
+        kernel, history = train(corpus, corpus, cfg)
+
+        def one_sentence_at_a_time(xs, wx, wh, b):
+            runs = [reference_lstm_kernel(x, wx, wh, b) for x in xs]
+            return [h for h, _ in runs], (runs[0][1] if len(runs) == 1 else None)
+
+        monkeypatch.setattr(encoders, "_lstm_forward", one_sentence_at_a_time)
+        reference, reference_history = train(corpus, corpus, cfg)
+        assert reference == kernel  # same checkpoint bytes
+        assert [h.report for h in reference_history] == [h.report for h in history]
+
+    def test_bilstm_corpus_predictions_equal_one_sentence_calls(self):
+        # more sentences than two batches hold, of lengths 1-40 in no order
+        rng = np.random.default_rng(5)
+        vocab = TokenVocabulary(list("abcdefgh"))
+        corpus = random_corpus(rng, VOC, 2 * training.DECODE_BATCH + 5, max_len=40,
+                               vocab=vocab.tokens)
+        params = init_params("bilstm-crf", dim=4, k=VOC.k, hidden=5, vocab_size=len(vocab),
+                             rng=rng)
+        for key, value in params.items():
+            if key != "crf.trans":  # weights large enough that the tags vary
+                params[key] = rng.uniform(-1.0, 1.0, value.shape)
+        checkpoint = Checkpoint(TrainConfig(arch="bilstm-crf", hidden=5, dim=4),
+                                tuple(VOC.entity_types.types), params, vocab)
+        predictions = predict_with_checkpoint(checkpoint, corpus)
+        assert predictions == [predict_with_checkpoint(checkpoint, Corpus((s,), VOC))[0]
+                               for s in corpus]
+        assert len({tag for tags in predictions for tag in tags}) > 3
+
+
+
+def test_bilstm_decoding_memory_does_not_grow_with_the_corpus():
+    # the LSTM buffers hold at most DECODE_BATCH sentences; what grows with the
+    # corpus is the predictions alone, a few hundred bytes a sentence
+    rng = np.random.default_rng(6)
+    vocab = TokenVocabulary(list("abcdefgh"))
+    corpus = random_corpus(rng, VOC, 2000, min_len=5, max_len=30, vocab=vocab.tokens)
+    params = init_params("bilstm-crf", dim=16, k=VOC.k, hidden=64, vocab_size=len(vocab),
+                         rng=rng)
+    source = EmbeddingSource(table=params["embed.table"], token_vocab=vocab)
+
+    def peak(n):
+        part = Corpus(corpus.sentences[:n], VOC)
+        tracemalloc.start()
+        try:
+            training.predict_corpus("bilstm-crf", params, part, source, constrained=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(200), peak(2000)
+    assert large <= 1.2 * small, (small, large)
 
 
 class TestCheckpointIO:
