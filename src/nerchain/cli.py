@@ -8,6 +8,8 @@ import argparse
 import logging
 import sys
 
+import numpy as np
+
 from .conll_io import (
     ConllError,
     Corpus,
@@ -286,9 +288,11 @@ def cmd_predict(settings: Settings) -> int:
     if settings.embeddings:
         embeddings = _read(settings.embeddings, EmbeddingError, load_embeddings, corpus)
 
-    # an unforced run keeps the architecture's default
-    predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
-                                          settings.constrained or None)
+    # an unforced run keeps the architecture's default; a diverged model's
+    # overflow ends in a CrfError (exit 2 or 3), not in numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
+                                              settings.constrained or None)
     if settings.repair:
         predictions = [repair_bio(voc, tags, settings.repair) for tags in predictions]
 

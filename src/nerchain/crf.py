@@ -261,7 +261,22 @@ def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
     return nll, dP, dA
 
 
-def viterbi_decode(P: np.ndarray, A: TransitionMatrix, mask: np.ndarray | None = None):
+def _allowed(A: TransitionMatrix, mask: np.ndarray | None) -> np.ndarray:
+    """The transition scores with the cells the mask forbids at -inf."""
+    if mask is None:
+        return A.values
+    if mask.shape != A.values.shape:
+        raise CrfError(f"mask shape {mask.shape} != transition shape {A.values.shape}")
+    return A.values + np.where(mask, 0.0, -np.inf)
+
+
+def _best_score_error(score: float, mask) -> CrfError:
+    if mask is None or score != -math.inf:
+        return NonFiniteScoreError(f"non-finite best path score {score}")
+    return NoValidPathError("no path satisfies the transition mask")
+
+
+def viterbi_decode(P, A: TransitionMatrix, mask: np.ndarray | None = None):
     """Highest-scoring path and its score, optionally restricted to mask-valid
     transitions (mask True = allowed, shape (k+2, k+2)).
 
@@ -270,16 +285,29 @@ def viterbi_decode(P: np.ndarray, A: TransitionMatrix, mask: np.ndarray | None =
     lexicographic order. A best score of -inf under a mask means no path is
     allowed (NoValidPathError); any other non-finite best score comes from
     overflowing scores (NonFiniteScoreError).
+
+    P is one (n, k) emission matrix, or a list of them: a list gives one
+    (path, score) per matrix, in input order, and several matrices share one
+    time loop (_viterbi_batch). Each result has the bits that matrix gets
+    alone: the loop does the same additions, takes the same first maximum
+    and gathers the value of the argmax cell rather than taking a max (which
+    could flip the sign of a zero). A list raises what its first failing
+    matrix raises alone: on any failure it is decoded again one at a time.
     """
+    if not isinstance(P, list):
+        return _viterbi_one(P, A, mask)
+    if len(P) > 1:
+        try:
+            return _viterbi_batch([_check(p, A)[0] for p in P], A, mask)
+        except CrfError:  # decoded alone, the first failing matrix raises its own error
+            pass
+    return [_viterbi_one(p, A, mask) for p in P]
+
+
+def _viterbi_one(P, A: TransitionMatrix, mask):
     P, _ = _check(P, A)
     n, k = P.shape
-    if mask is None:
-        av = A.values
-    else:
-        if mask.shape != A.values.shape:
-            raise CrfError(f"mask shape {mask.shape} != transition shape {A.values.shape}")
-        av = A.values + np.where(mask, 0.0, -np.inf)
-
+    av = _allowed(A, mask)
     trans = av[:k, :k]
     columns = np.arange(k)
     cand = np.empty((k, k))
@@ -295,12 +323,75 @@ def viterbi_decode(P: np.ndarray, A: TransitionMatrix, mask: np.ndarray | None =
     best = int(np.argmax(final))
     score = float(final[best])
     if not math.isfinite(score):
-        if mask is None or score != -math.inf:
-            raise NonFiniteScoreError(f"non-finite best path score {score}")
-        raise NoValidPathError("no path satisfies the transition mask")
+        raise _best_score_error(score, mask)
 
     rows = back.tolist()
     path = [best] * n
     for t in range(n - 1, 0, -1):
         path[t - 1] = rows[t][path[t]]
     return path, score
+
+
+def _viterbi_batch(Ps: list, A: TransitionMatrix, mask) -> list:
+    """Viterbi over several checked emission matrices in one time loop.
+
+    Rows run longest first, so the rows still running at step t are a prefix.
+    Each step forms, per row, every delta[i] + trans[i, j] (held as [j, i],
+    so that the argmax over i runs along contiguous memory), takes the first
+    maximum over i and gathers its cell, then adds the emissions; the
+    backtrack follows all rows at once. Raises a CrfError if any best score
+    is not finite.
+    """
+    av = _allowed(A, mask)
+    k = A.k
+    rows = len(Ps)
+    order = sorted(range(rows), key=lambda j: -len(Ps[j]))
+    lengths = [len(Ps[j]) for j in order]
+    steps = lengths[0]
+    emissions = np.empty((steps, rows, k))
+    for row, (j, n) in enumerate(zip(order, lengths)):
+        emissions[:n, row] = Ps[j]
+    trans_t = np.ascontiguousarray(av[:k, :k].T)  # trans_t[j, i] = trans[i, j]
+    delta = av[k, :k] + emissions[0]
+    cand = np.empty((rows, k, k))
+    flat = cand.reshape(-1)
+    back = np.empty((steps, rows, k), dtype=np.intp)
+    # cand's flat index of (row, j, 0), to which a step adds the argmax i
+    base = (np.arange(rows)[:, None] * (k * k) + np.arange(k) * k).astype(np.intp)
+    pick = np.empty((rows, k), dtype=np.intp)
+    # running[t]: the rows that have step t, a prefix because rows run longest first
+    running = [0] * (steps + 1)
+    for n in lengths:
+        running[n - 1] += 1
+    for t in range(steps - 1, -1, -1):
+        running[t] += running[t + 1]
+    for t in range(1, steps):
+        m = running[t]
+        c, b, p, d = cand[:m], back[t, :m], pick[:m], delta[:m]
+        np.add(d[:, None, :], trans_t, out=c)
+        c.argmax(axis=2, out=b)
+        np.add(b, base[:m], out=p)
+        flat.take(p, out=d, mode="clip")
+        np.add(d, emissions[t, :m], out=d)
+    final = delta + av[:k, k + 1]
+    best = np.argmax(final, axis=1)
+    scores = final[np.arange(rows), best].tolist()
+    for score in scores:
+        if not math.isfinite(score):
+            raise _best_score_error(score, mask)
+
+    # backtrack all rows at once; a row joins at its last step with its best tag
+    offsets = np.arange(rows) * k
+    paths = np.empty((steps, rows), dtype=np.intp)
+    tag = np.empty(rows, dtype=np.intp)
+    for t in range(steps - 1, -1, -1):
+        ending, m = running[t + 1], running[t]
+        tag[ending:m] = best[ending:m]
+        paths[t, :m] = tag[:m]
+        if t:
+            back[t].reshape(-1).take(offsets[:m] + tag[:m], out=tag[:m], mode="clip")
+    row_paths = paths.T.tolist()
+    results = [None] * rows
+    for row, (j, n) in enumerate(zip(order, lengths)):
+        results[j] = (row_paths[row][:n], scores[row])
+    return results

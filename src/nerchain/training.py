@@ -7,10 +7,12 @@ The checkpoint of the best dev epoch is returned. Given the same seed,
 config and data, training is bit-for-bit reproducible.
 
 Training stays at batch size 1. Decoding (predict_corpus, and so each
-epoch's dev evaluation) runs the bilstm-crf head over the corpus sorted by
-length, in batches of at most DECODE_BATCH sentences, one LSTM time loop per
-batch; the cap bounds the loop's buffers. A sentence's tags do not depend on
-its batch: the batched kernel gives each sentence the bits it gets alone.
+epoch's dev evaluation) runs every head over the corpus sorted by length, in
+batches of at most DECODE_BATCH sentences: one Viterbi time loop per batch,
+and for the bilstm-crf head one LSTM time loop per batch as well; the cap
+bounds the loops' buffers. A sentence's tags do not depend on its batch: the
+batched kernels give each sentence the bits it gets alone, and a corpus
+that fails raises the error of its first failing sentence in input order.
 
 Checkpoint container format (little endian): magic b"NERCHKP" + one version
 byte, a UTF-8 metadata block of key=value lines, then named float64 arrays
@@ -47,7 +49,7 @@ from .tagscheme import EntityTypeSet, TagVocabulary, transition_mask
 logger = logging.getLogger(__name__)
 
 GRAD_CLIP_NORM = 5.0
-DECODE_BATCH = 32  # sentences per LSTM time loop when decoding; bounds its buffers
+DECODE_BATCH = 32  # sentences per decode time loop; bounds its buffers
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -230,24 +232,30 @@ def default_constrained(arch: str) -> bool:
 def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
                    constrained: bool) -> list[list[int]]:
     """Predicted tag indices for every sentence (evaluation mode). The linear
-    head's log-probabilities are decoded with zero transitions. The bilstm-crf
-    head decodes the corpus sorted by length, DECODE_BATCH sentences per LSTM
-    time loop; the other heads decode one sentence at a time."""
+    head's log-probabilities are decoded with zero transitions. Every head
+    decodes the corpus sorted by length, DECODE_BATCH sentences per batch:
+    one emissions_batch call and one viterbi_decode call each. A failing
+    corpus is decoded again one sentence at a time, in input order, so that
+    it raises the error of its first failing sentence."""
     voc = corpus.tag_vocabulary
     trans = (TransitionMatrix.zeros(voc) if arch == "linear"
              else TransitionMatrix(params["crf.trans"]))
     mask = transition_mask(voc) if constrained else None
     sentences = corpus.sentences
-    if arch == "bilstm-crf":
-        order, size = sorted(range(len(sentences)), key=lambda j: len(sentences[j])), DECODE_BATCH
-    else:
-        order, size = range(len(sentences)), 1
+    order = sorted(range(len(sentences)), key=lambda j: len(sentences[j]))
     predictions = [None] * len(sentences)
-    for start in range(0, len(sentences), size):
-        batch = order[start:start + size]
-        xs = [embed(sentences[j], source, train=False)[0] for j in batch]
-        for j, scores in zip(batch, emissions_batch(arch, params, xs)):
-            predictions[j] = viterbi_decode(scores, trans, mask)[0]
+    try:
+        for start in range(0, len(sentences), DECODE_BATCH):
+            batch = order[start:start + DECODE_BATCH]
+            xs = [embed(sentences[j], source, train=False)[0] for j in batch]
+            decoded = viterbi_decode(emissions_batch(arch, params, xs), trans, mask)
+            for j, (path, _) in zip(batch, decoded):
+                predictions[j] = path
+    except ValueError:  # raise what the first failing sentence in input order raises alone
+        for sent in sentences:
+            x = embed(sent, source, train=False)[0]
+            viterbi_decode(emissions_forward(arch, params, x)[0], trans, mask)
+        raise
     return predictions
 
 

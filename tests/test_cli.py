@@ -387,6 +387,24 @@ class TestPredict:
         assert f"{bad}: line 2: token '#tag' starts with '#'" in err
         assert not out_path.exists()
 
+    def test_diverged_model_exits_two_or_three_and_writes_nothing(self, capsys, tiny, tmp_path,
+                                                                  tiny_models):
+        # transitions at +-1e308 overflow every path score: to inf, a data
+        # error, or under the mask to -inf, where no path is allowed
+        checkpoint = training.load_checkpoint(tiny_models["crf"])
+        diverged, out = tmp_path / "diverged.ckpt", tmp_path / "out.conll"
+        for value, flags, expected in (
+                (1e308, [], (2, "nerchain: error: non-finite best path score inf\n")),
+                (-1e308, [], (2, "nerchain: error: non-finite best path score -inf\n")),
+                (-1e308, ["--constrained"],
+                 (3, "nerchain: numeric failure: no path satisfies the transition mask\n"))):
+            checkpoint.params["crf.trans"][...] = value
+            training.save_checkpoint(checkpoint, diverged)
+            code, _, err = run(capsys, "predict", "--checkpoint", str(diverged), "--input", tiny,
+                               "--output", str(out), *flags)
+            assert (code, err) == expected
+            assert not out.exists()
+
     def test_repair_flag_applies(self, capsys, tiny, tmp_path):
         ckpt = self.memorize(capsys, tiny, tmp_path)
         code, out, _ = run(capsys, "predict", "--checkpoint", ckpt, "--input", tiny,
@@ -557,42 +575,82 @@ def test_arbitrary_bytes_end_in_an_exit_code(command, gold, pred, config):
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)
 
 
+# two-dimensional embeddings of every TINY sentence
+TINY_EMB = "dim 2\n" + "".join(
+    f"# id {s.id}\n" + "".join(f"{0.5 * j} {-1.0 + j}\n" for j in range(len(s))) + "\n"
+    for s in parse_conll(TINY, VOC))
+
+
 @pytest.fixture(scope="module")
 def tiny_models(tmp_path_factory):
-    """One-epoch checkpoints of a CRF-headed and a linear model on TINY."""
+    """One-epoch checkpoints on TINY: a CRF-headed and a linear model on a
+    trainable table, and a CRF-headed model on TINY_EMB."""
     root = tmp_path_factory.mktemp("models")
     data = root / "tiny.conll"
     data.write_text(TINY, encoding="utf-8")
+    emb = root / "tiny.emb"
+    emb.write_text(TINY_EMB, encoding="utf-8")
     models = {}
-    for arch in ("crf", "linear"):
-        models[arch] = str(root / f"{arch}.ckpt")
+    for name, arch, extra in (("crf", "crf", []), ("linear", "linear", []),
+                              ("crf-emb", "crf", ["--embeddings", str(emb)])):
+        models[name] = str(root / f"{name}.ckpt")
         argv = ["train", "--train-file", str(data), "--dev-file", str(data), "--checkpoint",
-                models[arch], "--epochs", "1", "--arch", arch, "--fc-size", "8"]
+                models[name], "--epochs", "1", "--arch", arch, "--fc-size", "8"] + extra
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert main(argv) == cli.EXIT_OK
     return models
 
 
-@settings(max_examples=200, deadline=None)
-@given(arch=st.sampled_from(["crf", "linear"]),
+def _corrupt(blob: bytes, edits) -> bytes:
+    """blob with each (position, byte) edit applied, positions counted from the
+    end (so 0 and 1 are the sign-and-exponent bytes of the last float) and
+    taken modulo its length."""
+    data = bytearray(blob)
+    for position, value in edits:
+        data[-1 - position % len(data)] = value
+    return bytes(data)
+
+
+_EDITS = st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=st.sampled_from(["crf", "linear", "crf-emb"]),
        data=st.just(TINY.encode("utf-8")) | HOSTILE,
        config=st.none() | _CONFIG | HOSTILE,
+       embeddings=st.none() | st.just(TINY_EMB.encode("utf-8")) | HOSTILE
+       | _EDITS.map(lambda edits: _corrupt(TINY_EMB.encode("utf-8"), edits)),
+       edits=_EDITS,
        constrained=st.booleans())
-@example(arch="crf", data=b" #tag _ _ O\nx _ _ O\n", config=None, constrained=False)
-def test_predict_on_arbitrary_bytes_ends_in_an_exit_code(tiny_models, arch, data, config,
-                                                         constrained):
+@example(model="crf", data=b" #tag _ _ O\nx _ _ O\n", config=None, embeddings=None, edits=[],
+         constrained=False)
+# the last weight of the model becomes 1.7e308, or nan: the emissions overflow
+# in the matmul, and the run must exit 2 with no numpy warning (an error here)
+@example(model="crf-emb", data=TINY.encode("utf-8"), config=None,
+         embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0x7F), (1, 0xEF)], constrained=False)
+@example(model="crf-emb", data=TINY.encode("utf-8"), config=None,
+         embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0xFF), (1, 0xFF)], constrained=True)
+def test_predict_on_arbitrary_bytes_ends_in_an_exit_code(tiny_models, model, data, config,
+                                                         embeddings, edits, constrained):
+    """Hostile input, config and embedding bytes, against checkpoints with up
+    to four bytes overwritten."""
     with tempfile.TemporaryDirectory() as tmp:
+        with open(tiny_models[model], "rb") as handle:
+            checkpoint = _corrupt(handle.read(), edits)
         output = os.path.join(tmp, "out.conll")
-        argv = ["predict", "--checkpoint", tiny_models[arch], "--output", output]
+        argv = ["predict", "--output", output]
         argv += ["--constrained"] if constrained else []
-        for flag, content in (("--input", data), ("--config", config)):
+        for flag, content in (("--checkpoint", checkpoint), ("--input", data),
+                              ("--config", config), ("--embeddings", embeddings)):
             if content is not None:
                 path = os.path.join(tmp, flag[2:])
                 with open(path, "wb") as handle:
                     handle.write(content)
                 argv += [flag, path]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = main(argv)
-        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+        assert "Traceback" not in stderr.getvalue()
         if code != cli.EXIT_OK:  # a failed run fails before it writes output
             assert not os.path.exists(output)

@@ -397,3 +397,104 @@ def test_kernels_match_the_per_step_reference_bit_for_bit(instance):
     assert _bits(marg.log_z) == _bits(log_z) == _bits(got_z)
     assert got_path == expected_path
     assert _bits(got_score) == _bits(expected_score)
+
+
+def _outcome(decode):
+    """decode()'s result, or the type and message of the CrfError it raises."""
+    try:
+        return decode()
+    except CrfError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def viterbi_batches(draw):
+    """(Ps, A, mask): 1-12 emission matrices of lengths 1-40, drawn from a pool
+    that always holds 1, so 1-token sentences and repeated lengths are common;
+    small signed integers (ties everywhere), zeros of either sign (every
+    candidate ties, and a max, unlike a gather of the argmax cell, may pick
+    the +0.0 of a column led by a -0.0), uniform scores, or magnitudes near the float64
+    limit, where scores overflow; mask is None or random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 15))
+    pool = [1] + draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    kind = draw(st.sampled_from(["ties", "zeros", "uniform", "overflow"]))
+
+    def scores(shape):
+        if kind == "ties":
+            return np.copysign(rng.integers(-1, 2, shape), rng.choice([-1.0, 1.0], shape))
+        if kind == "zeros":  # mostly -0.0, whose sums stay -0.0 until a +0.0 joins
+            return np.copysign(np.zeros(shape), rng.choice([-1.0, 1.0], shape, p=[0.9, 0.1]))
+        scale = 10.0 ** (2.0 if kind == "uniform" else draw(st.floats(300.0, 307.9)))
+        return scale * rng.uniform(-1.0, 1.0, shape)
+
+    Ps = [scores((n, k)) for n in lengths]
+    mask = rng.random((k + 2, k + 2)) < 0.8 if draw(st.booleans()) else None
+    return Ps, TransitionMatrix(scores((k + 2, k + 2))), mask
+
+
+@given(viterbi_batches())
+@settings(max_examples=300, deadline=None)
+def test_decoding_a_list_is_decoding_each_matrix_alone_bit_for_bit(batch):
+    Ps, A, mask = batch
+    with np.errstate(all="ignore"):
+        expected = [reference_viterbi(P, A.values, mask) for P in Ps]
+        alone = [_outcome(lambda P=P: viterbi_decode(P, A, mask)) for P in Ps]
+        got = _outcome(lambda: viterbi_decode(Ps, A, mask))
+    failing = [j for j, (path, _) in enumerate(expected) if path is None]
+    if failing:  # the first failing matrix's own error
+        assert got == alone[failing[0]]
+        assert issubclass(got[0], (NonFiniteScoreError, NoValidPathError))
+        return
+    assert [path for path, _ in got] == [path for path, _ in expected]
+    assert ([np.float64(score).view(np.uint64) for _, score in got]
+            == [np.float64(score).view(np.uint64) for _, score in expected])
+    assert got == alone
+
+
+class TestViterbiList:
+    def test_an_empty_list_gives_an_empty_list(self):
+        assert viterbi_decode([], zero_trans(3)) == []
+
+    def test_one_matrix_gives_a_list_of_one(self):
+        rng = np.random.default_rng(61)
+        P, A = make_instance(rng, n=5, k=4)
+        assert viterbi_decode([P], A) == [viterbi_decode(P, A)]
+
+    def test_a_list_raises_what_its_first_failing_matrix_raises_alone(self):
+        # with this mask a path must run START -> 0 -> 1 -> STOP or START -> 0 -> STOP,
+        # so no path fits three tokens
+        A = zero_trans(2)
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[2, 0] = mask[0, 1] = mask[0, 3] = mask[1, 3] = True
+        good = np.ones((2, 2))
+        failing = {
+            (NonFiniteScoreError, "non-finite best path score inf"): np.full((2, 2), 1e308),
+            (NoValidPathError, "no path satisfies the transition mask"): np.ones((3, 2)),
+            (NonFiniteScoreError, "non-finite emission score"): np.array([[np.nan, 0.0]]),
+            (CrfError, "emissions have 3 tags, transitions expect 2"): np.ones((1, 3)),
+        }
+        rng = np.random.default_rng(67)
+        with np.errstate(over="ignore"):
+            assert viterbi_decode(good, A, mask)[0] == [0, 1]
+            for error, P in failing.items():
+                assert _outcome(lambda P=P: viterbi_decode(P, A, mask)) == error
+            # good matrices around the failing ones, in every order, so that the
+            # first failing matrix is often not the longest
+            errors = list(failing)
+            for _ in range(40):
+                chosen = [errors[j] for j in rng.permutation(len(errors))[:rng.integers(1, 5)]]
+                Ps = [failing[error] for error in chosen]
+                for _ in range(int(rng.integers(1, 3))):
+                    Ps.insert(int(rng.integers(len(Ps) + 1)), good)
+                assert _outcome(lambda: viterbi_decode(Ps, A, mask)) == chosen[0]
+
+    def test_a_bad_mask_is_the_error_of_the_first_matrix(self):
+        A = zero_trans(2)
+        bad_mask = np.ones((3, 3), dtype=bool)
+        good, not_finite = np.ones((2, 2)), np.array([[np.inf, 0.0]])
+        assert _outcome(lambda: viterbi_decode([good, not_finite], A, bad_mask)) == (
+            CrfError, "mask shape (3, 3) != transition shape (4, 4)")
+        assert _outcome(lambda: viterbi_decode([not_finite, good], A, bad_mask)) == (
+            NonFiniteScoreError, "non-finite emission score")

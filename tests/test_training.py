@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from nerchain import encoders, training
 from nerchain.conll_io import Corpus, EmbeddingSet, Sentence, TokenVocabulary
+from nerchain.crf import NonFiniteScoreError
 from nerchain.encoders import ARCHITECTURES, EmbeddingSource, init_params
 from nerchain.metrics import MetricsReport, score
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
@@ -268,7 +269,8 @@ class TestTrain:
         monkeypatch.setattr(training, "nll_gradients",
                             lambda P, A, y: reference_nll_gradients(P, A.values, y))
         monkeypatch.setattr(training, "viterbi_decode",
-                            lambda P, A, mask=None: reference_viterbi(P, A.values, mask))
+                            lambda Ps, A, mask=None: [reference_viterbi(P, A.values, mask)
+                                                      for P in Ps])
         assert train(corpus, corpus, cfg)[0] == kernels  # same checkpoint bytes
 
     def test_bilstm_kernel_gives_the_reference_checkpoint_bytes(self, monkeypatch):
@@ -288,24 +290,50 @@ class TestTrain:
         assert reference == kernel  # same checkpoint bytes
         assert [h.report for h in reference_history] == [h.report for h in history]
 
-    def test_bilstm_corpus_predictions_equal_one_sentence_calls(self):
+    def test_corpus_predictions_equal_one_sentence_calls(self):
         # more sentences than two batches hold, of lengths 1-40 in no order
         rng = np.random.default_rng(5)
         vocab = TokenVocabulary(list("abcdefgh"))
         corpus = random_corpus(rng, VOC, 2 * training.DECODE_BATCH + 5, max_len=40,
                                vocab=vocab.tokens)
-        params = init_params("bilstm-crf", dim=4, k=VOC.k, hidden=5, vocab_size=len(vocab),
-                             rng=rng)
-        for key, value in params.items():
-            if key != "crf.trans":  # weights large enough that the tags vary
-                params[key] = rng.uniform(-1.0, 1.0, value.shape)
-        checkpoint = Checkpoint(TrainConfig(arch="bilstm-crf", hidden=5, dim=4),
-                                tuple(VOC.entity_types.types), params, vocab)
-        predictions = predict_with_checkpoint(checkpoint, corpus)
-        assert predictions == [predict_with_checkpoint(checkpoint, Corpus((s,), VOC))[0]
-                               for s in corpus]
-        assert len({tag for tags in predictions for tag in tags}) > 3
+        for arch in ARCHITECTURES:
+            params = init_params(arch, dim=4, k=VOC.k, hidden=5, fc_size=6,
+                                 vocab_size=len(vocab), rng=rng)
+            for key, value in params.items():  # emissions large enough that the tags vary
+                scale = 0.5 if key == "crf.trans" else 2.0
+                params[key] = rng.uniform(-scale, scale, value.shape)
+            checkpoint = Checkpoint(TrainConfig(arch=arch, hidden=5, fc_size=6, dim=4),
+                                    tuple(VOC.entity_types.types), params, vocab)
+            for constrained in (False, True):
+                predictions = predict_with_checkpoint(checkpoint, corpus, constrained=constrained)
+                assert predictions == [
+                    predict_with_checkpoint(checkpoint, Corpus((s,), VOC),
+                                            constrained=constrained)[0]
+                    for s in corpus
+                ], (arch, constrained)
+                assert len({tag for tags in predictions for tag in tags}) > 3, arch
 
+    def test_a_failing_corpus_raises_its_first_failing_sentence_in_input_order(self):
+        # decoded in length order, the nan sentence (one token, first batch)
+        # would fail before the overflowing one (30 tokens, second batch)
+        rng = np.random.default_rng(11)
+        corpus = random_corpus(rng, VOC, 2 * training.DECODE_BATCH, min_len=2, max_len=20)
+        matrices = {s.id: rng.uniform(-1.0, 1.0, (len(s), 1)) for s in corpus}
+        overflow = Sentence("overflow", ("a",) * 30, (0,) * 30)
+        not_finite = Sentence("nan", ("a",), (0,))
+        matrices.update(overflow=np.full((30, 1), 1e307), nan=np.full((1, 1), np.nan))
+        embeddings = EmbeddingSet(1, matrices)
+        params = {"crf.trans": np.zeros((VOC.k + 2, VOC.k + 2)),
+                  "proj.w": np.ones((VOC.k, 1)), "proj.b": np.zeros(VOC.k)}
+        checkpoint = Checkpoint(TrainConfig(arch="crf"), tuple(VOC.entity_types.types), params)
+        sentences = list(corpus.sentences)
+        for first, second, message in ((overflow, not_finite, "non-finite best path score inf"),
+                                       (not_finite, overflow, "non-finite emission score")):
+            failing = Corpus(tuple(sentences[:10] + [first] + sentences[10:] + [second]), VOC)
+            with pytest.raises(NonFiniteScoreError) as raised, np.errstate(over="ignore",
+                                                                        invalid="ignore"):
+                predict_with_checkpoint(checkpoint, failing, embeddings)
+            assert str(raised.value) == message
 
 
 def test_bilstm_decoding_memory_does_not_grow_with_the_corpus():
