@@ -261,6 +261,43 @@ def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
     return nll, dP, dA
 
 
+class LengthLayout:
+    """The rows of a batch of sequences, longest first with ties in input
+    order, so that the rows still running at any step are a prefix.
+
+    order[row] is a row's input index and lengths[row] its length. runs holds
+    (start, end, count) in step order: steps start..end-1 run the first count
+    rows.
+    """
+
+    def __init__(self, lengths):
+        lengths = list(lengths)
+        self.order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+        self.lengths = [lengths[j] for j in self.order]
+        self.runs, start = [], 0
+        for count in range(len(lengths), 0, -1):  # the steps that run exactly `count` rows
+            end = self.lengths[count - 1]
+            if end > start:
+                self.runs.append((start, end, count))
+                start = end
+
+    def stack(self, arrays, width: int) -> np.ndarray:
+        """A (steps, rows, width) array with arrays[j], given in input order and
+        copied in as they come, in the first n_j steps of j's row."""
+        rows = sorted(range(len(self.order)), key=self.order.__getitem__)  # row of input j
+        out = np.empty((max(self.lengths, default=0), len(self.order), width))
+        for row, array in zip(rows, arrays):
+            out[:len(array), row] = array
+        return out
+
+    def unstack(self, per_row) -> list:
+        """Per-row results, in row order, as a list in input order."""
+        results = [None] * len(self.order)
+        for j, result in zip(self.order, per_row):
+            results[j] = result
+        return results
+
+
 def _allowed(A: TransitionMatrix, mask: np.ndarray | None) -> np.ndarray:
     """The transition scores with the cells the mask forbids at -inf."""
     if mask is None:
@@ -344,13 +381,9 @@ def _viterbi_batch(Ps: list, A: TransitionMatrix, mask) -> list:
     """
     av = _allowed(A, mask)
     k = A.k
-    rows = len(Ps)
-    order = sorted(range(rows), key=lambda j: -len(Ps[j]))
-    lengths = [len(Ps[j]) for j in order]
-    steps = lengths[0]
-    emissions = np.empty((steps, rows, k))
-    for row, (j, n) in enumerate(zip(order, lengths)):
-        emissions[:n, row] = Ps[j]
+    layout = LengthLayout(len(P) for P in Ps)
+    emissions = layout.stack(Ps, k)
+    steps, rows = emissions.shape[:2]
     trans_t = np.ascontiguousarray(av[:k, :k].T)  # trans_t[j, i] = trans[i, j]
     delta = av[k, :k] + emissions[0]
     cand = np.empty((rows, k, k))
@@ -359,20 +392,15 @@ def _viterbi_batch(Ps: list, A: TransitionMatrix, mask) -> list:
     # cand's flat index of (row, j, 0), to which a step adds the argmax i
     base = (np.arange(rows)[:, None] * (k * k) + np.arange(k) * k).astype(np.intp)
     pick = np.empty((rows, k), dtype=np.intp)
-    # running[t]: the rows that have step t, a prefix because rows run longest first
-    running = [0] * (steps + 1)
-    for n in lengths:
-        running[n - 1] += 1
-    for t in range(steps - 1, -1, -1):
-        running[t] += running[t + 1]
-    for t in range(1, steps):
-        m = running[t]
-        c, b, p, d = cand[:m], back[t, :m], pick[:m], delta[:m]
-        np.add(d[:, None, :], trans_t, out=c)
-        c.argmax(axis=2, out=b)
-        np.add(b, base[:m], out=p)
-        flat.take(p, out=d, mode="clip")
-        np.add(d, emissions[t, :m], out=d)
+    for start, end, m in layout.runs:
+        c, p, d, o = cand[:m], pick[:m], delta[:m], base[:m]
+        for t in range(max(start, 1), end):
+            b = back[t, :m]
+            np.add(d[:, None, :], trans_t, out=c)
+            c.argmax(axis=2, out=b)
+            np.add(b, o, out=p)
+            flat.take(p, out=d, mode="clip")
+            np.add(d, emissions[t, :m], out=d)
     final = delta + av[:k, k + 1]
     best = np.argmax(final, axis=1)
     scores = final[np.arange(rows), best].tolist()
@@ -380,18 +408,14 @@ def _viterbi_batch(Ps: list, A: TransitionMatrix, mask) -> list:
         if not math.isfinite(score):
             raise _best_score_error(score, mask)
 
-    # backtrack all rows at once; a row joins at its last step with its best tag
+    # backtrack all rows at once
     offsets = np.arange(rows) * k
     paths = np.empty((steps, rows), dtype=np.intp)
-    tag = np.empty(rows, dtype=np.intp)
-    for t in range(steps - 1, -1, -1):
-        ending, m = running[t + 1], running[t]
-        tag[ending:m] = best[ending:m]
-        paths[t, :m] = tag[:m]
-        if t:
-            back[t].reshape(-1).take(offsets[:m] + tag[:m], out=tag[:m], mode="clip")
-    row_paths = paths.T.tolist()
-    results = [None] * rows
-    for row, (j, n) in enumerate(zip(order, lengths)):
-        results[j] = (row_paths[row][:n], scores[row])
-    return results
+    tag = best  # a row holds its best last tag until the backtrack reaches its last step
+    for start, end, m in reversed(layout.runs):
+        for t in range(end - 1, start - 1, -1):
+            paths[t, :m] = tag[:m]
+            if t:
+                back[t].reshape(-1).take(offsets[:m] + tag[:m], out=tag[:m], mode="clip")
+    return layout.unstack((path[:n], score) for path, n, score
+                          in zip(paths.T.tolist(), layout.lengths, scores))

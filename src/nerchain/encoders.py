@@ -35,22 +35,19 @@ sigmoid/sigmoid/tanh/sigmoid, c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t),
 zero initial state. Weights initialize uniform(-0.1, 0.1); biases zero
 except the forget-gate section, which starts at 1.
 
-Only the recurrence runs in the Python time loop, and one loop serves a list
-of sentences. The forward computes each sentence's input projection
-x @ wx.T + b in one matmul before the loop (one matmul per sentence: a single
-stacked one would send 1-token sentences down another BLAS path). Several sentences are stacked
-longest first as the rows of a (steps, rows, 4h) gate array, so the rows
-still running at any step are a prefix and the loop takes as many steps as
-the longest sentence. Each step adds wh @ h_prev to its rows and applies one
-in-place sigmoid to the gate block, with tanh on the g slice. The recurrent
-product is a stacked gemv: the states are kept as (rows, h, 1) columns, for
-which np.matmul(wh, h_prev) makes one BLAS gemv call per row, the call that
-wh @ h_prev makes for a single sentence. Everything else a step does is
-elementwise, so every sentence gets the same bits as when it runs alone,
-whatever else shares its batch (h_prev @ wh.T would be one gemm, whose row
-results may depend on the batch). Training runs one sentence at a time and
-the backward reads that run's cache; decoding (emissions_batch) passes
-batches of sentences and keeps no cache.
+Only the recurrence runs in the Python time loop, and one loop serves any
+list of sentences, one included: they are the rows of a crf.LengthLayout
+(longest first, so the rows still running at a step are a prefix) in a
+(steps, rows, 4h) gate array, into which each sentence's input projection
+x @ wx.T + b is written as one matmul (one stacked matmul would send 1-token
+sentences down another BLAS path). A step adds wh @ h_prev to its rows, then
+applies one in-place sigmoid to the gate block, with tanh on the g slice.
+States are kept as (rows, h, 1) columns, for which np.matmul(wh, h_prev)
+makes one BLAS gemv per row, the call wh @ h_prev makes for one sentence;
+the rest is elementwise, so a sentence gets the same bits in any batch
+(h_prev @ wh.T, one gemm, might not). Training passes one sentence, and its
+backward reads a cache of row 0's views; decoding (emissions_batch) passes
+batches and keeps no cache.
 
 The backward writes each step's gate gradient into a row of dZ and, after
 the loop, forms the weight gradients as one matmul each: dwx = dZ.T @ x,
@@ -64,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conll_io import EmbeddingError, EmbeddingSet, Sentence, TokenVocabulary
-from .crf import pin_boundary
+from .crf import LengthLayout, pin_boundary
 
 ARCHITECTURES = ("crf", "bilstm-crf", "linear")
 
@@ -164,8 +161,9 @@ class _LstmCache:
 def _lstm_forward(xs, wx, wh, b):
     """One direction's states for every sentence in xs, from one time loop.
 
-    Returns (states, cache): states[j] is the (n_j, h) state matrix of xs[j];
-    cache is what _lstm_backward reads when xs holds one sentence, else None.
+    Returns (states, cache): states[j] is the (n_j, h) state matrix of xs[j].
+    The sentences are the rows of one LengthLayout, even one sentence, for
+    which cache is what _lstm_backward reads (row 0's views); else None.
     """
     h = wh.shape[1]
     for x in xs:
@@ -175,50 +173,25 @@ def _lstm_forward(xs, wx, wh, b):
             raise EncoderError(
                 f"inconsistent lstm shapes wx={wx.shape} wh={wh.shape} b={b.shape} d={x.shape[1]}"
             )
-    rows = len(xs)
-    if rows == 0:
-        return [], None
-    if rows == 1:  # no rows axis: each step works on (4h,) and (h,) vectors, as wh @ h_prev
-        x, = xs
-        gates = x @ wx.T + b  # every step's input projection; the loop adds wh @ h_prev
-        steps = len(x)
-        cs = np.empty((steps, h)); tc = np.empty((steps, h)); hs = np.empty((steps, h))
-        rec = np.empty(4 * h)
-        runs = [(gates, gates.reshape(steps, 4, h), cs, tc, hs, hs, np.empty(h), rec, rec, None)]
-    else:
-        # rows run longest first, so the rows still running at a step are a prefix
-        order = sorted(range(rows), key=lambda j: -len(xs[j]))
-        lengths = [len(xs[j]) for j in order]
-        steps = lengths[0]
-        gates = np.empty((steps, rows, 4 * h))
-        for row, (j, n) in enumerate(zip(order, lengths)):
-            gates[:n, row] = xs[j] @ wx.T + b
-        split = gates.reshape(steps, rows, 4, h).transpose(0, 2, 1, 3)  # step -> (4, rows, h)
-        cs = np.empty((steps, rows, h)); tc = np.empty((steps, rows, h))
-        cols = np.empty((steps, rows, h, 1))  # states as a stack of (h, 1) columns, so
-        hs = cols[..., 0]  # that matmul(wh, h_prev) makes one gemv call per row
-        g = np.empty((rows, h))
-        rec = np.empty((rows, 4 * h, 1))
-        runs, start = [], 0
-        for count in range(rows, 0, -1):  # the steps that run exactly `count` rows
-            end = lengths[count - 1]
-            if end > start:
-                carried = (cols[start - 1, :count], cs[start - 1, :count]) if start else None
-                runs.append((gates[start:end, :count], split[start:end, :, :count],
-                             cs[start:end, :count], tc[start:end, :count],
-                             hs[start:end, :count], cols[start:end, :count],
-                             g[:count], rec[:count], rec[:count, :, 0], carried))
-                start = end
-    # each run of steps: its views of the gates (rows, and (i, f, g, o) blocks), c,
-    # tanh(c), the states (rows and columns), the tanh(g) and wh @ h_prev buffers
-    # (columns and rows), and the states its rows carry in from the run before
+    layout = LengthLayout(len(x) for x in xs)
+    gates = layout.stack((x @ wx.T + b for x in xs), 4 * h)  # the loop adds wh @ h_prev
+    steps, rows = gates.shape[:2]
+    split = gates.reshape(steps, rows, 4, h).transpose(0, 2, 1, 3)  # step -> (4, rows, h)
+    cs = np.empty((steps, rows, h)); tc = np.empty((steps, rows, h))
+    cols = np.empty((steps, rows, h, 1))  # states as a stack of (h, 1) columns, so
+    hs = cols[..., 0]  # that matmul(wh, h_prev) makes one gemv call per row
+    g_all = np.empty((rows, h))
+    rec_all = np.empty((rows, 4 * h, 1))
     h_prev = c_prev = None
-    for zs, blocks, c_run, tc_run, h_run, col_run, g, rec, rec_rows, carried in runs:
-        if carried:
-            h_prev, c_prev = carried
+    for start, end, count in layout.runs:
+        if start:  # the states the run's rows carry in from the run before
+            h_prev, c_prev = cols[start - 1, :count], cs[start - 1, :count]
+        # the tanh(g) and wh @ h_prev buffers (the latter as columns and rows)
+        g, rec, rec_rows = g_all[:count], rec_all[:count], rec_all[:count, :, 0]
+        run = (gates[start:end, :count], split[start:end, :, :count], cs[start:end, :count],
+               tc[start:end, :count], hs[start:end, :count], cols[start:end, :count])
         # one view per step and array, so the loop body only calls ufuncs
-        for z, (i, f, g_z, o), c, tanh_c, h_t, col in zip(zs, blocks, c_run, tc_run, h_run,
-                                                           col_run):
+        for z, (i, f, g_z, o), c, tanh_c, h_t, col in zip(*run):
             if h_prev is not None:
                 np.matmul(wh, h_prev, out=rec)
                 z += rec_rows
@@ -234,12 +207,9 @@ def _lstm_forward(xs, wx, wh, b):
             np.tanh(c, out=tanh_c)
             np.multiply(o, tanh_c, out=h_t)
             h_prev, c_prev = col, c
-    if rows == 1:
-        return [hs], _LstmCache(x, wx, wh, gates, cs, tc, hs)
-    states = [None] * rows
-    for row, (j, n) in enumerate(zip(order, lengths)):
-        states[j] = hs[:n, row]
-    return states, None
+    cache = (_LstmCache(xs[0], wx, wh, gates[:, 0], cs[:, 0], tc[:, 0], hs[:, 0])
+             if rows == 1 else None)
+    return layout.unstack(hs[:n, row] for row, n in enumerate(layout.lengths)), cache
 
 
 def _lstm_backward(cache: _LstmCache, grad_h):

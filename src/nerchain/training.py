@@ -6,12 +6,11 @@ global-norm clipping at 5.0, and evaluates entity macro-F1 on the dev set.
 The checkpoint of the best dev epoch is returned. Given the same seed,
 config and data, training is bit-for-bit reproducible.
 
-Training stays at batch size 1. Decoding (predict_corpus, and so each
-epoch's dev evaluation) runs every head over the corpus sorted by length, in
-batches of at most DECODE_BATCH sentences: one Viterbi time loop per batch,
-and for the bilstm-crf head one LSTM time loop per batch as well; the cap
-bounds the loops' buffers. A sentence's tags do not depend on its batch: the
-batched kernels give each sentence the bits it gets alone, and a corpus
+Decoding (predict_corpus, and so each epoch's dev evaluation) cuts the
+corpus's LengthLayout order, longest first, into batches of at most
+DECODE_BATCH sentences: one Viterbi time loop per batch, and for the
+bilstm-crf head one LSTM time loop as well; the cap bounds their buffers.
+The batched kernels give each sentence the bits it gets alone, and a corpus
 that fails raises the error of its first failing sentence in input order.
 
 Checkpoint container format (little endian): magic b"NERCHKP" + one version
@@ -30,7 +29,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .conll_io import Corpus, EmbeddingSet, TokenVocabulary, build_token_vocabulary
-from .crf import NonFiniteScoreError, TransitionMatrix, nll_gradients, viterbi_decode
+from .crf import LengthLayout, NonFiniteScoreError, TransitionMatrix, nll_gradients, viterbi_decode
 from .encoders import (
     ARCHITECTURES,
     EmbeddingSource,
@@ -67,7 +66,15 @@ class NonFiniteError(TrainingError):
 
 
 class LayoutError(TrainingError):
-    """The configured parameter layout cannot be allocated."""
+    """The configured parameter layout exceeds memory or cannot be allocated."""
+
+
+def physical_memory() -> float:
+    """Bytes of physical memory from os.sysconf, or inf where it has none."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 class CheckpointError(ValueError):
@@ -233,30 +240,29 @@ def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
                    constrained: bool) -> list[list[int]]:
     """Predicted tag indices for every sentence (evaluation mode). The linear
     head's log-probabilities are decoded with zero transitions. Every head
-    decodes the corpus sorted by length, DECODE_BATCH sentences per batch:
-    one emissions_batch call and one viterbi_decode call each. A failing
-    corpus is decoded again one sentence at a time, in input order, so that
-    it raises the error of its first failing sentence."""
+    decodes the corpus longest first, DECODE_BATCH sentences per batch: one
+    emissions_batch call and one viterbi_decode call each. A failing corpus
+    is decoded again one sentence at a time, in input order, so that it
+    raises the error of its first failing sentence."""
     voc = corpus.tag_vocabulary
     trans = (TransitionMatrix.zeros(voc) if arch == "linear"
              else TransitionMatrix(params["crf.trans"]))
     mask = transition_mask(voc) if constrained else None
     sentences = corpus.sentences
-    order = sorted(range(len(sentences)), key=lambda j: len(sentences[j]))
-    predictions = [None] * len(sentences)
+    layout = LengthLayout(len(s) for s in sentences)
+    paths = []
     try:
         for start in range(0, len(sentences), DECODE_BATCH):
-            batch = order[start:start + DECODE_BATCH]
-            xs = [embed(sentences[j], source, train=False)[0] for j in batch]
+            xs = [embed(sentences[j], source, train=False)[0]
+                  for j in layout.order[start:start + DECODE_BATCH]]
             decoded = viterbi_decode(emissions_batch(arch, params, xs), trans, mask)
-            for j, (path, _) in zip(batch, decoded):
-                predictions[j] = path
+            paths += [path for path, _ in decoded]
     except ValueError:  # raise what the first failing sentence in input order raises alone
         for sent in sentences:
             x = embed(sent, source, train=False)[0]
             viterbi_decode(emissions_forward(arch, params, x)[0], trans, mask)
         raise
-    return predictions
+    return layout.unstack(paths)
 
 
 def evaluate_corpus(arch, params, corpus, source, constrained):
@@ -476,11 +482,13 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
     else:
         token_vocab, dim, vocab_size = None, embeddings.dim, None
     layout = (config.arch, dim, voc.k, config.hidden, config.fc_size, vocab_size)
+    floats = sum(math.prod(shape) for shape in param_shapes(*layout).values())
     try:
+        if 3 * 8 * floats > physical_memory():  # rejected before anything is allocated
+            raise MemoryError
         params = init_params(*layout, rng)
         state = init_adam(params)
     except MemoryError:
-        floats = sum(math.prod(shape) for shape in param_shapes(*layout).values())
         raise LayoutError(
             f"cannot allocate the {config.arch} layout (hidden={config.hidden}, "
             f"fc_size={config.fc_size}, dim={dim}): {floats} parameter floats, "

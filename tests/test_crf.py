@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nerchain.crf import (
     CrfError,
+    LengthLayout,
     NonFiniteScoreError,
     NoValidPathError,
     SENTINEL,
@@ -498,3 +499,29 @@ class TestViterbiList:
             CrfError, "mask shape (3, 3) != transition shape (4, 4)")
         assert _outcome(lambda: viterbi_decode([not_finite, good], A, bad_mask)) == (
             NonFiniteScoreError, "non-finite emission score")
+
+
+@given(lengths=st.lists(st.integers(1, 40), max_size=40), width=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_length_layout_sorts_longest_first_and_round_trips(lengths, width):
+    layout = LengthLayout(lengths)
+    rows = len(lengths)
+    # the order: a permutation, lengths not increasing, ties in input order
+    assert sorted(layout.order) == list(range(rows))
+    assert layout.lengths == [lengths[j] for j in layout.order]
+    assert all(a >= b for a, b in zip(layout.lengths, layout.lengths[1:]))
+    assert all(i < j for i, j, a, b in zip(layout.order, layout.order[1:], layout.lengths,
+                                           layout.lengths[1:]) if a == b)
+    # the runs cover every step once, in order, each running the rows longer than it
+    steps = max(lengths, default=0)
+    assert ([(t, count) for start, end, count in layout.runs for t in range(start, end)]
+            == [(t, sum(n > t for n in lengths)) for t in range(steps)])
+    # unstack inverts the order, also for generators and no rows at all
+    assert layout.unstack(iter(layout.order)) == list(range(rows))
+    assert layout.unstack(layout.lengths) == lengths
+    # stack puts each array in its row's first n steps
+    arrays = [np.full((n, width), float(j)) for j, n in enumerate(lengths)]
+    stacked = layout.stack(iter(arrays), width)
+    assert stacked.shape == (steps, rows, width)
+    for row, (j, n) in enumerate(zip(layout.order, layout.lengths)):
+        assert np.array_equal(stacked[:n, row], arrays[j])

@@ -296,6 +296,10 @@ LENGTHS = st.lists(st.one_of(st.just(1), st.integers(2, 4), st.integers(1, 40)),
 @example(lengths=[7] * 12, d=3, h=4, log_scale=0.0, reverse=False, seed=0)
 @example(lengths=[1] * 12, d=3, h=4, log_scale=0.0, reverse=True, seed=0)
 @example(lengths=[40, 1, 1, 17, 17, 1, 40], d=8, h=8, log_scale=1.0, reverse=True, seed=1)
+@example(lengths=[1], d=3, h=4, log_scale=0.0, reverse=False, seed=2)
+@example(lengths=[1], d=3, h=4, log_scale=0.0, reverse=True, seed=2)
+@example(lengths=[40], d=8, h=8, log_scale=1.0, reverse=False, seed=3)
+@example(lengths=[40], d=8, h=8, log_scale=1.0, reverse=True, seed=3)
 @settings(max_examples=200, deadline=None)
 def test_batched_kernel_matches_the_single_sentence_kernel_bit_for_bit(lengths, d, h, log_scale,
                                                                        reverse, seed):

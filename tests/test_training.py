@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import io
+import math
 import os
 import tempfile
 import tracemalloc
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 from nerchain import encoders, training
 from nerchain.conll_io import Corpus, EmbeddingSet, Sentence, TokenVocabulary
 from nerchain.crf import NonFiniteScoreError
-from nerchain.encoders import ARCHITECTURES, EmbeddingSource, init_params
+from nerchain.encoders import ARCHITECTURES, EmbeddingSource, init_params, param_shapes
 from nerchain.metrics import MetricsReport, score
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
 from nerchain.training import (
     Checkpoint,
     CheckpointError,
+    LayoutError,
     LrSchedule,
     NonFiniteError,
     TrainConfig,
@@ -313,9 +315,45 @@ class TestTrain:
                 ], (arch, constrained)
                 assert len({tag for tags in predictions for tag in tags}) > 3, arch
 
+    def test_an_empty_corpus_decodes_to_an_empty_list(self):
+        rng = np.random.default_rng(8)
+        vocab = TokenVocabulary(list("ab"))
+        for arch in ARCHITECTURES:
+            params = init_params(arch, dim=4, k=VOC.k, hidden=3, fc_size=5,
+                                 vocab_size=len(vocab), rng=rng)
+            checkpoint = Checkpoint(TrainConfig(arch=arch, hidden=3, fc_size=5, dim=4),
+                                    tuple(VOC.entity_types.types), params, vocab)
+            for constrained in (False, True):
+                assert predict_with_checkpoint(checkpoint, Corpus((), VOC),
+                                               constrained=constrained) == [], arch
+
+    def test_a_layout_beyond_physical_memory_is_rejected_before_allocating(self, monkeypatch):
+        # parameters and two Adam moments of 8-byte floats; the bound is patched,
+        # and the allocation is simulated: it fails, as one beyond the bound would
+        allocations = []
+
+        def no_memory(*args):
+            allocations.append(args)
+            raise MemoryError
+
+        corpus = tiny_corpus()
+        embeddings = EmbeddingSet(4, {s.id: np.ones((len(s), 4)) for s in corpus})
+        cfg = TrainConfig(arch="bilstm-crf", epochs=1, hidden=5)
+        floats = sum(math.prod(shape) for shape in param_shapes(
+            "bilstm-crf", 4, VOC.k, cfg.hidden, cfg.fc_size).values())
+        message = (f"cannot allocate the bilstm-crf layout (hidden=5, fc_size={cfg.fc_size}, "
+                   f"dim=4): {floats} parameter floats, three times that with the Adam moments")
+        monkeypatch.setattr(training, "init_params", no_memory)
+        for memory, allocated in ((3 * 8 * floats - 1, 0), (3 * 8 * floats, 1)):
+            monkeypatch.setattr(training, "physical_memory", lambda: memory)
+            with pytest.raises(LayoutError) as raised:
+                train(corpus, corpus, cfg, embeddings)
+            assert str(raised.value) == message
+            assert len(allocations) == allocated
+
     def test_a_failing_corpus_raises_its_first_failing_sentence_in_input_order(self):
-        # decoded in length order, the nan sentence (one token, first batch)
-        # would fail before the overflowing one (30 tokens, second batch)
+        # decoded longest first, the overflowing sentence (30 tokens, first
+        # batch) would fail before the nan one (one token, last batch)
         rng = np.random.default_rng(11)
         corpus = random_corpus(rng, VOC, 2 * training.DECODE_BATCH, min_len=2, max_len=20)
         matrices = {s.id: rng.uniform(-1.0, 1.0, (len(s), 1)) for s in corpus}
