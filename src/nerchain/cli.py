@@ -34,6 +34,7 @@ from .tagscheme import (
     EntityTypeSet,
     TagSchemeError,
     expand_bio,
+    flat_tags,
     repair_bio,
 )
 from .training import (
@@ -78,6 +79,20 @@ def _str2bool(value: str) -> bool:
     raise UsageError(f"expected a boolean, got {value!r}")
 
 
+def _choice(choices):
+    """Converter that accepts the values a flag with these choices accepts."""
+
+    def convert(value: str) -> str:
+        if value not in choices:
+            raise UsageError(f"invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, choices))})")
+        return value
+
+    return convert
+
+
+FORMATS = ("text", "kv")
+
 # configurable settings: name -> (converter, default); the training fields
 # and their defaults come from TrainConfig
 _SETTINGS = {
@@ -90,12 +105,13 @@ _SETTINGS = {
     "embeddings": (str, None),
     "output": (str, None),
     "constrained": (_str2bool, False),
-    "repair": (str, None),
+    "repair": (_choice(REPAIR_MODES), None),
     "token_col": (int, 0),
     "tag_col": (int, -1),
-    "format": (str, "text"),
+    "format": (_choice(FORMATS), "text"),
     "types": (str, ",".join(DEFAULT_ENTITY_TYPES)),
     **{name: (cast, getattr(TrainConfig(), name)) for name, cast in CONFIG_TYPES.items()},
+    "arch": (_choice(ARCHITECTURES), TrainConfig().arch),  # checked as --arch is
 }
 
 
@@ -192,7 +208,7 @@ def build_parser() -> _Parser:
     p.add_argument("--fc-size", type=int, dest="fc_size",
                    help="width of the two FC layers in the linear head (default 512)")
     p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--format", choices=["text", "kv"], help="final report format (default text)")
+    p.add_argument("--format", choices=FORMATS, help="final report format (default text)")
 
     p = sub.add_parser("predict", help="tag a file with a trained model",
                        description="Decode an input file and write CoNLL output.")
@@ -213,7 +229,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", help="predicted labeled file")
     p.add_argument("--repair", choices=REPAIR_MODES,
                    help="repair mode applied before scoring (default convert)")
-    p.add_argument("--format", choices=["text", "kv"], help="report format (default text)")
+    p.add_argument("--format", choices=FORMATS, help="report format (default text)")
 
     p = sub.add_parser("inspect", help="error breakdown of predictions against gold",
                        description="Confusions, boundary errors, misses and spurious spans.")
@@ -293,8 +309,11 @@ def cmd_predict(settings: Settings) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
                                               settings.constrained or None)
-    if settings.repair:
-        predictions = [repair_bio(voc, tags, settings.repair) for tags in predictions]
+    if settings.repair:  # the whole corpus in one pass
+        tags, starts = flat_tags(predictions)
+        repaired = repair_bio(voc, tags, settings.repair, starts=starts).tags.tolist()
+        bounds = [*starts.tolist(), len(repaired)]
+        predictions = [repaired[a:b] for a, b in zip(bounds, bounds[1:])]
 
     if settings.output:
         with open(settings.output, "w", encoding="utf-8") as handle:

@@ -174,8 +174,12 @@ def _lstm_forward(xs, wx, wh, b):
                 f"inconsistent lstm shapes wx={wx.shape} wh={wh.shape} b={b.shape} d={x.shape[1]}"
             )
     layout = LengthLayout(len(x) for x in xs)
-    gates = layout.stack((x @ wx.T + b for x in xs), 4 * h)  # the loop adds wh @ h_prev
-    steps, rows = gates.shape[:2]
+    steps, rows = max(layout.lengths, default=0), len(xs)
+    gates = np.empty((steps, rows, 4 * h))  # the input projections; the loop adds wh @ h_prev
+    for row, j in enumerate(layout.order):
+        z = gates[:len(xs[j]), row]
+        np.matmul(xs[j], wx.T, out=z)
+        z += b
     split = gates.reshape(steps, rows, 4, h).transpose(0, 2, 1, 3)  # step -> (4, rows, h)
     cs = np.empty((steps, rows, h)); tc = np.empty((steps, rows, h))
     cols = np.empty((steps, rows, h, 1))  # states as a stack of (h, 1) columns, so

@@ -4,12 +4,29 @@ Scoring is exact-span matching: a predicted span counts as a true positive
 only when a gold span with the same (start, end, type) exists in the same
 sentence. Per-class scores aggregate over the corpus; the macro row is the
 unweighted mean of the per-class values.
+
+A corpus is scored in one array pass: its gold tags and its predictions go
+end to end into one flat array each, tagscheme.bio_pass repairs each array
+and extracts its spans at once, and the spans are matched and counted per
+type as arrays. Only the error listings build Python objects, one per span
+that does not match. Any failure is replayed one sentence at a time, so the
+error raised is that of the first failing sentence.
 """
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .conll_io import Corpus
-from .tagscheme import EntitySpan, count_invalid_transitions, extract_spans, repair_bio
+from .tagscheme import (
+    BioPass,
+    EntitySpan,
+    bio_pass,
+    count_invalid_transitions,
+    extract_spans,
+    flat_tags,
+    repair_bio,
+)
 
 
 class ScoringError(ValueError):
@@ -73,54 +90,54 @@ class ErrorBreakdown:
     spurious: list[tuple[str, EntitySpan]] = field(default_factory=list)
 
 
+def _check_aligned(sent, tags):
+    if sent.gold_tags is None:
+        raise ScoringError(f"sentence {sent.id!r} has no gold tags")
+    if len(tags) != len(sent):
+        raise ScoringError(
+            f"sentence {sent.id!r}: {len(tags)} predicted tags for {len(sent)} tokens"
+        )
+
+
+def _found_in(a: BioPass, b: BioPass) -> np.ndarray:
+    """For each span of b, whether a has the same span. The spans of one pass
+    have distinct starts, so the only candidate is a's span starting there."""
+    if not len(a.starts):
+        return np.zeros(len(b.starts), dtype=bool)
+    at = np.searchsorted(a.starts, b.starts).clip(max=len(a.starts) - 1)
+    return (a.starts[at] == b.starts) & (a.ends[at] == b.ends) & (a.types[at] == b.types)
+
+
 def _match(gold: Corpus, predicted, repair: str):
     """The exact-span matching pass behind score and error_breakdown.
 
     Validates alignment, counts raw invalid transitions, repairs predictions,
-    and classifies every span. Returns per-type [tp, fp, fn] counts, the
-    invalid-transition count, and the ErrorBreakdown of the non-matching spans.
+    and matches the spans. Returns the bio_pass of the gold tags as they are,
+    the bio_pass of the repaired predictions, the sentence starts, and for
+    each gold and each predicted span whether the other side has it too. A
+    failing corpus is checked again one sentence at a time, so that it raises
+    what its first failing sentence raises.
     """
     if len(predicted) != len(gold.sentences):
         raise ScoringError(
             f"{len(predicted)} predictions for {len(gold.sentences)} sentences"
         )
     voc = gold.tag_vocabulary
-    counts = {t: [0, 0, 0] for t in voc.entity_types}  # tp, fp, fn
-    invalid = 0
-    out = ErrorBreakdown()
-    for sent, tags in zip(gold.sentences, predicted):
-        if sent.gold_tags is None:
-            raise ScoringError(f"sentence {sent.id!r} has no gold tags")
-        if len(tags) != len(sent):
-            raise ScoringError(
-                f"sentence {sent.id!r}: {len(tags)} predicted tags for {len(sent)} tokens"
-            )
-        invalid += count_invalid_transitions(voc, tags)
-        gold_spans = extract_spans(voc, sent.gold_tags)
-        pred_spans = extract_spans(voc, repair_bio(voc, tags, repair))
-        gold_set, pred_set = set(gold_spans), set(pred_spans)
-        fp = [s for s in pred_spans if s not in gold_set]
-        fn = [s for s in gold_spans if s not in pred_set]
-        for span in pred_spans:
-            counts[span.entity_type][0 if span in gold_set else 1] += 1
-        for span in fn:
-            counts[span.entity_type][2] += 1
-        touched_gold = set()
-        touched_pred = set()
-        for g in fn:
-            for p in fp:
-                if not g.overlaps(p):
-                    continue
-                touched_gold.add(g)
-                touched_pred.add(p)
-                if g.entity_type == p.entity_type:
-                    out.boundary.append((sent.id, g, p))
-                else:
-                    key = (g.entity_type, p.entity_type)
-                    out.confusion[key] = out.confusion.get(key, 0) + 1
-        out.misses.extend((sent.id, g) for g in fn if g not in touched_gold)
-        out.spurious.extend((sent.id, p) for p in fp if p not in touched_pred)
-    return counts, invalid, out
+    try:
+        gold_tags, starts = flat_tags([sent.gold_tags for sent in gold.sentences])
+        pred_tags, pred_starts = flat_tags(predicted)
+        if len(pred_tags) != len(gold_tags) or not np.array_equal(pred_starts, starts):
+            raise ScoringError("predicted and gold tag counts differ")
+        truth = bio_pass(voc, gold_tags, starts)
+        found = repair_bio(voc, pred_tags, repair, starts=starts)
+    except (TypeError, ValueError, OverflowError):  # raised as the per-sentence checks raise it
+        for sent, tags in zip(gold.sentences, predicted):
+            _check_aligned(sent, tags)
+            count_invalid_transitions(voc, tags)
+            extract_spans(voc, sent.gold_tags)
+            repair_bio(voc, tags, repair)
+        raise
+    return truth, found, starts, _found_in(found, truth), _found_in(truth, found)
 
 
 def score(gold: Corpus, predicted, repair: str = "convert") -> MetricsReport:
@@ -130,13 +147,52 @@ def score(gold: Corpus, predicted, repair: str = "convert") -> MetricsReport:
     BIO is repaired per `repair` before span extraction; raw violations are
     counted in the report.
     """
-    counts, invalid, _ = _match(gold, predicted, repair)
-    return MetricsReport([ClassScore(t, *c) for t, c in counts.items()], invalid)
+    truth, found, _, gold_hit, pred_hit = _match(gold, predicted, repair)
+    names = gold.tag_vocabulary.entity_types.types
+    tp, fp, fn = (np.bincount(types, minlength=len(names)).tolist() for types in
+                  (found.types[pred_hit], found.types[~pred_hit], truth.types[~gold_hit]))
+    return MetricsReport([ClassScore(*c) for c in zip(names, tp, fp, fn)], found.invalid)
+
+
+def _by_sentence(gold: Corpus, starts, spans: BioPass, picked) -> dict:
+    """The picked spans as EntitySpans counted from their sentence's start,
+    in lists keyed by sentence index."""
+    names = gold.tag_vocabulary.entity_types.types
+    start, end = spans.starts[picked], spans.ends[picked]
+    rows = np.searchsorted(starts, start, "right") - 1
+    offset = starts[rows]
+    out = {}
+    for row, s, e, t in zip(rows.tolist(), (start - offset).tolist(), (end - offset).tolist(),
+                            spans.types[picked].tolist()):
+        out.setdefault(row, []).append(EntitySpan(s, e, names[t]))
+    return out
 
 
 def error_breakdown(gold: Corpus, predicted, repair: str = "convert") -> ErrorBreakdown:
     """Classify every non-matching span: confusion, boundary error, miss, spurious."""
-    return _match(gold, predicted, repair)[2]
+    truth, found, starts, gold_hit, pred_hit = _match(gold, predicted, repair)
+    missed = _by_sentence(gold, starts, truth, ~gold_hit)
+    extra = _by_sentence(gold, starts, found, ~pred_hit)
+    out = ErrorBreakdown()
+    for row in sorted(missed.keys() | extra.keys()):
+        sid = gold.sentences[row].id
+        fn, fp = missed.get(row, []), extra.get(row, [])
+        touched_gold = set()
+        touched_pred = set()
+        for g in fn:
+            for p in fp:
+                if not g.overlaps(p):
+                    continue
+                touched_gold.add(g)
+                touched_pred.add(p)
+                if g.entity_type == p.entity_type:
+                    out.boundary.append((sid, g, p))
+                else:
+                    key = (g.entity_type, p.entity_type)
+                    out.confusion[key] = out.confusion.get(key, 0) + 1
+        out.misses.extend((sid, g) for g in fn if g not in touched_gold)
+        out.spurious.extend((sid, p) for p in fp if p not in touched_pred)
+    return out
 
 
 # ---------------------------------------------------------------------------

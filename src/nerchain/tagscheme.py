@@ -2,12 +2,19 @@
 
 Tag indices are laid out as [O, B-T1, I-T1, B-T2, I-T2, ...] in entity-type
 order, followed by two virtual states START and STOP used only by the chain
-model. All functions here are pure and all containers immutable. Entity spans
-are plain (start, end, entity_type) tuples; spans_to_tags, the one function
-that takes spans built by a caller, checks their bounds.
+model. All functions here are pure. Entity spans are plain (start, end,
+entity_type) tuples; spans_to_tags, the one function that takes spans built
+by a caller, checks their bounds.
+
+BIO repair and span extraction have one implementation, bio_pass: a corpus's
+tags end to end in one flat array, with each sentence's start, go through a
+few whole-array numpy steps. extract_spans, repair_bio and
+count_invalid_transitions run it on one sequence; repair_bio with starts,
+and score through it, run it once per corpus.
 """
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -173,14 +180,125 @@ def transition_mask(voc: TagVocabulary) -> np.ndarray:
     return mask
 
 
+class _Tables(NamedTuple):
+    begin: np.ndarray  # per real tag: is it a B tag
+    inside: np.ndarray  # per real tag: is it an I tag
+    type_index: np.ndarray  # per real tag: its entity type's index, -1 for O
+
+
 @functools.lru_cache(maxsize=16)
-def _tables(voc: TagVocabulary):
-    """Lookup tables for the per-token loops, built once per vocabulary: the
-    entity type of each real tag (None for O), whether it is a B tag, and
-    transition_mask as nested tuples."""
-    types = (None,) + tuple(name for name in voc.entity_types for _ in "BI")
-    begins = (False,) + (True, False) * len(voc.entity_types)
-    return types, begins, tuple(map(tuple, transition_mask(voc).tolist()))
+def _tables(voc: TagVocabulary) -> _Tables:
+    """Per-tag lookups for the kernel, built once per vocabulary from the
+    predicates and shared, so the arrays are read-only."""
+    names = voc.entity_types.types
+    tables = _Tables(np.array([voc.is_begin(t) for t in range(voc.k)]),
+                     np.array([voc.is_inside(t) for t in range(voc.k)]),
+                     np.array([-1] + [names.index(voc.type_of(t)) for t in range(1, voc.k)]))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+class BioPass(NamedTuple):
+    """What bio_pass finds in a flat tag array: the raw invalid-transition
+    count, the repaired tags, and the entity spans of the repaired tags as
+    flat-array positions [starts, ends) and entity type indices, in order."""
+
+    invalid: int
+    tags: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    types: np.ndarray
+
+
+def _transitions(voc: TagVocabulary, codes: np.ndarray, starts):
+    """The tag before each position (START at every sentence start) and
+    whether that transition is valid in transition_mask."""
+    starts = np.asarray(starts, dtype=np.intp)
+    prev = np.empty_like(codes)
+    prev[1:] = codes[:-1]
+    prev[starts[starts < len(codes)]] = voc.start_index
+    return prev, transition_mask(voc)[prev, codes]
+
+
+def _runs(voc: TagVocabulary, codes: np.ndarray, valid: np.ndarray):
+    """Where each run of tags starts and ends: a tag continues the run of the
+    tag before it when it is an I tag validly after that tag (an I tag of its
+    type), and every other tag, a sentence's first included, opens a run."""
+    heads = np.flatnonzero(~(valid & _tables(voc).inside[codes]))
+    return heads, np.append(heads[1:], len(codes))
+
+
+def bio_pass(voc: TagVocabulary, tags: np.ndarray, starts, mode: str | None = None) -> BioPass:
+    """BIO repair and span extraction of many sentences in one array pass.
+
+    tags holds the sentences' tag indices end to end (integers, or Python ints
+    in an object array), and starts the offset at which each sentence begins.
+    mode is a repair mode, or None to take the tags as they are. A tag outside
+    the real tags, or in strict mode an invalid transition, raises as
+    repair_bio does, at the first failing position and counted from the start
+    of its sentence.
+
+    Every step works on the whole array. An invalid transition can only enter
+    an orphan I-X. Convert turns each into B-X: that keeps the tag's type, so
+    validity against the repaired prefix equals validity against the raw one.
+    Ignore turns the whole run an orphan opens into O. The spans are then the
+    runs of the repaired tags that a B tag opens.
+    """
+    if mode is not None and mode not in REPAIR_MODES:
+        raise TagSchemeError(f"unknown repair mode: {mode!r}")
+    bad = (tags < 0) | (tags >= voc.k)
+    codes = np.where(bad, 0, tags).astype(np.intp)
+    prev, valid = _transitions(voc, codes, starts)
+    failed = bad | ~valid if mode == "strict" else bad
+    if failed.any():
+        pos = int(np.argmax(failed))
+        starts = np.asarray(starts)
+        at = pos - int(starts[np.searchsorted(starts, pos, "right") - 1])
+        if bad[pos]:
+            raise TagSchemeError(f"tag index out of range at position {at}: {tags[pos]}")
+        raise SchemeViolation(f"invalid transition {voc.name(int(prev[pos]))} -> "
+                              f"{voc.name(int(codes[pos]))} at position {at}")
+    invalid = len(codes) - int(np.count_nonzero(valid))
+    if invalid and mode in ("convert", "ignore"):
+        if mode == "convert":
+            codes -= ~valid  # I-X sits right after B-X
+        else:
+            heads, ends = _runs(voc, codes, valid)
+            codes *= np.repeat(valid[heads], ends - heads)
+        valid = _transitions(voc, codes, starts)[1]
+    heads, ends = _runs(voc, codes, valid)
+    tables = _tables(voc)
+    spans = tables.begin[codes[heads]]
+    return BioPass(invalid, codes, heads[spans], ends[spans],
+                   tables.type_index[codes[heads[spans]]])
+
+
+def flat_tags(sequences) -> tuple[np.ndarray, np.ndarray]:
+    """Tag sequences end to end as one int64 array, and each one's start
+    offset. Each value is what int() makes of the tag; a tag int() rejects,
+    or that int64 cannot hold, raises."""
+    lengths = np.fromiter(map(len, sequences), np.intp, len(sequences))
+    starts = np.zeros(len(lengths), np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    total = int(lengths.sum())
+    return np.fromiter(itertools.chain.from_iterable(sequences), np.int64, total), starts
+
+
+def _tag_array(tags):
+    """The tags as int() reads them, as an array (of Python ints where int64
+    cannot hold one), and what int() raised on the first tag it rejects, or
+    None: the array then holds the tags before that one, which the caller
+    checks before raising it, as a loop over the tags would."""
+    values, error = [], None
+    try:
+        values.extend(map(int, tags))  # keeps the tags converted before a failure
+    except (TypeError, ValueError, OverflowError) as exc:  # as int() or iterating raises
+        error = exc
+    try:
+        return np.array(values, dtype=np.int64), error
+    except OverflowError:
+        return np.array(values, dtype=object), error
 
 
 def extract_spans(voc: TagVocabulary, tags) -> list[EntitySpan]:
@@ -189,26 +307,13 @@ def extract_spans(voc: TagVocabulary, tags) -> list[EntitySpan]:
     A span opens at B-X and extends through consecutive I-X of the same X.
     Orphan I tags (no matching open span) do not open or extend anything.
     """
-    types, begins, _ = _tables(voc)
-    k = voc.k
-    spans = []
-    open_start = -1
-    open_type = None
-    for pos, tag in enumerate(tags):
-        tag = int(tag)
-        if not 0 <= tag < k:
-            raise TagSchemeError(f"tag index out of range at position {pos}: {tag}")
-        if begins[tag]:
-            if open_type is not None:
-                spans.append(EntitySpan(open_start, pos, open_type))
-            open_start, open_type = pos, types[tag]
-        elif types[tag] != open_type:  # O, or an I tag that does not continue the open span
-            if open_type is not None:
-                spans.append(EntitySpan(open_start, pos, open_type))
-            open_start, open_type = -1, None
-    if open_type is not None:
-        spans.append(EntitySpan(open_start, len(tags), open_type))
-    return spans
+    values, error = _tag_array(tags)
+    found = bio_pass(voc, values, [0])
+    if error is not None:
+        raise error
+    names = voc.entity_types.types
+    return [EntitySpan(start, end, names[t]) for start, end, t in
+            zip(found.starts.tolist(), found.ends.tolist(), found.types.tolist())]
 
 
 def spans_to_tags(voc: TagVocabulary, spans, length: int) -> list[int]:
@@ -228,33 +333,28 @@ def spans_to_tags(voc: TagVocabulary, spans, length: int) -> list[int]:
     return tags
 
 
-def repair_bio(voc: TagVocabulary, tags, mode: str = "convert") -> list[int]:
+def repair_bio(voc: TagVocabulary, tags, mode: str = "convert", *,
+               starts=None) -> list[int] | BioPass:
     """Repair orphan I tags so every pair is valid in transition_mask.
 
     strict  -> raise SchemeViolation at the first offending position;
     convert -> promote the orphan I-X to B-X;
     ignore  -> demote the orphan I-X to O.
     Repairs are applied left to right against the already-repaired prefix.
+
+    With starts, tags holds many sentences end to end (flat_tags), each
+    repaired on its own, and the result is their bio_pass: the whole corpus
+    in one array pass, traced as repair_bio like a single sequence.
     """
     if mode not in REPAIR_MODES:
         raise TagSchemeError(f"unknown repair mode: {mode!r}")
-    valid = _tables(voc)[2]
-    k = voc.k
-    out: list[int] = []
-    prev = voc.start_index
-    for pos, tag in enumerate(tags):
-        tag = int(tag)
-        if not 0 <= tag < k:
-            raise TagSchemeError(f"tag index out of range at position {pos}: {tag}")
-        if not valid[prev][tag]:
-            if mode == "strict":
-                raise SchemeViolation(
-                    f"invalid transition {voc.name(prev)} -> {voc.name(tag)} at position {pos}"
-                )
-            tag = tag - 1 if mode == "convert" else 0  # I-X sits right after B-X
-        out.append(tag)
-        prev = tag
-    return out
+    if starts is not None:
+        return bio_pass(voc, tags, starts, mode)
+    values, error = _tag_array(tags)
+    repaired = bio_pass(voc, values, [0], mode).tags
+    if error is not None:
+        raise error
+    return repaired.tolist()
 
 
 def count_invalid_transitions(voc: TagVocabulary, tags) -> int:
@@ -263,15 +363,12 @@ def count_invalid_transitions(voc: TagVocabulary, tags) -> int:
     A virtual state inside the sequence counts as the mask has it: nothing
     enters START and nothing leaves STOP.
     """
-    valid = _tables(voc)[2]
-    hi = voc.stop_index
-    bad = 0
-    prev = voc.start_index
-    for tag in tags:
-        tag = int(tag)
-        if not 0 <= tag <= hi:
-            raise TagSchemeError(f"transition index out of range: ({prev}, {tag})")
-        if not valid[prev][tag]:
-            bad += 1
-        prev = tag
-    return bad
+    values, error = _tag_array(tags)
+    bad = (values < 0) | (values > voc.stop_index)
+    if bad.any():
+        pos = int(np.argmax(bad))
+        prev = values[pos - 1] if pos else voc.start_index
+        raise TagSchemeError(f"transition index out of range: ({prev}, {values[pos]})")
+    if error is not None:
+        raise error
+    return int(np.count_nonzero(~_transitions(voc, values.astype(np.intp), [0])[1]))

@@ -195,6 +195,8 @@ class TrainConfig:
         for name in ("hidden", "fc_size", "dim", "min_count"):
             if getattr(self, name) < 1:
                 raise TrainingError(f"{name} must be >= 1")
+        if self.seed < 0:  # numpy seeds with non-negative integers only
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
         LrSchedule(self.lr_min, self.lr_max, self.cycle_length or 2)
 
 
@@ -468,6 +470,8 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
     voc = train_corpus.tag_vocabulary
     if dev_corpus.tag_vocabulary.tags != voc.tags:
         raise TrainingError("train and dev corpora use different tag vocabularies")
+    if not train_corpus.sentences:
+        raise TrainingError("the train corpus has no sentences")
     for name, corpus in (("train", train_corpus), ("dev", dev_corpus)):
         for sent in corpus:
             if sent.gold_tags is None:

@@ -453,13 +453,24 @@ def predicate_extract_spans(voc, tags):
 
 def predicate_error_breakdown(gold, predicted, repair):
     """Span matching over EntitySpan objects from the predicate extractor and
-    repair: per-type [tp, fp, fn] counts and the error listings."""
-    from nerchain.metrics import ErrorBreakdown
+    repair: per-type [tp, fp, fn] counts, the raw invalid-transition count and
+    the error listings. Checks each sentence in turn, as the per-sentence
+    scorer did: alignment, the raw transitions, the gold spans, the repair."""
+    from nerchain.metrics import ErrorBreakdown, ScoringError
 
+    if len(predicted) != len(gold.sentences):
+        raise ScoringError(f"{len(predicted)} predictions for {len(gold.sentences)} sentences")
     voc = gold.tag_vocabulary
     counts = {t: [0, 0, 0] for t in voc.entity_types}
+    invalid = 0
     out = ErrorBreakdown()
     for sent, tags in zip(gold.sentences, predicted):
+        if sent.gold_tags is None:
+            raise ScoringError(f"sentence {sent.id!r} has no gold tags")
+        if len(tags) != len(sent):
+            raise ScoringError(
+                f"sentence {sent.id!r}: {len(tags)} predicted tags for {len(sent)} tokens")
+        invalid += predicate_count_invalid(voc, tags)
         gold_spans = predicate_extract_spans(voc, sent.gold_tags)
         pred_spans = predicate_extract_spans(voc, predicate_repair_bio(voc, tags, repair))
         fp = [s for s in pred_spans if s not in gold_spans]
@@ -481,7 +492,7 @@ def predicate_error_breakdown(gold, predicted, repair):
                         out.confusion[key] = out.confusion.get(key, 0) + 1
         out.misses.extend((sent.id, g) for g in fn if g not in touched_gold)
         out.spurious.extend((sent.id, p) for p in fp if p not in touched_pred)
-    return counts, out
+    return counts, invalid, out
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,18 @@ class TestHelpAndUsage:
             assert f"{cfg}:2: bad value" in err
             assert err.count(str(cfg)) == 1
 
+    @pytest.mark.parametrize("command, key, value", [("evaluate", "repair", "bogus"),
+                                                     ("evaluate", "format", "xml"),
+                                                     ("train", "arch", "foo")])
+    def test_config_value_outside_the_flag_choices_is_a_usage_error(self, capsys, tmp_path,
+                                                                    command, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=1\n{key}={value}\n")
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert f"{cfg}:2: bad value for {key}: invalid choice: {value!r}" in err
+        assert run(capsys, command, f"--{key}", value)[0] == 1  # as the flag is
+
     def test_non_utf8_config_names_path_and_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed=1\nformat=\xff\n")
@@ -654,3 +666,50 @@ def test_predict_on_arbitrary_bytes_ends_in_an_exit_code(tiny_models, model, dat
         assert "Traceback" not in stderr.getvalue()
         if code != cli.EXIT_OK:  # a failed run fails before it writes output
             assert not os.path.exists(output)
+
+
+_TRAIN_CONFIG = st.dictionaries(
+    st.sampled_from(["arch", "dim", "dropout", "lr_min", "lr_max", "cycle_length", "seed",
+                     "min_count", "types", "token_col", "tag_col", "format", "epochs"]),
+    st.sampled_from(["-1", "0", "1", "3", "0.5", "1e308", "nan", "inf", "abc", "", "crf",
+                     "linear", "PER,LOC", "kv"]) | st.text(max_size=4),
+    max_size=4,
+).map(lambda entries: "".join(f"{k}={v}\n" for k, v in entries.items()).encode("utf-8"))
+
+
+_TINY_OR_HOSTILE = st.sampled_from([TINY.encode("utf-8")] * 2) | HOSTILE  # TINY 2 in 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(arch=st.sampled_from(["crf", "bilstm-crf", "linear"]),
+       train=_TINY_OR_HOSTILE,
+       dev=_TINY_OR_HOSTILE,
+       config=st.none() | st.none() | _TRAIN_CONFIG | HOSTILE,
+       embeddings=st.none() | st.just(TINY_EMB.encode("utf-8")) | HOSTILE
+       | _EDITS.map(lambda edits: _corrupt(TINY_EMB.encode("utf-8"), edits)))
+# an empty train file divided the epoch's loss by zero sentences
+@example(arch="crf", train=b"", dev=TINY.encode("utf-8"), config=None, embeddings=None)
+# numpy rejects a negative seed with a ValueError of its own
+@example(arch="crf", train=TINY.encode("utf-8"), dev=TINY.encode("utf-8"), config=b"seed=-1\n",
+         embeddings=None)
+def test_train_on_arbitrary_bytes_ends_in_an_exit_code(arch, train, dev, config, embeddings):
+    """Hostile train, dev, config and embedding bytes; the flags keep the model
+    tiny (one epoch, hidden and FC width 4), and a config cannot override them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        checkpoint = os.path.join(tmp, "model.ckpt")
+        argv = ["train", "--checkpoint", checkpoint, "--arch", arch, "--epochs", "1",
+                "--hidden", "4", "--fc-size", "4"]
+        for flag, content in (("--train-file", train), ("--dev-file", dev),
+                              ("--config", config), ("--embeddings", embeddings)):
+            if content is not None:
+                path = os.path.join(tmp, flag[2:])
+                with open(path, "wb") as handle:
+                    handle.write(content)
+                argv += [flag, path]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+        assert "Traceback" not in stderr.getvalue()
+        if code != cli.EXIT_OK:  # a failed run writes no checkpoint
+            assert not os.path.exists(checkpoint)

@@ -14,7 +14,13 @@ from nerchain.metrics import (
     render_text,
     score,
 )
-from nerchain.tagscheme import EntityTypeSet, expand_bio, extract_spans, spans_to_tags
+from nerchain.tagscheme import (
+    REPAIR_MODES,
+    EntityTypeSet,
+    expand_bio,
+    extract_spans,
+    spans_to_tags,
+)
 
 from oracles import (
     predicate_error_breakdown,
@@ -58,6 +64,43 @@ def make_corpus(tagged):
         tags = tuple(VOC.index(n) for n in names)
         sentences.append(Sentence(f"s{i}", tuple(tokens), tags))
     return Corpus(tuple(sentences), VOC)
+
+
+def int_array(tags):
+    """tags as a numpy integer array, of Python ints where int64 cannot hold one."""
+    try:
+        return np.array(tags, dtype=np.int64)
+    except OverflowError:
+        return np.array(tags, dtype=object)
+
+
+FORMS = (list, tuple, int_array)  # the forms predictions come in
+
+
+def chain_inside(sequences):
+    """The sequences with each one after a sequence ending in B-X or I-X made
+    to open with I-X, which must not continue the entity across sentences."""
+    out = [list(tags) for tags in sequences]
+    for before, tags in zip(out, out[1:]):
+        if before[-1]:
+            tags[0] = before[-1] + before[-1] % 2  # B-X is odd, I-X = B-X + 1
+    return out
+
+
+def matching(corpus, preds, repair):
+    """score and error_breakdown in the oracle's form: the per-type counts,
+    the invalid-transition count and the error listings."""
+    report = score(corpus, preds, repair)
+    counts = {c.entity_type: [c.tp, c.fp, c.fn] for c in report.per_class}
+    return counts, report.invalid_transition_count, error_breakdown(corpus, preds, repair)
+
+
+def outcome(fn, *args):
+    """fn's result, or the class and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
 
 
 class TestF1:
@@ -231,18 +274,56 @@ class TestErrorBreakdown:
             assert confused + len(breakdown.boundary) + len(breakdown.misses) >= total_fn
 
 
-    @given(st.integers(0, 2**32 - 1), st.sampled_from(["convert", "ignore"]))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_the_predicate_matching(self, seed, repair):
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(REPAIR_MODES), st.sampled_from(FORMS),
+           st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_predicate_matching(self, seed, repair, form, chained):
         # predictions of any tags, valid or not, against random gold corpora
         rng = np.random.default_rng(seed)
         corpus = random_corpus(rng, VOC, 12, max_len=12)
         preds = [list(rng.integers(0, VOC.k, len(s))) if rng.random() < 0.5
                  else random_valid_tags(rng, VOC, len(s)) for s in corpus]
-        counts, expected = predicate_error_breakdown(corpus, preds, repair)
-        assert error_breakdown(corpus, preds, repair) == expected
-        report = score(corpus, preds, repair)
-        assert {c.entity_type: [c.tp, c.fp, c.fn] for c in report.per_class} == counts
+        if chained:  # each sentence after one that ends in an entity opens with its I tag
+            corpus = Corpus(tuple(Sentence(s.id, s.tokens, tuple(tags)) for s, tags in
+                                  zip(corpus, chain_inside(s.gold_tags for s in corpus))), VOC)
+            preds = chain_inside(preds)
+        preds = [form(p) for p in preds]
+        expected = outcome(predicate_error_breakdown, corpus, preds, repair)
+        assert outcome(matching, corpus, preds, repair) == expected
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_failing_corpus_raises_what_its_first_failing_sentence_raises(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        corpus = random_corpus(rng, VOC, 8, max_len=6)
+        sentences = list(corpus.sentences)
+        preds = [random_valid_tags(rng, VOC, len(s)) for s in sentences]
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(preds) - 1))
+            if not preds[i]:  # shortened to nothing by a length fault
+                continue
+            pos = data.draw(st.integers(0, len(preds[i]) - 1))
+            fault = data.draw(st.sampled_from(["virtual", "out of range", "huge", "orphan",
+                                               "length", "no gold"]))
+            if fault == "virtual":
+                preds[i][pos] = data.draw(st.sampled_from([VOC.start_index, VOC.stop_index]))
+            elif fault == "out of range":
+                preds[i][pos] = data.draw(st.integers(-3, -1) | st.integers(VOC.k + 2, 99))
+            elif fault == "huge":  # int() accepts it, int64 cannot hold it
+                preds[i][pos] = data.draw(st.sampled_from([2**70, -2**70, 2**63]))
+            elif fault == "orphan":  # raises in strict mode only
+                preds[i][pos] = VOC.index("I-PER") if pos == 0 else VOC.index("I-LOC")
+                if pos:
+                    preds[i][pos - 1] = 0
+            elif fault == "length":
+                preds[i] = preds[i] + [0] if data.draw(st.booleans()) else preds[i][:-1]
+            else:
+                sentences[i] = Sentence(sentences[i].id, sentences[i].tokens, None)
+        corpus = Corpus(tuple(sentences), VOC)
+        preds = [data.draw(st.sampled_from(FORMS))(p) for p in preds]
+        repair = data.draw(st.sampled_from(REPAIR_MODES))
+        expected = outcome(predicate_error_breakdown, corpus, preds, repair)
+        assert outcome(matching, corpus, preds, repair) == expected
 
 
 class TestRendering:

@@ -120,9 +120,11 @@ class TestIsValidTransition:
         mask = [[is_valid_transition(voc, i, j) and j != voc.start_index and i != voc.stop_index
                  for j in range(n)] for i in range(n)]
         real = range(voc.k)
-        expected = (tuple(voc.type_of(t) for t in real), tuple(voc.is_begin(t) for t in real),
-                    tuple(map(tuple, mask)))
-        assert _tables(voc) == expected
+        names = voc.entity_types.types
+        expected = [[voc.is_begin(t) for t in real], [voc.is_inside(t) for t in real],
+                    [-1 if t == 0 else names.index(voc.type_of(t)) for t in real]]
+        assert [table.tolist() for table in _tables(voc)] == expected
+        assert not any(table.flags.writeable for table in _tables(voc))
         assert transition_mask(voc).tolist() == mask
         # a vocabulary built anew equals and hashes alike, so it reaches the same tables
         again = expand_bio(EntityTypeSet(types))
