@@ -7,6 +7,7 @@ win. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 import argparse
 import logging
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .metrics import (
     score,
 )
 from .tagscheme import (
-    DEFAULT_ENTITY_TYPES,
     REPAIR_MODES,
     EntityTypeSet,
     TagSchemeError,
@@ -79,40 +79,87 @@ def _str2bool(value: str) -> bool:
     raise UsageError(f"expected a boolean, got {value!r}")
 
 
-def _choice(choices):
-    """Converter that accepts the values a flag with these choices accepts."""
+class _Setting(NamedTuple):
+    """One setting, keyed in _SETTINGS by its config key. `flags` maps each
+    command with a flag for it (the key, dashes for underscores) to its help."""
 
-    def convert(value: str) -> str:
-        if value not in choices:
+    convert: Callable[[str], object] = str
+    default: object = None
+    choices: tuple[str, ...] | None = None
+    flags: dict[str, str] = {}
+
+    def parse(self, text: str):
+        """The value of a config entry, checked as its flag's value is."""
+        value = self.convert(text)
+        if self.choices and value not in self.choices:
             raise UsageError(f"invalid choice: {value!r} "
-                             f"(choose from {', '.join(map(repr, choices))})")
+                             f"(choose from {', '.join(map(repr, self.choices))})")
         return value
 
-    return convert
+
+def _entity_types(text: str) -> EntityTypeSet:
+    return EntityTypeSet(tuple(name for name in text.split(",") if name))
+
+
+def _table(**settings) -> dict[str, _Setting]:
+    """The settings in help-screen order; a TrainConfig field takes its type and
+    default from TrainConfig."""
+    defaults = TrainConfig()
+    return {name: setting._replace(convert=CONFIG_TYPES[name], default=getattr(defaults, name))
+            if name in CONFIG_TYPES else setting for name, setting in settings.items()}
 
 
 FORMATS = ("text", "kv")
 
-# configurable settings: name -> (converter, default); the training fields
-# and their defaults come from TrainConfig
-_SETTINGS = {
-    "train_file": (str, None),
-    "dev_file": (str, None),
-    "input": (str, None),
-    "gold": (str, None),
-    "pred": (str, None),
-    "checkpoint": (str, None),
-    "embeddings": (str, None),
-    "output": (str, None),
-    "constrained": (_str2bool, False),
-    "repair": (_choice(REPAIR_MODES), None),
-    "token_col": (int, 0),
-    "tag_col": (int, -1),
-    "format": (_choice(FORMATS), "text"),
-    "types": (str, ",".join(DEFAULT_ENTITY_TYPES)),
-    **{name: (cast, getattr(TrainConfig(), name)) for name, cast in CONFIG_TYPES.items()},
-    "arch": (_choice(ARCHITECTURES), TrainConfig().arch),  # checked as --arch is
+# command -> (help in the command list, description on its help screen)
+_COMMAND_HELP = {
+    "train": ("train a model and write a checkpoint",
+              "Train one architecture and keep the best dev epoch."),
+    "predict": ("tag a file with a trained model", "Decode an input file and write CoNLL output."),
+    "evaluate": ("entity-level scores of predictions against gold",
+                 "Compare a predicted file with a gold file, aligned by id."),
+    "inspect": ("error breakdown of predictions against gold",
+                "Confusions, boundary errors, misses and spurious spans."),
 }
+
+_SETTINGS = _table(
+    token_col=_Setting(int, 0, flags=dict.fromkeys(
+        _COMMAND_HELP, "token column in input files (default 0)")),
+    tag_col=_Setting(int, -1, flags=dict.fromkeys(
+        _COMMAND_HELP, "tag column in input files (default -1, the last column)")),
+    train_file=_Setting(flags={"train": "labeled training file"}),
+    dev_file=_Setting(flags={"train": "labeled validation file"}),
+    gold=_Setting(flags=dict.fromkeys(("evaluate", "inspect"), "gold labeled file")),
+    pred=_Setting(flags=dict.fromkeys(("evaluate", "inspect"), "predicted labeled file")),
+    checkpoint=_Setting(flags={"train": "output checkpoint path",
+                               "predict": "trained checkpoint"}),
+    input=_Setting(flags={"predict": "file to tag (labels, if present, are ignored)"}),
+    output=_Setting(flags={"predict": "output file (default stdout)"}),
+    embeddings=_Setting(flags={"train": "precomputed embedding file; omit to train a lookup table",
+                               "predict": "embedding file for the input sentences"}),
+    constrained=_Setting(_str2bool, False, flags={
+        "predict": "force BIO-valid decoding (default for the linear head)"}),
+    repair=_Setting(choices=REPAIR_MODES, flags={
+        "predict": "post-hoc repair mode applied to predictions",
+        "evaluate": "repair mode applied before scoring (default convert)",
+        "inspect": "repair mode applied before span extraction (default convert)"}),
+    arch=_Setting(choices=ARCHITECTURES, flags={"train": "model architecture (default crf)"}),
+    epochs=_Setting(flags={"train": "training epochs (default 10)"}),
+    dropout=_Setting(flags={"train": "dropout rate, sensible range 0.2 to 0.5 (default 0.3)"}),
+    lr_min=_Setting(flags={"train": "cyclic learning rate lower bound (default 1e-6)"}),
+    lr_max=_Setting(flags={"train": "cyclic learning rate upper bound (default 1e-4)"}),
+    hidden=_Setting(flags={"train": "BiLSTM hidden size per direction (default 256)"}),
+    fc_size=_Setting(flags={
+        "train": "width of the two FC layers in the linear head (default 512)"}),
+    seed=_Setting(flags={"train": "random seed (default 0)"}),
+    format=_Setting(default="text", choices=FORMATS, flags={
+        "train": "final report format (default text)",
+        "evaluate": "report format (default text)"}),
+    types=_Setting(_entity_types, EntityTypeSet()),
+    cycle_length=_Setting(),
+    min_count=_Setting(),
+    dim=_Setting(),
+)
 
 
 def _read(path, error, reader, *args):
@@ -143,108 +190,56 @@ def _config_entries(handle) -> dict:
         if not sep or key not in _SETTINGS:
             raise UsageError(f"{path}:{lineno}: unknown config entry {line!r}")
         try:
-            values[key] = _SETTINGS[key][0](value.strip())
-        except ValueError as exc:  # UsageError from _str2bool included
+            values[key] = _SETTINGS[key].parse(value.strip())
+        except ValueError as exc:  # UsageError and TagSchemeError included
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
 class Settings:
-    """Flag values layered over config file values over defaults."""
+    """Flag values layered over config file values over defaults, one attribute
+    per setting."""
 
     def __init__(self, args: argparse.Namespace):
         config = getattr(args, "config", None)
         from_file = _read(config, UsageError, _config_entries) if config else {}
-        self._values = {}
-        for name, (_, default) in _SETTINGS.items():
+        for name, setting in _SETTINGS.items():
             flag = getattr(args, name, None)
-            if flag is not None:
-                self._values[name] = flag
-            elif name in from_file:
-                self._values[name] = from_file[name]
-            else:
-                self._values[name] = default
-
-    def __getattr__(self, name):
-        try:
-            return self._values[name]
-        except KeyError:
-            raise AttributeError(name) from None
+            if flag == []:  # `--key=--`: Python 3.11's argparse drops the value "--"
+                try:
+                    flag = setting.parse("--")
+                except ValueError as exc:
+                    raise UsageError(f"argument --{name.replace('_', '-')}: {exc}") from None
+            setattr(self, name, from_file.get(name, setting.default) if flag is None else flag)
 
     def require(self, *names):
         for name in names:
-            if self._values.get(name) is None:
+            if getattr(self, name) is None:
                 raise UsageError(f"--{name.replace('_', '-')} is required")
+
+
+def _flag_arguments(command: str):
+    """(flag, add_argument keywords) of each setting with a flag on command."""
+    for name, setting in _SETTINGS.items():
+        if command in setting.flags:  # an unset switch is None: the config decides
+            kind = ({"action": "store_true", "default": None} if setting.convert is _str2bool
+                    else {"type": setting.convert, "choices": setting.choices})
+            yield "--" + name.replace("_", "-"), {"help": setting.flags[command], **kind}
+
+
+# derived once: main() builds a parser on every call
+_FLAG_ARGUMENTS = {command: list(_flag_arguments(command)) for command in _COMMAND_HELP}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="nerchain", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add_common(p):
+    for command, (help_text, description) in _COMMAND_HELP.items():
+        p = sub.add_parser(command, help=help_text, description=description)
         p.add_argument("--config", help="flat key=value settings file; flags override it")
-        p.add_argument("--token-col", type=int, dest="token_col",
-                       help="token column in input files (default 0)")
-        p.add_argument("--tag-col", type=int, dest="tag_col",
-                       help="tag column in input files (default -1, the last column)")
-
-    p = sub.add_parser("train", help="train a model and write a checkpoint",
-                       description="Train one architecture and keep the best dev epoch.")
-    add_common(p)
-    p.add_argument("--train-file", dest="train_file", help="labeled training file")
-    p.add_argument("--dev-file", dest="dev_file", help="labeled validation file")
-    p.add_argument("--checkpoint", help="output checkpoint path")
-    p.add_argument("--embeddings", help="precomputed embedding file; omit to train a lookup table")
-    p.add_argument("--arch", choices=ARCHITECTURES,
-                   help="model architecture (default crf)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 10)")
-    p.add_argument("--dropout", type=float,
-                   help="dropout rate, sensible range 0.2 to 0.5 (default 0.3)")
-    p.add_argument("--lr-min", type=float, dest="lr_min",
-                   help="cyclic learning rate lower bound (default 1e-6)")
-    p.add_argument("--lr-max", type=float, dest="lr_max",
-                   help="cyclic learning rate upper bound (default 1e-4)")
-    p.add_argument("--hidden", type=int, help="BiLSTM hidden size per direction (default 256)")
-    p.add_argument("--fc-size", type=int, dest="fc_size",
-                   help="width of the two FC layers in the linear head (default 512)")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--format", choices=FORMATS, help="final report format (default text)")
-
-    p = sub.add_parser("predict", help="tag a file with a trained model",
-                       description="Decode an input file and write CoNLL output.")
-    add_common(p)
-    p.add_argument("--checkpoint", help="trained checkpoint")
-    p.add_argument("--input", help="file to tag (labels, if present, are ignored)")
-    p.add_argument("--output", help="output file (default stdout)")
-    p.add_argument("--embeddings", help="embedding file for the input sentences")
-    p.add_argument("--constrained", action="store_true", default=None,
-                   help="force BIO-valid decoding (default for the linear head)")
-    p.add_argument("--repair", choices=REPAIR_MODES,
-                   help="post-hoc repair mode applied to predictions")
-
-    p = sub.add_parser("evaluate", help="entity-level scores of predictions against gold",
-                       description="Compare a predicted file with a gold file, aligned by id.")
-    add_common(p)
-    p.add_argument("--gold", help="gold labeled file")
-    p.add_argument("--pred", help="predicted labeled file")
-    p.add_argument("--repair", choices=REPAIR_MODES,
-                   help="repair mode applied before scoring (default convert)")
-    p.add_argument("--format", choices=FORMATS, help="report format (default text)")
-
-    p = sub.add_parser("inspect", help="error breakdown of predictions against gold",
-                       description="Confusions, boundary errors, misses and spurious spans.")
-    add_common(p)
-    p.add_argument("--gold", help="gold labeled file")
-    p.add_argument("--pred", help="predicted labeled file")
-    p.add_argument("--repair", choices=REPAIR_MODES,
-                   help="repair mode applied before span extraction (default convert)")
-
+        for flag, keywords in _FLAG_ARGUMENTS[command]:
+            p.add_argument(flag, **keywords)
     return parser
-
-
-def _tag_vocabulary(settings: Settings):
-    names = [t for t in settings.types.split(",") if t]
-    return expand_bio(EntityTypeSet(tuple(names)))
 
 
 def _parse_file(path, voc, settings, has_labels=True) -> Corpus:
@@ -254,7 +249,11 @@ def _parse_file(path, voc, settings, has_labels=True) -> Corpus:
 
 def cmd_train(settings: Settings) -> int:
     settings.require("train_file", "dev_file", "checkpoint")
-    voc = _tag_vocabulary(settings)
+    try:
+        config = TrainConfig(**{name: getattr(settings, name) for name in CONFIG_TYPES})
+    except TrainingError as exc:  # a setting out of range, as a bad flag value is
+        raise UsageError(exc) from None
+    voc = expand_bio(settings.types)
     train_corpus = _parse_file(settings.train_file, voc, settings)
     dev_corpus = _parse_file(settings.dev_file, voc, settings)
 
@@ -268,8 +267,6 @@ def cmd_train(settings: Settings) -> int:
                                  f"{settings.train_file} and {settings.dev_file}")
         embeddings = _read(settings.embeddings, EmbeddingError, load_embeddings,
                            Corpus(tuple(by_id.values()), voc))
-
-    config = TrainConfig(**{name: getattr(settings, name) for name in CONFIG_TYPES})
 
     log_path = settings.checkpoint + ".log"
     handler = logging.FileHandler(log_path, mode="w", encoding="utf-8")
@@ -296,7 +293,7 @@ def cmd_train(settings: Settings) -> int:
 def cmd_predict(settings: Settings) -> int:
     settings.require("checkpoint", "input")
     checkpoint = load_checkpoint(settings.checkpoint)
-    voc = _tag_vocabulary(settings)
+    voc = expand_bio(settings.types)
     ensure_compatible(checkpoint, voc)
     corpus = _parse_file(settings.input, voc, settings, has_labels=False)
 
@@ -324,7 +321,7 @@ def cmd_predict(settings: Settings) -> int:
 
 
 def _aligned_gold_pred(settings: Settings):
-    voc = _tag_vocabulary(settings)
+    voc = expand_bio(settings.types)
     gold = _parse_file(settings.gold, voc, settings)
     pred = _parse_file(settings.pred, voc, settings)
     if len(pred) != len(gold):

@@ -4,6 +4,8 @@ import hashlib
 import io
 import math
 import os
+import re
+import sys
 import tempfile
 
 import pytest
@@ -111,11 +113,13 @@ class TestHelpAndUsage:
 
     def test_bad_config_value_names_path_and_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
-        for text in ("seed=1\nepochs=abc\n", "# note\nconstrained=maybe\n"):
+        for key, lineno, text in (("epochs", 2, "seed=1\nepochs=abc\n"),
+                                  ("constrained", 2, "# note\nconstrained=maybe\n"),
+                                  ("types", 1, "types=,,\n"), ("types", 2, "\ntypes=PER,PER\n")):
             cfg.write_text(text)
             code, _, err = run(capsys, "train", "--config", str(cfg))
             assert code == 1
-            assert f"{cfg}:2: bad value" in err
+            assert f"{cfg}:{lineno}: bad value for {key}: " in err
             assert err.count(str(cfg)) == 1
 
     @pytest.mark.parametrize("command, key, value", [("evaluate", "repair", "bogus"),
@@ -129,6 +133,53 @@ class TestHelpAndUsage:
         assert (code, out) == (1, "")
         assert f"{cfg}:2: bad value for {key}: invalid choice: {value!r}" in err
         assert run(capsys, command, f"--{key}", value)[0] == 1  # as the flag is
+
+    def test_help_defaults_are_the_values_used(self, capsys, tiny, tmp_path, monkeypatch):
+        """Each `(default X)` on a command's help screen is the value the command
+        runs with when neither a flag nor the config file sets it."""
+        used = {}
+
+        def spy(name, record):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                used.update(record(*args, **kwargs))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        spy("parse_conll", lambda handle, voc, token_col, tag_col, has_labels:
+            {"token-col": token_col, "tag-col": tag_col})
+        spy("render_text", lambda report: {"format": "text"})
+        spy("render_kv", lambda report: {"format": "kv"})
+        spy("score", lambda gold, predictions, repair: {"repair": repair})
+        spy("error_breakdown", lambda gold, predictions, repair: {"repair": repair})
+        spy("write_conll", lambda corpus, handle, tags:
+            {"output": "stdout" if handle is sys.stdout else handle.name})
+        real_train = cli.train
+
+        def short_train(train_corpus, dev_corpus, config, embeddings):
+            used.update({f.name.replace("_", "-"): getattr(config, f.name)
+                         for f in dataclasses.fields(config)})
+            return real_train(train_corpus, dev_corpus, dataclasses.replace(config, epochs=1),
+                              embeddings)
+
+        monkeypatch.setattr(cli, "train", short_train)
+        ckpt = str(tmp_path / "m.ckpt")
+        for argv in (["train", "--train-file", tiny, "--dev-file", tiny, "--checkpoint", ckpt],
+                     ["predict", "--checkpoint", ckpt, "--input", tiny],
+                     ["evaluate", "--gold", tiny, "--pred", tiny],
+                     ["inspect", "--gold", tiny, "--pred", tiny]):
+            used.clear()
+            assert run(capsys, *argv)[0] == 0
+            help_text = " ".join(run(capsys, argv[0], "--help")[1].split())
+            checked = []
+            for entry in re.split(r" (?=--[a-z])", help_text):
+                flag, stated = entry.split()[0][2:], re.search(r"\(default ([^),]+)", entry)
+                if stated and flag != "constrained":  # its default is a behaviour
+                    assert type(used[flag])(stated[1]) == used[flag], (argv[0], flag)
+                    checked.append(flag)
+            assert checked, argv[0]
 
     def test_non_utf8_config_names_path_and_line(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -266,6 +317,24 @@ class TestTrain:
         assert code == 3
         assert "training diverged at epoch 1: non-finite best path score inf" in err
 
+    @pytest.mark.parametrize("extra, config, message", [
+        (["--epochs", "0"], "", "epochs must be >= 1, got 0"),
+        (["--hidden", "0"], "", "hidden must be >= 1"),
+        (["--dropout", "1.5"], "", "dropout must be in [0, 1), got 1.5"),
+        (["--lr-min", "1", "--lr-max", "0.1"], "", "need 0 < lr_min <= lr_max, got (1.0, 0.1)"),
+        ([], "epochs=0\n", "epochs must be >= 1, got 0"),
+        ([], "seed=-1\n", "seed must be >= 0, got -1"),
+    ])
+    def test_rejected_training_setting_is_a_usage_error(self, capsys, tiny, tmp_path, extra,
+                                                        config, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run(capsys, "train", "--train-file", tiny, "--dev-file", tiny,
+                             "--checkpoint", str(ckpt), "--config", str(cfg), *extra)
+        assert (code, out, err) == (1, "", f"nerchain: error: {message}\n")
+        assert not ckpt.exists() and not (tmp_path / "m.ckpt.log").exists()
+
     def test_unallocatable_layout_is_a_usage_error(self, capsys, tmp_path, monkeypatch):
         # `--hidden 3000000` asks init_params for 262 TiB; the allocation is
         # simulated, never attempted
@@ -322,7 +391,7 @@ class TestTrain:
 
     def test_config_file_with_flag_override(self, capsys, tiny, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"train_file={tiny}\ndev_file={tiny}\nepochs=1\nseed=3\n")
+        cfg.write_text(f"train_file={tiny}\ndev_file={tiny}\nepochs=0\nseed=3\n")
         ckpt = tmp_path / "m.ckpt"
         code, _, _ = run(capsys, "train", "--config", str(cfg),
                          "--checkpoint", str(ckpt), "--epochs", "2")
@@ -666,6 +735,58 @@ def test_predict_on_arbitrary_bytes_ends_in_an_exit_code(tiny_models, model, dat
         assert "Traceback" not in stderr.getvalue()
         if code != cli.EXIT_OK:  # a failed run fails before it writes output
             assert not os.path.exists(output)
+
+
+def test_checkpoint_with_a_rejected_setting_exits_two(capsys, tiny_models, tiny, tmp_path):
+    """In a checkpoint, a setting TrainConfig rejects is corrupted metadata."""
+    with open(tiny_models["crf"], "rb") as handle:
+        blob = handle.read()
+    assert blob.count(b"\nepochs=1\n") == 1
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(blob.replace(b"\nepochs=1\n", b"\nepochs=0\n"))
+    code, out, err = run(capsys, "predict", "--checkpoint", str(bad), "--input", tiny)
+    assert (code, out) == (2, "")
+    assert "corrupt checkpoint metadata: epochs must be >= 1, got 0" in err
+
+
+# every flag that takes a value, on each command that has it
+_FLAGGED = [(command, name) for name, setting in cli._SETTINGS.items()
+            for command in setting.flags if name != "constrained"]
+_CHOICES = sorted({choice for setting in cli._SETTINGS.values()
+                   for choice in setting.choices or ()})
+
+
+def _setting_from(argv, name):
+    """("value", v) for the value Settings gives name under argv, or ("exit",
+    code) if argv is rejected."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return "value", getattr(cli.Settings(cli.build_parser().parse_args(argv)), name)
+    except SystemExit as exc:
+        return "exit", exc.code
+    except cli.UsageError:
+        return "exit", cli.EXIT_USAGE
+
+
+@settings(max_examples=300, deadline=None)
+@given(flagged=st.sampled_from(_FLAGGED),
+       value=st.sampled_from(["-1", "0", "1", "0.5", "1e-6", "nan", "inf", "abc", "", *_CHOICES])
+       | st.text(max_size=4).filter(lambda text: text == text.strip() and text.isprintable()))
+# argparse on Python 3.11 turned `--token-col=--` into [], which reached
+# parse_conll and ended in a traceback
+@example(flagged=("train", "token_col"), value="--")
+@example(flagged=("evaluate", "gold"), value="--")
+@example(flagged=("evaluate", "format"), value="--")
+def test_flag_and_config_key_accept_the_same_values(flagged, value):
+    command, name = flagged
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as handle:
+            handle.write(f"{name}={value}\n")
+        from_flag = _setting_from([command, f"--{name.replace('_', '-')}={value}"], name)
+        from_file = _setting_from([command, "--config", cfg], name)
+    assert repr(from_flag) == repr(from_file)  # repr: nan equals nan
+    assert from_flag[0] == "value" or from_flag[1] == cli.EXIT_USAGE
 
 
 _TRAIN_CONFIG = st.dictionaries(
