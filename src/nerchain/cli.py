@@ -137,8 +137,8 @@ _SETTINGS = _table(
     output=_Setting(flags={"predict": "output file (default stdout)"}),
     embeddings=_Setting(flags={"train": "precomputed embedding file; omit to train a lookup table",
                                "predict": "embedding file for the input sentences"}),
-    constrained=_Setting(_str2bool, False, flags={
-        "predict": "force BIO-valid decoding (default for the linear head)"}),
+    constrained=_Setting(_str2bool, flags={
+        "predict": "BIO-valid decoding (default on for the linear head)"}),
     repair=_Setting(choices=REPAIR_MODES, flags={
         "predict": "post-hoc repair mode applied to predictions",
         "evaluate": "repair mode applied before scoring (default convert)",
@@ -222,13 +222,9 @@ def _flag_arguments(command: str):
     """(flag, add_argument keywords) of each setting with a flag on command."""
     for name, setting in _SETTINGS.items():
         if command in setting.flags:  # an unset switch is None: the config decides
-            kind = ({"action": "store_true", "default": None} if setting.convert is _str2bool
+            kind = ({"action": argparse.BooleanOptionalAction} if setting.convert is _str2bool
                     else {"type": setting.convert, "choices": setting.choices})
             yield "--" + name.replace("_", "-"), {"help": setting.flags[command], **kind}
-
-
-# derived once: main() builds a parser on every call
-_FLAG_ARGUMENTS = {command: list(_flag_arguments(command)) for command in _COMMAND_HELP}
 
 
 def build_parser() -> _Parser:
@@ -237,7 +233,7 @@ def build_parser() -> _Parser:
     for command, (help_text, description) in _COMMAND_HELP.items():
         p = sub.add_parser(command, help=help_text, description=description)
         p.add_argument("--config", help="flat key=value settings file; flags override it")
-        for flag, keywords in _FLAG_ARGUMENTS[command]:
+        for flag, keywords in _flag_arguments(command):
             p.add_argument(flag, **keywords)
     return parser
 
@@ -301,11 +297,10 @@ def cmd_predict(settings: Settings) -> int:
     if settings.embeddings:
         embeddings = _read(settings.embeddings, EmbeddingError, load_embeddings, corpus)
 
-    # an unforced run keeps the architecture's default; a diverged model's
-    # overflow ends in a CrfError (exit 2 or 3), not in numpy warnings
+    # a diverged model's overflow ends in a CrfError (exit 2 or 3), not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
-                                              settings.constrained or None)
+                                              settings.constrained)
     if settings.repair:  # the whole corpus in one pass
         tags, starts = flat_tags(predictions)
         repaired = repair_bio(voc, tags, settings.repair, starts=starts).tags.tolist()

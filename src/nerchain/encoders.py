@@ -27,8 +27,8 @@ checkpoint can treat every architecture uniformly. Keys:
 
 Forward passes are pure given parameters and input; every forward returns a
 cache consumed exactly once by its backward. Backward passes are exact
-reverse-mode gradients. Dropout uses inverted scaling and is applied only in
-training mode, so evaluation is deterministic.
+reverse-mode gradients. Dropout uses inverted scaling and is applied only at
+a rate above 0; evaluation passes none, so it is deterministic.
 
 The LSTM cell is the standard 4-gate form: gate order (i, f, g, o) with
 sigmoid/sigmoid/tanh/sigmoid, c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t),
@@ -76,9 +76,9 @@ def _uniform(rng, shape):
     return rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
 
 
-def _dropout(values, rate, rng, train):
-    """Inverted dropout in training mode: (values, mask), mask None when off."""
-    if not (train and rate > 0.0):
+def _dropout(values, rate, rng):
+    """Inverted dropout at a rate above 0: (values, mask), mask None when off."""
+    if not rate > 0.0:
         return values, None
     if rate >= 1.0:
         raise EncoderError(f"dropout rate must be in [0, 1), got {rate}")
@@ -111,8 +111,7 @@ class EmbedCache:
     table_shape: tuple | None
 
 
-def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0,
-          rng=None, train: bool = False):
+def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0, rng=None):
     """Token representations for one sentence, (n, d) plus backward cache."""
     if source.table is None:
         base = source.embeddings[sentence.id]
@@ -128,16 +127,16 @@ def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0,
         x = source.table[indices].astype(np.float64)
         shape = source.table.shape
 
-    x, mask = _dropout(x, dropout, rng, train)
+    x, mask = _dropout(x, dropout, rng)
     return x, EmbedCache(mask, indices, shape)
 
 
 def embed_backward(cache: EmbedCache, grad_x: np.ndarray) -> dict:
     """Gradient of the embedding table; empty for ingested sources."""
-    if cache.mask is not None:
-        grad_x = grad_x * cache.mask
     if cache.indices is None:
         return {}
+    if cache.mask is not None:
+        grad_x = grad_x * cache.mask
     grad_table = np.zeros(cache.table_shape)
     np.add.at(grad_table, cache.indices, grad_x)
     return {"embed.table": grad_table}
@@ -309,8 +308,7 @@ def project_backward(features: np.ndarray, params: dict, grad_scores: np.ndarray
 # FC softmax head
 
 
-def fc_head_forward(x: np.ndarray, params: dict, dropout: float = 0.0,
-                    rng=None, train: bool = False):
+def fc_head_forward(x: np.ndarray, params: dict, dropout: float = 0.0, rng=None):
     """Two affine layers with relu between, then per-token log-softmax.
 
     Returns (log_probs, cache); probability rows sum to 1.
@@ -319,7 +317,7 @@ def fc_head_forward(x: np.ndarray, params: dict, dropout: float = 0.0,
     if x.ndim != 2 or x.shape[1] != w1.shape[1]:
         raise EncoderError(f"input shape {x.shape} does not match W1 {w1.shape}")
     z1 = x @ w1.T + b1
-    hidden, mask = _dropout(np.maximum(z1, 0.0), dropout, rng, train)
+    hidden, mask = _dropout(np.maximum(z1, 0.0), dropout, rng)
     logits = hidden @ w2.T + b2
     shift = logits - logits.max(axis=1, keepdims=True)
     log_probs = shift - np.log(np.exp(shift).sum(axis=1, keepdims=True))
@@ -397,17 +395,16 @@ class EmissionCache:
     z1: np.ndarray | None = None  # linear only: the first layer before relu
 
 
-def emissions_forward(arch: str, params: dict, x: np.ndarray, dropout: float = 0.0,
-                      rng=None, train: bool = False):
+def emissions_forward(arch: str, params: dict, x: np.ndarray, dropout: float = 0.0, rng=None):
     """Per-tag scores (n, k) of one sentence plus backward cache: emissions
     for the CRF heads, log-probabilities for the linear head."""
     if arch == "linear":
-        return fc_head_forward(x, params, dropout, rng, train)
+        return fc_head_forward(x, params, dropout, rng)
     if arch == "crf":
         return project(x, params), EmissionCache(x, None)
     if arch == "bilstm-crf":
         hidden, lstm_cache = bilstm_forward(x, params)
-        hidden, mask = _dropout(hidden, dropout, rng, train)
+        hidden, mask = _dropout(hidden, dropout, rng)
         return project(hidden, params), EmissionCache(hidden, mask, lstm_cache)
     raise EncoderError(f"unknown architecture {arch!r}")
 

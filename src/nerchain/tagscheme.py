@@ -86,12 +86,6 @@ class TagVocabulary:
             tags.append(f"B-{name}")
             tags.append(f"I-{name}")
         object.__setattr__(self, "tags", tuple(tags))
-        # hashed once: the per-vocabulary caches below look the vocabulary up on
-        # every call, and the generated hash would rehash both dataclasses each time
-        object.__setattr__(self, "_hash", hash((self.entity_types, self.tags)))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def k(self) -> int:

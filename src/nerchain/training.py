@@ -197,7 +197,7 @@ class TrainConfig:
                 raise TrainingError(f"{name} must be >= 1")
         if self.seed < 0:  # numpy seeds with non-negative integers only
             raise TrainingError(f"seed must be >= 0, got {self.seed}")
-        LrSchedule(self.lr_min, self.lr_max, self.cycle_length or 2)
+        LrSchedule(self.lr_min, self.lr_max, 2 if self.cycle_length is None else self.cycle_length)
 
 
 # field name -> value type (`int | None` reads as int), in declaration order:
@@ -218,7 +218,7 @@ class EpochStats:
 
 
 def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng):
-    scores, cache = emissions_forward(arch, params, x, dropout=dropout, rng=rng, train=True)
+    scores, cache = emissions_forward(arch, params, x, dropout, rng)
     if arch == "linear":
         loss, d_scores = cross_entropy_and_grads(scores, gold)
         head_grads = {}
@@ -232,15 +232,10 @@ def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng):
     return loss, grads
 
 
-def default_constrained(arch: str) -> bool:
-    """CRF heads learn transitions and decode freely; the softmax head cannot,
-    so it gets the hard BIO mask by default."""
-    return arch == "linear"
-
-
 def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
-                   constrained: bool) -> list[list[int]]:
-    """Predicted tag indices for every sentence (evaluation mode). The linear
+                   constrained: bool | None = None) -> list[list[int]]:
+    """Predicted tag indices for every sentence (no dropout), under the
+    hard BIO mask if constrained; None is the head's default. The linear
     head's log-probabilities are decoded with zero transitions. Every head
     decodes the corpus longest first, DECODE_BATCH sentences per batch: one
     emissions_batch call and one viterbi_decode call each. A failing corpus
@@ -249,26 +244,28 @@ def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
     voc = corpus.tag_vocabulary
     trans = (TransitionMatrix.zeros(voc) if arch == "linear"
              else TransitionMatrix(params["crf.trans"]))
+    if constrained is None:  # CRF heads learn transitions and decode freely; the
+        constrained = arch == "linear"  # softmax head cannot, so it gets the BIO mask
     mask = transition_mask(voc) if constrained else None
     sentences = corpus.sentences
     layout = LengthLayout(len(s) for s in sentences)
     paths = []
     try:
         for start in range(0, len(sentences), DECODE_BATCH):
-            xs = [embed(sentences[j], source, train=False)[0]
+            xs = [embed(sentences[j], source)[0]
                   for j in layout.order[start:start + DECODE_BATCH]]
             decoded = viterbi_decode(emissions_batch(arch, params, xs), trans, mask)
             paths += [path for path, _ in decoded]
     except ValueError:  # raise what the first failing sentence in input order raises alone
         for sent in sentences:
-            x = embed(sent, source, train=False)[0]
+            x = embed(sent, source)[0]
             viterbi_decode(emissions_forward(arch, params, x)[0], trans, mask)
         raise
     return layout.unstack(paths)
 
 
-def evaluate_corpus(arch, params, corpus, source, constrained):
-    return score(corpus, predict_corpus(arch, params, corpus, source, constrained))
+def evaluate_corpus(arch, params, corpus, source):
+    return score(corpus, predict_corpus(arch, params, corpus, source))
 
 
 # ---------------------------------------------------------------------------
@@ -501,9 +498,8 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
     source = EmbeddingSource(embeddings, params.get("embed.table"), token_vocab)
 
     sentences = list(train_corpus.sentences)
-    cycle = config.cycle_length or max(2, 2 * len(sentences))
+    cycle = max(2, 2 * len(sentences)) if config.cycle_length is None else config.cycle_length
     schedule = LrSchedule(config.lr_min, config.lr_max, cycle)
-    constrained = default_constrained(config.arch)
 
     best_params: dict[str, np.ndarray] = {}
     history: list[EpochStats] = []
@@ -516,8 +512,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                 total_nll = 0.0
                 for idx in order:
                     sent = sentences[idx]
-                    x, embed_cache = embed(sent, source, dropout=config.dropout, rng=rng,
-                                           train=True)
+                    x, embed_cache = embed(sent, source, config.dropout, rng)
                     loss, grads = _loss_and_grads(config.arch, params, x, sent.gold_tags,
                                                   embed_cache, config.dropout, rng)
                     if not np.isfinite(loss):
@@ -534,7 +529,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                     total_nll += loss
                 mean_nll = total_nll / len(sentences)
 
-                report = evaluate_corpus(config.arch, params, dev_corpus, source, constrained)
+                report = evaluate_corpus(config.arch, params, dev_corpus, source)
                 stats = EpochStats(epoch, mean_nll, report)
                 history.append(stats)
                 logger.info(
@@ -556,9 +551,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
 def predict_with_checkpoint(checkpoint: Checkpoint, corpus: Corpus,
                             embeddings: EmbeddingSet | None = None,
                             constrained: bool | None = None) -> list[list[int]]:
-    """Decode a corpus with a trained model."""
+    """Decode a corpus with a trained model; constrained as predict_corpus."""
     ensure_compatible(checkpoint, corpus.tag_vocabulary)
     source = checkpoint.embedding_source(embeddings)
-    if constrained is None:
-        constrained = default_constrained(checkpoint.config.arch)
     return predict_corpus(checkpoint.config.arch, checkpoint.params, corpus, source, constrained)

@@ -176,7 +176,8 @@ class TestHelpAndUsage:
             checked = []
             for entry in re.split(r" (?=--[a-z])", help_text):
                 flag, stated = entry.split()[0][2:], re.search(r"\(default ([^),]+)", entry)
-                if stated and flag != "constrained":  # its default is a behaviour
+                # constrained's default, under either spelling, is a behaviour
+                if stated and flag not in ("constrained", "no-constrained"):
                     assert type(used[flag])(stated[1]) == used[flag], (argv[0], flag)
                     checked.append(flag)
             assert checked, argv[0]
@@ -324,6 +325,7 @@ class TestTrain:
         (["--lr-min", "1", "--lr-max", "0.1"], "", "need 0 < lr_min <= lr_max, got (1.0, 0.1)"),
         ([], "epochs=0\n", "epochs must be >= 1, got 0"),
         ([], "seed=-1\n", "seed must be >= 0, got -1"),
+        ([], "cycle_length=0\n", "cycle_length must be >= 2, got 0"),
     ])
     def test_rejected_training_setting_is_a_usage_error(self, capsys, tiny, tmp_path, extra,
                                                         config, message):
@@ -441,6 +443,21 @@ class TestPredict:
         pred = parse_conll(out, VOC)
         for sent in pred:
             assert count_invalid_transitions(VOC, sent.gold_tags) == 0
+
+    @pytest.mark.parametrize("config, flags", [("constrained=no\n", []),
+                                               ("constrained=yes\n", ["--no-constrained"])])
+    def test_unconstrained_linear_model_decodes_without_the_mask(self, capsys, tiny, tmp_path,
+                                                                 tiny_models, config, flags):
+        checkpoint = training.load_checkpoint(tiny_models["linear"])
+        corpus = parse_conll(TINY, VOC)
+        free = training.predict_with_checkpoint(checkpoint, corpus, constrained=False)
+        assert free != training.predict_with_checkpoint(checkpoint, corpus)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, out, _ = run(capsys, "predict", "--checkpoint", tiny_models["linear"],
+                           "--input", tiny, "--config", str(cfg), *flags)
+        assert code == 0
+        assert [list(s.gold_tags) for s in parse_conll(out, VOC)] == free
 
     def test_vocabulary_mismatch_exits_two(self, capsys, tiny, tmp_path):
         ckpt = self.memorize(capsys, tiny, tmp_path)
@@ -702,13 +719,13 @@ _EDITS = st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_siz
        embeddings=st.none() | st.just(TINY_EMB.encode("utf-8")) | HOSTILE
        | _EDITS.map(lambda edits: _corrupt(TINY_EMB.encode("utf-8"), edits)),
        edits=_EDITS,
-       constrained=st.booleans())
+       constrained=st.sampled_from([None, True, False]))
 @example(model="crf", data=b" #tag _ _ O\nx _ _ O\n", config=None, embeddings=None, edits=[],
-         constrained=False)
+         constrained=None)
 # the last weight of the model becomes 1.7e308, or nan: the emissions overflow
 # in the matmul, and the run must exit 2 with no numpy warning (an error here)
 @example(model="crf-emb", data=TINY.encode("utf-8"), config=None,
-         embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0x7F), (1, 0xEF)], constrained=False)
+         embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0x7F), (1, 0xEF)], constrained=None)
 @example(model="crf-emb", data=TINY.encode("utf-8"), config=None,
          embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0xFF), (1, 0xFF)], constrained=True)
 def test_predict_on_arbitrary_bytes_ends_in_an_exit_code(tiny_models, model, data, config,
@@ -720,7 +737,7 @@ def test_predict_on_arbitrary_bytes_ends_in_an_exit_code(tiny_models, model, dat
             checkpoint = _corrupt(handle.read(), edits)
         output = os.path.join(tmp, "out.conll")
         argv = ["predict", "--output", output]
-        argv += ["--constrained"] if constrained else []
+        argv += {None: [], True: ["--constrained"], False: ["--no-constrained"]}[constrained]
         for flag, content in (("--checkpoint", checkpoint), ("--input", data),
                               ("--config", config), ("--embeddings", embeddings)):
             if content is not None:
@@ -749,7 +766,8 @@ def test_checkpoint_with_a_rejected_setting_exits_two(capsys, tiny_models, tiny,
     assert "corrupt checkpoint metadata: epochs must be >= 1, got 0" in err
 
 
-# every flag that takes a value, on each command that has it
+# every flag that takes a value, on each command that has it; the constrained
+# switch takes none and has its own test below
 _FLAGGED = [(command, name) for name, setting in cli._SETTINGS.items()
             for command in setting.flags if name != "constrained"]
 _CHOICES = sorted({choice for setting in cli._SETTINGS.values()
@@ -787,6 +805,21 @@ def test_flag_and_config_key_accept_the_same_values(flagged, value):
         from_file = _setting_from([command, "--config", cfg], name)
     assert repr(from_flag) == repr(from_file)  # repr: nan equals nan
     assert from_flag[0] == "value" or from_flag[1] == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("flags, config, expected", [
+    ([], "", None), (["--constrained"], "", True), (["--no-constrained"], "", False),
+    ([], "constrained=yes\n", True), ([], "constrained=no\n", False),
+    (["--constrained"], "constrained=no\n", True),
+    (["--no-constrained"], "constrained=yes\n", False),
+])
+def test_constrained_flag_and_config_key_agree(tmp_path, flags, config, expected):
+    """--constrained is constrained=yes, --no-constrained is constrained=no, a
+    flag wins over the file, and neither leaves None, the head's default."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = ["predict", "--config", str(cfg), *flags]
+    assert _setting_from(argv, "constrained") == ("value", expected)
 
 
 _TRAIN_CONFIG = st.dictionaries(

@@ -64,16 +64,27 @@ class TestEmbed:
         assert source.embeddings["s0"][0, 0] == matrix[0, 0]
 
     def test_eval_mode_ignores_dropout(self):
+        # evaluation passes no rate; a zero or negative one draws nothing
         source, matrix = self.make_ingested()
-        x, _ = embed(SENT, source, dropout=0.5, rng=np.random.default_rng(1), train=False)
-        assert np.array_equal(x, matrix)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        for rate in (0.0, -0.5):
+            x, cache = embed(SENT, source, dropout=rate, rng=rng)
+            assert np.array_equal(x, matrix) and cache.mask is None
+        assert rng.bit_generator.state == state
 
     def test_train_dropout_scales(self):
         source, matrix = self.make_ingested()
-        x, cache = embed(SENT, source, dropout=0.5, rng=np.random.default_rng(1), train=True)
+        x, cache = embed(SENT, source, dropout=0.5, rng=np.random.default_rng(1))
         kept = x != 0.0
         assert np.allclose(x[kept], 2.0 * matrix[kept])
         assert cache.mask is not None
+
+    def test_rate_of_one_or_more_raises(self):
+        source, _ = self.make_ingested()
+        for rate in (1.0, 1.5):
+            with pytest.raises(EncoderError, match="dropout rate must be in"):
+                embed(SENT, source, dropout=rate, rng=np.random.default_rng(1))
 
     def test_missing_sentence_id(self):
         source, _ = self.make_ingested()
@@ -402,9 +413,11 @@ class TestFcHead:
         rng = np.random.default_rng(29)
         params = init_params("linear", 3, k=4, fc_size=8, rng=rng)
         x = rng.standard_normal((5, 3))
-        one, _ = fc_head_forward(x, params, dropout=0.5, rng=np.random.default_rng(1))
-        two, _ = fc_head_forward(x, params, dropout=0.5, rng=np.random.default_rng(2))
+        one, _ = fc_head_forward(x, params, rng=np.random.default_rng(1))
+        two, _ = fc_head_forward(x, params, rng=np.random.default_rng(2))
         assert np.array_equal(one, two)
+        dropped, _ = fc_head_forward(x, params, dropout=0.5, rng=np.random.default_rng(1))
+        assert not np.array_equal(one, dropped)  # a rate is training mode
 
     def test_rows_sum_to_one_and_match_naive(self):
         rng = np.random.default_rng(31)
