@@ -125,8 +125,8 @@ _COMMAND_HELP = {
 _SETTINGS = _table(
     token_col=_Setting(int, 0, flags=dict.fromkeys(
         _COMMAND_HELP, "token column in input files (default 0)")),
-    tag_col=_Setting(int, -1, flags=dict.fromkeys(
-        _COMMAND_HELP, "tag column in input files (default -1, the last column)")),
+    tag_col=_Setting(int, -1, flags=dict.fromkeys(("train", "evaluate", "inspect"),
+        "tag column in input files (default -1, the last column)")),  # predict reads no tags
     train_file=_Setting(flags={"train": "labeled training file"}),
     dev_file=_Setting(flags={"train": "labeled validation file"}),
     gold=_Setting(flags=dict.fromkeys(("evaluate", "inspect"), "gold labeled file")),

@@ -165,7 +165,7 @@ def write_conll(corpus: Corpus, stream, tags=None) -> None:
     """
     if tags is not None and len(tags) != len(corpus.sentences):
         raise ConllError(f"{len(tags)} tag sequences for {len(corpus.sentences)} sentences")
-    names = corpus.tag_vocabulary.tags + ("<START>", "<STOP>")
+    names = corpus.tag_vocabulary.tags
     for pos, sent in enumerate(corpus.sentences):
         seq = tags[pos] if tags is not None else sent.gold_tags
         if seq is None or len(seq) != len(sent):

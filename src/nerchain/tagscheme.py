@@ -155,39 +155,35 @@ def is_valid_transition(voc: TagVocabulary, from_tag: int, to_tag: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=16)
 def transition_mask(voc: TagVocabulary) -> np.ndarray:
     """(k+2)x(k+2) boolean mask, True where a transition is BIO-valid.
 
     Cells into START and out of STOP are structurally impossible and masked
-    False; decoders never consult them. Built once per vocabulary (which is
-    frozen and hashable) and shared, so the array is read-only.
+    False; decoders never consult them. Built once per vocabulary with its
+    other tables and shared, so the array is read-only.
     """
-    n = voc.k + 2
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            mask[i, j] = is_valid_transition(voc, i, j)
-    mask[:, voc.start_index] = False
-    mask[voc.stop_index, :] = False
-    mask.flags.writeable = False
-    return mask
+    return _tables(voc).mask
 
 
 class _Tables(NamedTuple):
     begin: np.ndarray  # per real tag: is it a B tag
     inside: np.ndarray  # per real tag: is it an I tag
     type_index: np.ndarray  # per real tag: its entity type's index, -1 for O
+    mask: np.ndarray  # per tag pair, virtual states included: transition_mask
 
 
 @functools.lru_cache(maxsize=16)
 def _tables(voc: TagVocabulary) -> _Tables:
-    """Per-tag lookups for the kernel, built once per vocabulary from the
-    predicates and shared, so the arrays are read-only."""
+    """Per-tag lookups for the kernel and the decoders, built once per (frozen,
+    hashable) vocabulary from the predicates and shared, so they are read-only."""
     names = voc.entity_types.types
+    n = voc.k + 2
+    mask = np.array([[is_valid_transition(voc, i, j) for j in range(n)] for i in range(n)])
+    mask[:, voc.start_index] = mask[voc.stop_index, :] = False
     tables = _Tables(np.array([voc.is_begin(t) for t in range(voc.k)]),
                      np.array([voc.is_inside(t) for t in range(voc.k)]),
-                     np.array([-1] + [names.index(voc.type_of(t)) for t in range(1, voc.k)]))
+                     np.array([-1] + [names.index(voc.type_of(t)) for t in range(1, voc.k)]),
+                     mask)
     for table in tables:
         table.flags.writeable = False
     return tables

@@ -145,9 +145,9 @@ def clip_global_norm(grads: dict, max_norm: float = GRAD_CLIP_NORM) -> float:
 class LrSchedule:
     """Triangular wave from lr_min up to lr_max and back, period cycle_length."""
 
-    lr_min: float = 1e-6
-    lr_max: float = 1e-4
-    cycle_length: int = 2
+    lr_min: float
+    lr_max: float
+    cycle_length: int
 
     def __post_init__(self):
         if not 0.0 < self.lr_min <= self.lr_max:
@@ -239,8 +239,8 @@ def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
     head's log-probabilities are decoded with zero transitions. Every head
     decodes the corpus longest first, DECODE_BATCH sentences per batch: one
     emissions_batch call and one viterbi_decode call each. A failing corpus
-    is decoded again one sentence at a time, in input order, so that it
-    raises the error of its first failing sentence."""
+    is decoded again by the same loop in batches of one, in input order, so
+    that it raises the error of its first failing sentence."""
     voc = corpus.tag_vocabulary
     trans = (TransitionMatrix.zeros(voc) if arch == "linear"
              else TransitionMatrix(params["crf.trans"]))
@@ -248,20 +248,19 @@ def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
         constrained = arch == "linear"  # softmax head cannot, so it gets the BIO mask
     mask = transition_mask(voc) if constrained else None
     sentences = corpus.sentences
+
+    def paths(order, size):
+        for start in range(0, len(order), size):
+            xs = [embed(sentences[j], source)[0] for j in order[start:start + size]]
+            for path, _ in viterbi_decode(emissions_batch(arch, params, xs), trans, mask):
+                yield path
+
     layout = LengthLayout(len(s) for s in sentences)
-    paths = []
     try:
-        for start in range(0, len(sentences), DECODE_BATCH):
-            xs = [embed(sentences[j], source)[0]
-                  for j in layout.order[start:start + DECODE_BATCH]]
-            decoded = viterbi_decode(emissions_batch(arch, params, xs), trans, mask)
-            paths += [path for path, _ in decoded]
+        return layout.unstack(paths(layout.order, DECODE_BATCH))
     except ValueError:  # raise what the first failing sentence in input order raises alone
-        for sent in sentences:
-            x = embed(sent, source)[0]
-            viterbi_decode(emissions_forward(arch, params, x)[0], trans, mask)
+        list(paths(range(len(sentences)), 1))
         raise
-    return layout.unstack(paths)
 
 
 def evaluate_corpus(arch, params, corpus, source):
@@ -373,6 +372,9 @@ def _serialize(checkpoint: Checkpoint) -> bytes:
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Serialize; atomic on the destination (no partial file is left behind)."""
+    for token in checkpoint.token_vocab.tokens if checkpoint.token_vocab is not None else ():
+        if token.split() != [token]:  # load reads the tokens back with split()
+            raise CheckpointError(f"token {token!r} cannot be stored in a checkpoint")
     blob = _serialize(checkpoint)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")

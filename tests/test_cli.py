@@ -459,6 +459,21 @@ class TestPredict:
         assert code == 0
         assert [list(s.gold_tags) for s in parse_conll(out, VOC)] == free
 
+    def test_only_the_commands_that_read_tags_take_a_tag_column(self, capsys, tiny, tmp_path,
+                                                                tiny_models):
+        predict = ["predict", "--checkpoint", tiny_models["crf"], "--input", tiny]
+        code, out, err = run(capsys, *predict, "--tag-col", "0")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --tag-col 0" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tag_col=0\n")  # one config file may serve every command
+        assert run(capsys, *predict, "--config", str(cfg))[0] == 0
+        for argv in (["train", "--train-file", tiny, "--dev-file", tiny, "--epochs", "1",
+                      "--checkpoint", str(tmp_path / "m.ckpt")],
+                     ["evaluate", "--gold", tiny, "--pred", tiny],
+                     ["inspect", "--gold", tiny, "--pred", tiny]):
+            assert run(capsys, *argv, "--tag-col", "3")[0] == 0, argv[0]
+
     def test_vocabulary_mismatch_exits_two(self, capsys, tiny, tmp_path):
         ckpt = self.memorize(capsys, tiny, tmp_path)
         cfg = tmp_path / "small.cfg"

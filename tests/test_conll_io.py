@@ -168,12 +168,10 @@ class TestWriteConll:
             with pytest.raises(ConllError, match="cannot be serialized"):
                 write_conll(corpus, io.StringIO())
         corpus = Corpus((Sentence("s0", ("a",)),), VOC)
-        with pytest.raises(TagSchemeError, match=f"^tag index out of range: {VOC.k + 2}$"):
-            write_conll(corpus, io.StringIO(), tags=[[VOC.k + 2]])
-        out = io.StringIO()
-        write_conll(Corpus((Sentence("s0", ("a", "b")),), VOC), out,
-                    tags=[[VOC.start_index, VOC.stop_index]])
-        assert out.getvalue() == "# id s0\na _ _ <START>\nb _ _ <STOP>\n\n"
+        # the virtual START and STOP states are no tags of a file either
+        for index in (VOC.start_index, VOC.stop_index, VOC.k + 2):
+            with pytest.raises(TagSchemeError, match=f"^tag index out of range: {index}$"):
+                write_conll(corpus, io.StringIO(), tags=[[index]])
 
     def test_explicit_tags_override(self):
         corpus = parse_conll(MINIMAL, VOC)

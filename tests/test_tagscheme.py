@@ -122,7 +122,7 @@ class TestIsValidTransition:
         real = range(voc.k)
         names = voc.entity_types.types
         expected = [[voc.is_begin(t) for t in real], [voc.is_inside(t) for t in real],
-                    [-1 if t == 0 else names.index(voc.type_of(t)) for t in real]]
+                    [-1 if t == 0 else names.index(voc.type_of(t)) for t in real], mask]
         assert [table.tolist() for table in _tables(voc)] == expected
         assert not any(table.flags.writeable for table in _tables(voc))
         assert transition_mask(voc).tolist() == mask

@@ -4,6 +4,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -421,6 +422,19 @@ class TestCheckpointIO:
             assert loaded == checkpoint
             save_checkpoint(loaded, tmp_path / "again.ckpt")
             assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("token", ["a b", "a\u2028b", "a\x1cb", "a\n", ""])
+    def test_a_token_the_metadata_cannot_hold_is_refused_before_any_file(self, tmp_path,
+                                                                         token):
+        # a library-built corpus can hold such a token and train on it; its
+        # checkpoint would not load back (the table would have the wrong shape)
+        corpus = Corpus((Sentence("s0", ("x", token), (0, 0)),), VOC)
+        checkpoint, _ = train(corpus, corpus, TrainConfig(epochs=1, dim=2))
+        assert token in checkpoint.token_vocab.tokens
+        with pytest.raises(CheckpointError,
+                           match=f"^token {re.escape(repr(token))} cannot be stored"):
+            save_checkpoint(checkpoint, tmp_path / "c.ckpt")
+        assert os.listdir(tmp_path) == []
 
     def test_equal_exactly_when_bytes_match(self):
         base = self.checkpoints()[2]  # the one with a token vocabulary
