@@ -11,12 +11,13 @@ decimal floats per token, sentences separated by blank lines.
 """
 
 import io
+from functools import cached_property
 from itertools import repeat
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tagscheme import TagSchemeError, TagVocabulary
+from .tagscheme import TagSchemeError, TagVocabulary, flat_tags
 
 PAD_INDEX = 0
 UNK_INDEX = 1
@@ -71,6 +72,14 @@ class Corpus:
 
     def __len__(self):
         return len(self.sentences)
+
+    @cached_property
+    def flat_gold(self) -> tuple[np.ndarray, np.ndarray]:
+        """The gold tags end to end and each sentence's start offset, as
+        tagscheme.flat_tags gives them, flattened once and read-only."""
+        tags, starts = flat_tags([sent.gold_tags for sent in self.sentences])
+        tags.flags.writeable = starts.flags.writeable = False
+        return tags, starts
 
 
 def _id_line(line: str) -> str | None:

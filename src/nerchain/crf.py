@@ -16,7 +16,10 @@ arrays of the same layout (max over the reduced axis, a shift of 0 where that
 max is not finite, exp, sum, log, add the shift back). The kernels only
 reuse buffers and skip the per-call overhead, so every result is bit-identical
 to the per-step log-sum-exp recursion; the tests hold them to that reference
-(tests/oracles.py) bit for bit.
+(tests/oracles.py) bit for bit. The marginals run the alpha and beta
+recursions in one time loop (_alpha_beta): each pass keeps its own max and
+sum, whose order depends on the reduced axis, and only the elementwise calls
+(exp, log, adding the shift back) run over both at once.
 """
 
 import math
@@ -164,30 +167,6 @@ def _forward(P: np.ndarray, A: TransitionMatrix, guard: bool = False):
     return log_alpha, log_z
 
 
-def _backward(P: np.ndarray, A: TransitionMatrix, guard: bool = False) -> np.ndarray:
-    """Backward algorithm on checked input: log_beta (n, k), with
-    log_beta[n-1] the STOP column. As in _forward, a max that is not finite
-    leaves nan in log_beta[0], and the pass is rerun with the guard."""
-    n, k = P.shape
-    av = A.values
-    trans = av[:k, :k]
-    log_beta = np.empty((n, k))
-    log_beta[n - 1] = av[:k, k + 1]
-    cols = log_beta[:, :, None]
-    buf = np.empty((k, k))
-    shift = np.empty((k, 1))
-    ahead = np.empty(k)
-    with np.errstate(invalid="ignore"):
-        for t in range(n - 2, -1, -1):
-            np.add(P[t + 1], log_beta[t + 1], out=ahead)
-            np.add(trans, ahead, out=buf)
-            _log_sum_exp(buf, 1, shift, cols[t], guard)
-    if not guard and not np.isfinite(log_beta[0]).all():
-        with np.errstate(divide="ignore"):
-            return _backward(P, A, guard=True)
-    return log_beta
-
-
 def log_partition(P: np.ndarray, A: TransitionMatrix) -> float:
     """log sum over all k^n paths of exp(sequence_score), by the forward algorithm."""
     P, _ = _check(P, A)
@@ -217,10 +196,61 @@ class Marginals:
     log_z: float
 
 
+def _alpha_beta(P: np.ndarray, A: TransitionMatrix, guard: bool = False):
+    """The forward and backward algorithms on checked input, in one time loop:
+    (log_alpha, log_beta, log Z), log_beta[n-1] the STOP column.
+
+    Step s takes alpha step s and beta step n-1-s. ab[s] holds alpha row s
+    and beta row n-1-s, so both passes read block s-1 and write block s. Each
+    pass keeps its own max and sum, alpha over axis 0 and beta over axis 1, as
+    in _forward; exp, log and adding back the shift run once over both. A max
+    that is not finite leaves nan in log Z or in log_beta[0] (see _forward),
+    and both passes are then rerun with the guard, which changes nothing in
+    a pass whose maxima are finite."""
+    n, k = P.shape
+    av = A.values
+    trans = av[:k, :k]
+    ab = np.empty((n, 2, k))
+    np.add(av[k, :k], P[0], out=ab[0, 0])
+    ab[0, 1] = av[:k, k + 1]
+    bufs = np.empty((2, k, k))
+    alpha_buf, beta_buf = bufs
+    shifts = np.empty((2, k))
+    alpha_shift, beta_shift = shifts[0, None, :], shifts[1, :, None]
+    ahead = np.empty(k)
+    log_z = np.empty((1, 1))
+    # one view per step and array, so the loop body only calls ufuncs
+    steps = zip(ab[:-1, 0, :, None], ab[:-1, 1], P[:0:-1], ab[1:, 0, None, :],
+                ab[1:, 1, :, None], ab[1:], ab[1:, 0], P[1:])
+    with np.errstate(invalid="ignore"):  # inf - inf: only in an unguarded pass, rerun below
+        for alpha_prev, beta_prev, p_ahead, alpha_out, beta_out, block, alpha_t, p_t in steps:
+            np.add(alpha_prev, trans, out=alpha_buf)
+            np.add(p_ahead, beta_prev, out=ahead)
+            np.add(trans, ahead, out=beta_buf)
+            np.maximum.reduce(alpha_buf, axis=0, out=alpha_shift, keepdims=True)
+            np.maximum.reduce(beta_buf, axis=1, out=beta_shift, keepdims=True)
+            if guard:
+                np.copyto(shifts, 0.0, where=~np.isfinite(shifts))
+            np.subtract(alpha_buf, alpha_shift, out=alpha_buf)
+            np.subtract(beta_buf, beta_shift, out=beta_buf)
+            np.exp(bufs, out=bufs)
+            np.add.reduce(alpha_buf, axis=0, out=alpha_out, keepdims=True)
+            np.add.reduce(beta_buf, axis=1, out=beta_out, keepdims=True)
+            np.log(block, out=block)
+            np.add(block, shifts, out=block)
+            np.add(alpha_t, p_t, out=alpha_t)
+        last = (ab[n - 1, 0] + av[:k, k + 1])[None, :]
+        _log_sum_exp(last, 1, shifts[:1, :1], log_z, guard)
+    log_alpha, log_beta, log_z = ab[:, 0], ab[::-1, 1], log_z.item()
+    if not guard and not (math.isfinite(log_z) and np.isfinite(log_beta[0]).all()):
+        with np.errstate(divide="ignore"):  # log(0) of an all -inf column is -inf
+            return _alpha_beta(P, A, guard=True)
+    return log_alpha, log_beta, log_z
+
+
 def _marginals(P: np.ndarray, A: TransitionMatrix) -> Marginals:
     k = P.shape[1]
-    log_alpha, log_z = _forward(P, A)
-    log_beta = _backward(P, A)
+    log_alpha, log_beta, log_z = _alpha_beta(P, A)
     node = np.exp(log_alpha + log_beta - log_z)
     edge = log_alpha[:-1, :, None] + A.values[:k, :k]
     edge += (P[1:] + log_beta[1:])[:, None, :]

@@ -36,34 +36,43 @@ zero initial state. Weights initialize uniform(-0.1, 0.1); biases zero
 except the forget-gate section, which starts at 1.
 
 Only the recurrence runs in the Python time loop, and one loop serves any
-list of sentences, one included: they are the rows of a crf.LengthLayout
-(longest first, so the rows still running at a step are a prefix) in a
-(steps, rows, 4h) gate array, into which each sentence's input projection
-x @ wx.T + b is written as one matmul (one stacked matmul would send 1-token
-sentences down another BLAS path). A step adds wh @ h_prev to its rows, then
-applies one in-place sigmoid to the gate block, with tanh on the g slice.
-States are kept as (rows, h, 1) columns, for which np.matmul(wh, h_prev)
-makes one BLAS gemv per row, the call wh @ h_prev makes for one sentence;
-the rest is elementwise, so a sentence gets the same bits in any batch
-(h_prev @ wh.T, one gemm, might not). Training passes one sentence, and its
-backward reads a cache of row 0's views; decoding (emissions_batch) passes
-batches and keeps no cache.
+list of sentences, one included, and both directions of each: sentence r of
+a crf.LengthLayout (longest first, so the sentences still running at a step
+are a prefix) puts its forward and backward directions in rows 2r and 2r + 1
+of a (steps, rows, 4h) gate array; both directions of a sentence run the
+same number of steps, so the running rows stay a prefix. Each (sentence,
+direction) input projection x @ wx.T + b is written into its row as one
+matmul (one stacked matmul would send 1-token sentences down another BLAS
+path). A step adds wh @ h_prev to its rows, then applies one in-place sigmoid
+to the gate block, with tanh on the g slice. States are kept as
+(sentences, 2, h, 1) columns against the (2, 4h, h) stack of both
+directions' recurrent weights, for which np.matmul makes one BLAS gemv per
+row, the call wh @ h_prev makes for one direction of one sentence; the rest is
+elementwise, so a sentence gets the same bits in any batch (h_prev @ wh.T, one
+gemm, might not). Training passes one sentence, and its backward reads the
+loop's arrays as a cache (LstmCache); decoding (emissions_batch) passes
+batches and keeps no cache, and there every step writes its c and tanh(c)
+over the step before's, since a step reads only the c before it.
 
-The backward writes each step's gate gradient into a row of dZ and, after
-the loop, forms the weight gradients as one matmul each: dwx = dZ.T @ x,
-dwh = dZ[1:].T @ h[:-1], db = dZ.sum(0), and dx = dZ @ wx. The sums run in
-a different order than a per-step loop would take, so results agree with one
-to rounding, not bits.
+The backward runs one reversed loop over the same rows, and each step forms
+every row's dh_next = dz @ wh as one stacked matmul of (1, 4h) rows against
+the weight stack. It writes each step's gate gradient into a row of dZ and,
+after the loop, forms each direction's weight gradients as one matmul each:
+dwx = dZ.T @ x, dwh = dZ[1:].T @ h[:-1], db = dZ.sum(0), and dx = dZ @ wx.
+The sums run in a different order than a per-step loop would take, so
+results agree with one to rounding, not bits.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .conll_io import EmbeddingError, EmbeddingSet, Sentence, TokenVocabulary
 from .crf import LengthLayout, pin_boundary
 
 ARCHITECTURES = ("crf", "bilstm-crf", "linear")
+DIRECTIONS = ("fw", "bw")  # the BiLSTM's directions, in their row order
 
 INIT_SCALE = 0.1
 
@@ -147,52 +156,64 @@ def embed_backward(cache: EmbedCache, grad_x: np.ndarray) -> dict:
 
 
 @dataclass
-class _LstmCache:
-    x: np.ndarray
-    wx: np.ndarray
-    wh: np.ndarray
-    gates: np.ndarray  # (n, 4h): sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) per step
+class LstmCache:
+    """One sentence's time loop: [t, r] of each (n, 2, .) array is direction
+    DIRECTIONS[r] at its step t. The backward direction steps through the
+    sentence in reverse."""
+
+    x: np.ndarray  # the forward input; the backward direction reads x[::-1]
+    wx: tuple  # each direction's (4h, d) input weights
+    wh: np.ndarray  # (2, 4h, h): each direction's recurrent weights
+    gates: np.ndarray  # (n, 2, 4h): sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) per step
     c: np.ndarray
     tanh_c: np.ndarray
-    h: np.ndarray  # (n, h), h[t] is the state emitted at step t
+    h: np.ndarray  # (n, 2, h), h[t, r] is the state direction r emits at its step t
 
 
-def _lstm_forward(xs, wx, wh, b):
-    """One direction's states for every sentence in xs, from one time loop.
+def _lstm_forward(xs, params):
+    """Both directions' states for every sentence in xs, from one time loop.
 
-    Returns (states, cache): states[j] is the (n_j, h) state matrix of xs[j].
-    The sentences are the rows of one LengthLayout, even one sentence, for
-    which cache is what _lstm_backward reads (row 0's views); else None.
+    Returns (states, cache): states[j] is the (n_j, 2, h) array of xs[j]'s
+    states, indexed as LstmCache.h. Sentence r of the LengthLayout runs its
+    directions in rows 2r and 2r + 1, so the rows still running at a step
+    stay a prefix. cache is set when xs holds one sentence; else None.
     """
-    h = wh.shape[1]
+    wxs, whs, bs = ([params[f"lstm.{d}.{p}"] for d in DIRECTIONS] for p in ("wx", "wh", "b"))
+    h = whs[0].shape[1]
     for x in xs:
         if x.ndim != 2 or x.shape[0] < 1:
             raise EncoderError(f"input must be (n, d) with n >= 1, got {x.shape}")
-        if wx.shape != (4 * h, x.shape[1]) or wh.shape != (4 * h, h) or b.shape != (4 * h,):
-            raise EncoderError(
-                f"inconsistent lstm shapes wx={wx.shape} wh={wh.shape} b={b.shape} d={x.shape[1]}"
-            )
+        for wx, wh, b in zip(wxs, whs, bs):
+            if wx.shape != (4 * h, x.shape[1]) or wh.shape != (4 * h, h) or b.shape != (4 * h,):
+                raise EncoderError(f"inconsistent lstm shapes wx={wx.shape} wh={wh.shape} "
+                                   f"b={b.shape} d={x.shape[1]}")
+    wh = np.stack(whs)
     layout = LengthLayout(len(x) for x in xs)
-    steps, rows = max(layout.lengths, default=0), len(xs)
+    steps, rows = max(layout.lengths, default=0), 2 * len(xs)
     gates = np.empty((steps, rows, 4 * h))  # the input projections; the loop adds wh @ h_prev
     for row, j in enumerate(layout.order):
-        z = gates[:len(xs[j]), row]
-        np.matmul(xs[j], wx.T, out=z)
-        z += b
+        for r, (x, wx, b) in enumerate(zip((xs[j], xs[j][::-1]), wxs, bs)):
+            z = gates[:len(x), 2 * row + r]
+            np.matmul(x, wx.T, out=z)
+            z += b
     split = gates.reshape(steps, rows, 4, h).transpose(0, 2, 1, 3)  # step -> (4, rows, h)
-    cs = np.empty((steps, rows, h)); tc = np.empty((steps, rows, h))
-    cols = np.empty((steps, rows, h, 1))  # states as a stack of (h, 1) columns, so
-    hs = cols[..., 0]  # that matmul(wh, h_prev) makes one gemv call per row
+    if len(xs) == 1:  # the cache keeps every step's c and tanh(c)
+        cs, tc = np.empty((2, steps, rows, h))
+    else:  # a step reads only the c before it, so all steps write one (rows, h) array
+        cs, tc = (as_strided(a, (steps, rows, h), (0, *a.strides)) for a in np.empty((2, rows, h)))
+    cols = np.empty((steps, len(xs), 2, h, 1))  # states as (h, 1) columns, for which
+    hs = cols.reshape(steps, rows, h)  # matmul(wh, h_prev) makes one gemv call per row
     g_all = np.empty((rows, h))
-    rec_all = np.empty((rows, 4 * h, 1))
+    rec_all = np.empty((len(xs), 2, 4 * h, 1))
     h_prev = c_prev = None
     for start, end, count in layout.runs:
+        m = 2 * count  # the running rows
         if start:  # the states the run's rows carry in from the run before
-            h_prev, c_prev = cols[start - 1, :count], cs[start - 1, :count]
+            h_prev, c_prev = h_prev[:count], c_prev[:m]
         # the tanh(g) and wh @ h_prev buffers (the latter as columns and rows)
-        g, rec, rec_rows = g_all[:count], rec_all[:count], rec_all[:count, :, 0]
-        run = (gates[start:end, :count], split[start:end, :, :count], cs[start:end, :count],
-               tc[start:end, :count], hs[start:end, :count], cols[start:end, :count])
+        g, rec, rec_rows = g_all[:m], rec_all[:count], rec_all[:count].reshape(m, 4 * h)
+        run = (gates[start:end, :m], split[start:end, :, :m], cs[start:end, :m],
+               tc[start:end, :m], hs[start:end, :m], cols[start:end, :count])
         # one view per step and array, so the loop body only calls ufuncs
         for z, (i, f, g_z, o), c, tanh_c, h_t, col in zip(*run):
             if h_prev is not None:
@@ -204,51 +225,57 @@ def _lstm_forward(xs, wx, wh, b):
             z += 1.0
             np.reciprocal(z, out=z)
             g_z[...] = g  # ... with tanh on the g slice
-            np.multiply(i, g, out=c)
-            if c_prev is not None:
-                c += f * c_prev
+            if c_prev is None:
+                np.multiply(i, g, out=c)
+            else:  # c may be c_prev itself, so c_prev is read first
+                np.multiply(f, c_prev, out=c)
+                c += i * g
             np.tanh(c, out=tanh_c)
             np.multiply(o, tanh_c, out=h_t)
             h_prev, c_prev = col, c
-    cache = (_LstmCache(xs[0], wx, wh, gates[:, 0], cs[:, 0], tc[:, 0], hs[:, 0])
-             if rows == 1 else None)
-    return layout.unstack(hs[:n, row] for row, n in enumerate(layout.lengths)), cache
+    cache = LstmCache(xs[0], tuple(wxs), wh, gates, cs, tc, hs) if len(xs) == 1 else None
+    by_sentence = hs.reshape(steps, len(xs), 2, h)
+    return layout.unstack(by_sentence[:n, row] for row, n in enumerate(layout.lengths)), cache
 
 
-def _lstm_backward(cache: _LstmCache, grad_h):
-    x, wx, wh, tc = cache.x, cache.wx, cache.wh, cache.tanh_c
-    n, h = cache.h.shape
-    i, f, g, o = cache.gates.reshape(n, 4, h).transpose(1, 0, 2)
-    c_prev = np.zeros((n, h))
+def _lstm_backward(cache: LstmCache, grad_h):
+    """Gradients of both directions from one reversed time loop, given
+    grad_h (n, 2, h), the gradient at cache.h. Returns (dx, dwx, dwh, db) per
+    direction, dx in that direction's step order."""
+    n, _, h = cache.h.shape
+    i, f, g, o = cache.gates.reshape(n, 2, 4, h).transpose(2, 0, 1, 3)
+    tc = cache.tanh_c
+    c_prev = np.zeros((n, 2, h))
     c_prev[1:] = cache.c[:-1]
     # the factors that do not depend on the recurrence, for every step at once:
     # dc = dc_next + dh * dc_dh, dz_(i,f,g) = dc * dz_dc and dz_o = dh * dz_dh
-    dz_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=1)
+    dz_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=2)
     dz_dh = tc * o * (1.0 - o)
     dc_dh = o * (1.0 - tc * tc)
-    dz = np.empty((n, 4, h))  # row t is the gradient at step t's gate pre-activations
-    flat = dz.reshape(n, 4 * h)
-    dh_next = np.zeros(h)
-    dc_next = np.zeros(h)
-    steps = zip(grad_h, dc_dh, dz_dc, dz_dh, f, dz, flat)
-    for grad, dc_dh_t, dz_dc_t, dz_dh_t, f_t, dz_t, dz_flat in reversed(list(steps)):
+    dz = np.empty((2, n, 4 * h))  # dz[r, t] is direction r's gradient at its step t's gates
+    by_step = dz.reshape(2, n, 4, h).transpose(1, 0, 2, 3)  # step -> (2, 4, h)
+    rows = dz.reshape(2, n, 1, 4 * h).transpose(1, 0, 2, 3)  # step -> (2, 1, 4h)
+    dh_next = np.zeros((2, h))
+    dc_next = np.zeros((2, h))
+    rec = np.empty((2, 1, h))
+    steps = zip(grad_h, dc_dh, dz_dc, dz_dh, f, by_step, rows)
+    for grad, dc_dh_t, dz_dc_t, dz_dh_t, f_t, dz_t, dz_rows in reversed(list(steps)):
         dh = grad + dh_next
         dc = dh * dc_dh_t
         dc += dc_next
-        np.multiply(dz_dc_t, dc, out=dz_t[:3])
-        np.multiply(dz_dh_t, dh, out=dz_t[3])
+        np.multiply(dz_dc_t, dc[:, None], out=dz_t[:, :3])
+        np.multiply(dz_dh_t, dh, out=dz_t[:, 3])
         dc_next = dc * f_t
-        dh_next = dz_flat @ wh
+        np.matmul(dz_rows, cache.wh, out=rec)  # one (1, 4h) @ (4h, h) per direction
+        dh_next = rec[:, 0]
     # each weight gradient sums every step's outer product in one matmul;
-    # step 0 has no h_prev, so it adds nothing to dwh
-    dwh = flat[1:].T @ cache.h[:-1]
-    return flat @ wx, flat.T @ x, dwh, flat.sum(axis=0)
-
-
-@dataclass
-class BiLstmCache:
-    fw: _LstmCache
-    bw: _LstmCache
+    # step 0 has no h_prev, so it adds nothing to dwh. The states go in
+    # contiguous, as a one-direction loop wrote them: at h = 1 the matmul is
+    # a gemv, whose sum over a strided vector takes another order.
+    inputs = (cache.x, cache.x[::-1])
+    return [(flat @ wx, flat.T @ x, flat[1:].T @ np.ascontiguousarray(states[:-1]),
+             flat.sum(axis=0))
+            for flat, wx, x, states in zip(dz, cache.wx, inputs, cache.h.transpose(1, 0, 2))]
 
 
 def bilstm_forward(x: np.ndarray, params: dict):
@@ -262,27 +289,22 @@ def bilstm_forward(x: np.ndarray, params: dict):
 
 
 def _bilstm(xs, params):
-    """bilstm_forward of every sentence in xs, one time loop per direction;
-    the caches are set when xs holds one sentence."""
-    fw, cache_fw = _lstm_forward(xs, params["lstm.fw.wx"], params["lstm.fw.wh"],
-                                 params["lstm.fw.b"])
-    bw, cache_bw = _lstm_forward([x[::-1] for x in xs], params["lstm.bw.wx"],
-                                 params["lstm.bw.wh"], params["lstm.bw.b"])
-    outs = [np.concatenate([h_fw, h_bw[::-1]], axis=1) for h_fw, h_bw in zip(fw, bw)]
-    return outs, BiLstmCache(cache_fw, cache_bw)
+    """bilstm_forward of every sentence in xs, in one time loop; the cache is
+    set when xs holds one sentence."""
+    states, cache = _lstm_forward(xs, params)
+    return [np.concatenate([s[:, 0], s[::-1, 1]], axis=1) for s in states], cache
 
 
-def bilstm_backward(cache: BiLstmCache, grad_out: np.ndarray):
+def bilstm_backward(cache: LstmCache, grad_out: np.ndarray):
     """Exact gradients through both directions; returns (grad_x, param grads)."""
-    h = cache.fw.h.shape[1]
-    if grad_out.shape != (cache.fw.h.shape[0], 2 * h):
+    n, _, h = cache.h.shape
+    if grad_out.shape != (n, 2 * h):
         raise EncoderError(f"grad shape {grad_out.shape} does not match cache")
-    dx_fw, dwx_fw, dwh_fw, db_fw = _lstm_backward(cache.fw, grad_out[:, :h])
-    dx_bw, dwx_bw, dwh_bw, db_bw = _lstm_backward(cache.bw, grad_out[:, h:][::-1])
-    grads = {
-        "lstm.fw.wx": dwx_fw, "lstm.fw.wh": dwh_fw, "lstm.fw.b": db_fw,
-        "lstm.bw.wx": dwx_bw, "lstm.bw.wh": dwh_bw, "lstm.bw.b": db_bw,
-    }
+    # each direction's gradient in its own step order
+    (dx_fw, *fw), (dx_bw, *bw) = _lstm_backward(
+        cache, np.stack([grad_out[:, :h], grad_out[::-1, h:]], axis=1))
+    grads = {f"lstm.{d}.{p}": grad for d, dir_grads in zip(DIRECTIONS, (fw, bw))
+             for p, grad in zip(("wx", "wh", "b"), dir_grads)}
     return dx_fw + dx_bw[::-1], grads
 
 
@@ -355,7 +377,7 @@ def param_shapes(arch: str, dim: int, k: int, hidden: int = 256, fc_size: int = 
     if vocab_size is not None:
         shapes["embed.table"] = (vocab_size, dim)
     if arch == "bilstm-crf":
-        for d in ("fw", "bw"):
+        for d in DIRECTIONS:
             shapes[f"lstm.{d}.wx"] = (4 * hidden, dim)
             shapes[f"lstm.{d}.wh"] = (4 * hidden, hidden)
             shapes[f"lstm.{d}.b"] = (4 * hidden,)
@@ -390,7 +412,7 @@ def init_params(arch: str, dim: int, k: int, hidden: int = 256, fc_size: int = 5
 class EmissionCache:
     feats: np.ndarray  # input of the output layer (proj.w or fc.w2)
     mask: np.ndarray | None  # dropout mask applied to feats
-    lstm: BiLstmCache | None = None  # bilstm-crf only
+    lstm: LstmCache | None = None  # bilstm-crf only
     x: np.ndarray | None = None  # linear only: the head's input
     z1: np.ndarray | None = None  # linear only: the first layer before relu
 
@@ -411,7 +433,7 @@ def emissions_forward(arch: str, params: dict, x: np.ndarray, dropout: float = 0
 
 def emissions_batch(arch: str, params: dict, xs: list) -> list[np.ndarray]:
     """Evaluation-mode scores of several sentences, bit for bit emissions_forward
-    of each; the bilstm-crf head runs one LSTM time loop per direction for all."""
+    of each; the bilstm-crf head runs one LSTM time loop for all of them."""
     if arch != "bilstm-crf":
         return [emissions_forward(arch, params, x)[0] for x in xs]
     return [project(hidden, params) for hidden in _bilstm(xs, params)[0]]

@@ -6,11 +6,12 @@ sentence. Per-class scores aggregate over the corpus; the macro row is the
 unweighted mean of the per-class values.
 
 A corpus is scored in one array pass: its gold tags and its predictions go
-end to end into one flat array each, tagscheme.bio_pass repairs each array
-and extracts its spans at once, and the spans are matched and counted per
-type as arrays. Only the error listings build Python objects, one per span
-that does not match. Any failure is replayed one sentence at a time, so the
-error raised is that of the first failing sentence.
+end to end into one flat array each (the gold one once per Corpus, which
+keeps it), tagscheme.bio_pass repairs each array and extracts its spans at
+once, and the spans are matched and counted per type as arrays. Only the
+error listings build Python objects, one per span that does not match. Any
+failure is replayed one sentence at a time, so the error raised is that of
+the first failing sentence.
 """
 
 from dataclasses import dataclass, field
@@ -124,7 +125,7 @@ def _match(gold: Corpus, predicted, repair: str):
         )
     voc = gold.tag_vocabulary
     try:
-        gold_tags, starts = flat_tags([sent.gold_tags for sent in gold.sentences])
+        gold_tags, starts = gold.flat_gold
         pred_tags, pred_starts = flat_tags(predicted)
         if len(pred_tags) != len(gold_tags) or not np.array_equal(pred_starts, starts):
             raise ScoringError("predicted and gold tag counts differ")

@@ -7,10 +7,9 @@ code paths it checks.
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
-
-from nerchain.encoders import _LstmCache
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +304,27 @@ def reference_lstm_backward(cache, grad_h):
 
 # ---------------------------------------------------------------------------
 # one LSTM direction of one sentence with the input projection hoisted out of
-# the time loop: the kernel that the batched _lstm_forward must match bit for
-# bit, on every sentence of a batch, and whose cache it must give for one
+# the time loop, and its backward with the weight gradients hoisted out of
+# the reversed loop: the kernels that the two-row _lstm_forward and
+# _lstm_backward must match bit for bit, row by row, on every sentence of a
+# batch, one direction per row
+
+
+class LstmDirection(NamedTuple):
+    """One direction's cache: its input, weights, and per-step (n, .) arrays."""
+
+    x: np.ndarray
+    wx: np.ndarray
+    wh: np.ndarray
+    gates: np.ndarray  # (n, 4h): sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) per step
+    c: np.ndarray
+    tanh_c: np.ndarray
+    h: np.ndarray
 
 
 def reference_lstm_kernel(x, wx, wh, b):
-    """(h, cache): the (n, h) states of one direction and _lstm_backward's cache."""
+    """(h, cache): the (n, h) states of one direction and the LstmDirection
+    that reference_lstm_backward_kernel reads."""
     n = x.shape[0]
     h = wh.shape[1]
     gates = x @ wx.T + b  # every step's input projection; the loop adds wh @ h_prev
@@ -332,7 +346,35 @@ def reference_lstm_kernel(x, wx, wh, b):
         np.tanh(c, out=tanh_c)
         np.multiply(o, tanh_c, out=h_t)
         h_prev, c_prev = h_t, c
-    return hs, _LstmCache(x, wx, wh, gates, cs, tc, hs)
+    return hs, LstmDirection(x, wx, wh, gates, cs, tc, hs)
+
+
+def reference_lstm_backward_kernel(cache, grad_h):
+    """(dx, dwx, dwh, db) of one direction, given its LstmDirection cache and
+    the (n, h) gradient at its states."""
+    x, wx, wh, tc = cache.x, cache.wx, cache.wh, cache.tanh_c
+    n, h = cache.h.shape
+    i, f, g, o = cache.gates.reshape(n, 4, h).transpose(1, 0, 2)
+    c_prev = np.zeros((n, h))
+    c_prev[1:] = cache.c[:-1]
+    dz_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f), i * (1.0 - g * g)], axis=1)
+    dz_dh = tc * o * (1.0 - o)
+    dc_dh = o * (1.0 - tc * tc)
+    dz = np.empty((n, 4, h))  # row t is the gradient at step t's gate pre-activations
+    flat = dz.reshape(n, 4 * h)
+    dh_next = np.zeros(h)
+    dc_next = np.zeros(h)
+    steps = zip(grad_h, dc_dh, dz_dc, dz_dh, f, dz, flat)
+    for grad, dc_dh_t, dz_dc_t, dz_dh_t, f_t, dz_t, dz_flat in reversed(list(steps)):
+        dh = grad + dh_next
+        dc = dh * dc_dh_t
+        dc += dc_next
+        np.multiply(dz_dc_t, dc, out=dz_t[:3])
+        np.multiply(dz_dh_t, dh, out=dz_t[3])
+        dc_next = dc * f_t
+        dh_next = dz_flat @ wh
+    dwh = flat[1:].T @ cache.h[:-1]
+    return flat @ wx, flat.T @ x, dwh, flat.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from nerchain.conll_io import EmbeddingError, EmbeddingSet, Sentence, TokenVocabulary
 from nerchain.encoders import (
     ARCHITECTURES,
+    DIRECTIONS,
     EncoderError,
     EmbeddingSource,
+    _lstm_backward,
     _lstm_forward,
     bilstm_backward,
     bilstm_forward,
@@ -24,9 +26,11 @@ from nerchain.encoders import (
 )
 
 from oracles import (
+    LstmDirection,
     finite_difference,
     max_rel_err,
     reference_lstm_backward,
+    reference_lstm_backward_kernel,
     reference_lstm_forward,
     reference_lstm_kernel,
     scalar_bilstm,
@@ -246,6 +250,14 @@ class TestBiLstmBackward:
                 assert max_rel_err(grads[key], fd[key]) <= 1e-4, (trial, key)
 
 
+def by_direction(cache):
+    """Each direction's name and its one-direction view of bilstm_forward's
+    cache."""
+    for r, (d, x) in enumerate(zip(DIRECTIONS, (cache.x, cache.x[::-1]))):
+        yield d, LstmDirection(x, cache.wx[r], cache.wh[r], cache.gates[:, r], cache.c[:, r],
+                               cache.tanh_c[:, r], cache.h[:, r])
+
+
 def reference_cache(cache):
     """The per-step reference's cache tuple holding one direction's states."""
     i, f, g, o = np.split(cache.gates, 4, axis=1)
@@ -274,13 +286,13 @@ def test_hoisted_cell_loop_matches_the_per_step_reference(n, d, h, log_scale, se
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     ref_dx = np.zeros_like(x)
-    for name, inp, states, cols, rev in (("fw", x, cache.fw, slice(0, h), slice(None)),
-                                         ("bw", x[::-1], cache.bw, slice(h, 2 * h),
-                                          slice(None, None, -1))):
+    views = dict(by_direction(cache))
+    for name, inp, cols, rev in (("fw", x, slice(0, h), slice(None)),
+                                 ("bw", x[::-1], slice(h, 2 * h), slice(None, None, -1))):
         wx, wh, b = (params[f"lstm.{name}.{p}"] for p in ("wx", "wh", "b"))
         ref_h, _ = reference_lstm_forward(inp, wx, wh, b)
         assert_close(out[:, cols], ref_h[rev])
-        dx_dir, *ref_grads = reference_lstm_backward(reference_cache(states),
+        dx_dir, *ref_grads = reference_lstm_backward(reference_cache(views[name]),
                                                      grad_out[rev, cols])
         ref_dx += dx_dir[rev]
         for p, ref in zip(("wx", "wh", "b"), ref_grads):
@@ -302,50 +314,84 @@ LENGTHS = st.lists(st.one_of(st.just(1), st.integers(2, 4), st.integers(1, 40)),
                    min_size=1, max_size=12)
 
 
+def random_lstm(rng, d, h, scale):
+    """LSTM parameters of both directions, uniform in [-scale, scale]."""
+    return {f"lstm.{name}.{p}": rng.uniform(-1.0, 1.0, shape) * scale
+            for name in DIRECTIONS
+            for p, shape in (("wx", (4 * h, d)), ("wh", (4 * h, h)), ("b", (4 * h,)))}
+
+
+def reference_direction(params, x, name):
+    """reference_lstm_kernel of one direction, which reads x reversed if it
+    is the backward one."""
+    inp = x if name == "fw" else x[::-1]
+    return reference_lstm_kernel(inp, *(params[f"lstm.{name}.{p}"] for p in ("wx", "wh", "b")))
+
+
 @given(lengths=LENGTHS, d=st.integers(1, 8), h=st.integers(1, 8),
-       log_scale=st.floats(-3.0, 1.0), reverse=st.booleans(), seed=st.integers(0, 2**32 - 1))
-@example(lengths=[7] * 12, d=3, h=4, log_scale=0.0, reverse=False, seed=0)
-@example(lengths=[1] * 12, d=3, h=4, log_scale=0.0, reverse=True, seed=0)
-@example(lengths=[40, 1, 1, 17, 17, 1, 40], d=8, h=8, log_scale=1.0, reverse=True, seed=1)
-@example(lengths=[1], d=3, h=4, log_scale=0.0, reverse=False, seed=2)
-@example(lengths=[1], d=3, h=4, log_scale=0.0, reverse=True, seed=2)
-@example(lengths=[40], d=8, h=8, log_scale=1.0, reverse=False, seed=3)
-@example(lengths=[40], d=8, h=8, log_scale=1.0, reverse=True, seed=3)
+       log_scale=st.floats(-3.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(lengths=[7] * 12, d=3, h=4, log_scale=0.0, seed=0)
+@example(lengths=[1] * 12, d=3, h=4, log_scale=0.0, seed=0)
+@example(lengths=[40, 1, 1, 17, 17, 1, 40], d=8, h=8, log_scale=1.0, seed=1)
+@example(lengths=[1], d=3, h=4, log_scale=0.0, seed=2)
+@example(lengths=[40], d=8, h=8, log_scale=1.0, seed=3)
+@example(lengths=[40], d=8, h=1, log_scale=1.0, seed=3)
 @settings(max_examples=200, deadline=None)
 def test_batched_kernel_matches_the_single_sentence_kernel_bit_for_bit(lengths, d, h, log_scale,
-                                                                       reverse, seed):
+                                                                       seed):
+    # every (sentence, direction) row of the loop against one direction of
+    # one sentence alone
     rng = np.random.default_rng(seed)
-    scale = 10.0 ** log_scale
-    wx = rng.uniform(-1.0, 1.0, (4 * h, d)) * scale
-    wh = rng.uniform(-1.0, 1.0, (4 * h, h)) * scale
-    b = rng.uniform(-1.0, 1.0, 4 * h) * scale
+    params = random_lstm(rng, d, h, 10.0 ** log_scale)
     xs = [rng.standard_normal((n, d)) for n in lengths]
-    if reverse:  # the backward direction passes reversed views
-        xs = [x[::-1] for x in xs]
-    states, cache = _lstm_forward(xs, wx, wh, b)
-    refs = [reference_lstm_kernel(x, wx, wh, b) for x in xs]
+    states, cache = _lstm_forward(xs, params)
+    refs = [[reference_direction(params, x, name) for name in DIRECTIONS] for x in xs]
     assert len(states) == len(xs)
-    for got, (ref, _) in zip(states, refs):
-        assert_same_bits(got, ref)
+    for got, sentence_refs in zip(states, refs):
+        assert got.shape == (len(sentence_refs[0][0]), 2, h)
+        for r, (ref, _) in enumerate(sentence_refs):
+            assert_same_bits(got[:, r], ref)
     if len(xs) > 1:
         assert cache is None
         return
-    ref_cache = refs[0][1]  # one sentence: the cache _lstm_backward reads
-    assert cache.x is xs[0] and cache.wx is wx and cache.wh is wh
-    for name in ("gates", "c", "tanh_c", "h"):
-        assert_same_bits(getattr(cache, name), getattr(ref_cache, name))
+    # one sentence: the cache _lstm_backward reads, row by row
+    assert cache.x is xs[0]
+    for r, (name, (_, ref_cache)) in enumerate(zip(DIRECTIONS, refs[0])):
+        assert cache.wx[r] is params[f"lstm.{name}.wx"]
+        assert_same_bits(cache.wh[r], params[f"lstm.{name}.wh"])
+        for field in ("gates", "c", "tanh_c", "h"):
+            assert_same_bits(getattr(cache, field)[:, r], getattr(ref_cache, field))
+
+
+@given(n=st.integers(1, 40), d=st.integers(1, 8), h=st.integers(1, 8),
+       log_scale=st.floats(-3.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=1, d=1, h=1, log_scale=0.0, seed=0)
+@example(n=40, d=8, h=1, log_scale=1.0, seed=1)
+@example(n=40, d=8, h=8, log_scale=-3.0, seed=2)
+@settings(max_examples=200, deadline=None)
+def test_two_row_backward_matches_the_one_direction_kernel_bit_for_bit(n, d, h, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    params = random_lstm(rng, d, h, 10.0 ** log_scale)
+    x = rng.standard_normal((n, d))
+    grad_h = rng.standard_normal((n, 2, h))
+    _, cache = _lstm_forward([x], params)
+    got = _lstm_backward(cache, grad_h)
+    assert len(got) == 2
+    for r, name in enumerate(DIRECTIONS):
+        _, ref_cache = reference_direction(params, x, name)
+        for g, ref in zip(got[r], reference_lstm_backward_kernel(ref_cache, grad_h[:, r])):
+            assert_same_bits(g, ref)  # dx, dwx, dwh, db
 
 
 def test_batched_kernel_takes_an_empty_batch_and_rejects_an_empty_sentence():
     rng = np.random.default_rng(2)
     params = lstm_params(rng, 3, 2)
-    wx, wh, b = params["lstm.fw.wx"], params["lstm.fw.wh"], params["lstm.fw.b"]
-    assert _lstm_forward([], wx, wh, b) == ([], None)
+    assert _lstm_forward([], params) == ([], None)
     assert emissions_batch("bilstm-crf", params, []) == []
     empty = np.zeros((0, 3))
     messages = []
     for call in (lambda: bilstm_forward(empty, params),
-                 lambda: _lstm_forward([rng.standard_normal((2, 3)), empty], wx, wh, b)):
+                 lambda: _lstm_forward([rng.standard_normal((2, 3)), empty], params)):
         with pytest.raises(EncoderError) as info:
             call()
         messages.append(str(info.value))

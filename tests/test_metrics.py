@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nerchain import conll_io
 from nerchain.conll_io import Corpus, Sentence
 from nerchain.metrics import (
     ClassScore,
@@ -221,6 +222,26 @@ class TestScore:
             for c in report.per_class:
                 assert (c.tp, c.fp, c.fn) == (tp[c.entity_type], fp[c.entity_type],
                                               fn[c.entity_type])
+
+    def test_a_corpus_flattens_its_gold_tags_once(self, monkeypatch):
+        # train scores one dev corpus every epoch: its gold tags are flattened
+        # by the first score and kept, read-only, for every later one
+        rng = np.random.default_rng(13)
+        corpus = random_corpus(rng, VOC, 25)
+        rounds = [[random_valid_tags(rng, VOC, len(s)) for s in corpus] for _ in range(3)]
+        real = conll_io.flat_tags
+        calls = []
+        monkeypatch.setattr(conll_io, "flat_tags",
+                            lambda sequences: calls.append(1) or real(sequences))
+        kept = Corpus(corpus.sentences, VOC)
+        for preds in rounds:  # against a new corpus, which flattens its gold anew
+            assert matching(kept, preds, "convert") == matching(
+                Corpus(corpus.sentences, VOC), preds, "convert")
+        assert len(calls) == len(rounds) + 1  # once per new corpus, once for kept
+        tags, starts = kept.flat_gold
+        assert not tags.flags.writeable and not starts.flags.writeable
+        expected_tags, expected_starts = real([s.gold_tags for s in corpus])
+        assert np.array_equal(tags, expected_tags) and np.array_equal(starts, expected_starts)
 
     def test_macro_is_unweighted_mean(self):
         per = [ClassScore(t, *np.random.default_rng(i).integers(0, 9, 3))

@@ -7,6 +7,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from nerchain.training import (
 
 from oracles import (
     random_corpus,
+    reference_lstm_backward_kernel,
     reference_lstm_kernel,
     reference_nll_gradients,
     reference_viterbi,
@@ -277,18 +279,30 @@ class TestTrain:
         assert train(corpus, corpus, cfg)[0] == kernels  # same checkpoint bytes
 
     def test_bilstm_kernel_gives_the_reference_checkpoint_bytes(self, monkeypatch):
-        # 40 dev sentences: each epoch decodes them in two length-sorted batches
+        # 40 dev sentences: each epoch decodes them in two length-sorted batches.
+        # The reference runs every direction of every sentence alone, forward
+        # and backward.
         corpus = random_corpus(np.random.default_rng(3), VOC, 40, max_len=12,
                                vocab=tuple("abcdefgh"))
         cfg = TrainConfig(arch="bilstm-crf", epochs=3, dropout=0.2, hidden=4, lr_min=1e-3,
                           lr_max=1e-1, seed=7, dim=6)
         kernel, history = train(corpus, corpus, cfg)
 
-        def one_sentence_at_a_time(xs, wx, wh, b):
-            runs = [reference_lstm_kernel(x, wx, wh, b) for x in xs]
-            return [h for h, _ in runs], (runs[0][1] if len(runs) == 1 else None)
+        def one_direction_at_a_time(xs, params):
+            runs = [[reference_lstm_kernel(inp, *(params[f"lstm.{d}.{p}"]
+                                                  for p in ("wx", "wh", "b")))
+                     for d, inp in zip(encoders.DIRECTIONS, (x, x[::-1]))] for x in xs]
+            states = [np.stack([h for h, _ in run], axis=1) for run in runs]
+            cache = (types.SimpleNamespace(h=states[0], rows=[c for _, c in runs[0]])
+                     if len(xs) == 1 else None)
+            return states, cache
 
-        monkeypatch.setattr(encoders, "_lstm_forward", one_sentence_at_a_time)
+        def one_direction_backward(cache, grad_h):
+            return [reference_lstm_backward_kernel(c, grad_h[:, r])
+                    for r, c in enumerate(cache.rows)]
+
+        monkeypatch.setattr(encoders, "_lstm_forward", one_direction_at_a_time)
+        monkeypatch.setattr(encoders, "_lstm_backward", one_direction_backward)
         reference, reference_history = train(corpus, corpus, cfg)
         assert reference == kernel  # same checkpoint bytes
         assert [h.report for h in reference_history] == [h.report for h in history]
