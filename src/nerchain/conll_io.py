@@ -167,25 +167,50 @@ def parse_conll(
     return Corpus(tuple(sentences), voc)
 
 
+def storable_token(token: str) -> bool:
+    """Whether a token reads back as itself from a column file or a checkpoint.
+    Both store it as one whitespace-separated field, and a column file line
+    that begins with "#" is a comment."""
+    return token.split() == [token] and token[0] != "#"
+
+
+def _check_id(sid: str, error) -> None:
+    """Raise error unless the line "# id " + sid reads back as sid: one line,
+    non-empty, without the whitespace at either end that _id_line strips."""
+    if sid.splitlines() != [sid] or _id_line("# id " + sid) != sid:
+        raise error(f"sentence id {sid!r} cannot be serialized")
+
+
 def write_conll(corpus: Corpus, stream, tags=None) -> None:
-    """Write a corpus in the same grammar parse_conll accepts.
+    """Write a corpus in the grammar parse_conll accepts. The whole corpus is
+    checked first: an id or token that parse_conll would not read back as
+    written, or a missing tag sequence, raises ConllError (a tag index out of
+    range TagSchemeError) before anything is written.
 
     tags: optional per-sentence tag index sequences overriding gold_tags.
     """
-    if tags is not None and len(tags) != len(corpus.sentences):
-        raise ConllError(f"{len(tags)} tag sequences for {len(corpus.sentences)} sentences")
+    sentences = corpus.sentences
+    if tags is None:
+        tags = [sent.gold_tags for sent in sentences]
+    elif len(tags) != len(sentences):
+        raise ConllError(f"{len(tags)} tag sequences for {len(sentences)} sentences")
     names = corpus.tag_vocabulary.tags
-    for pos, sent in enumerate(corpus.sentences):
-        seq = tags[pos] if tags is not None else sent.gold_tags
+    checked = []
+    for sent, seq in zip(sentences, tags):
+        _check_id(sent.id, ConllError)
         if seq is None or len(seq) != len(sent):
             raise ConllError(f"sentence {sent.id!r} is missing a full tag sequence")
-        stream.write(f"# id {sent.id}\n")
-        for token, tag in zip(sent.tokens, seq):
-            if token.split() != [token] or token.startswith("#"):
+        for token in sent.tokens:
+            if not storable_token(token):
                 raise ConllError(f"token {token!r} cannot be serialized")
-            tag = int(tag)
+        seq = [int(tag) for tag in seq]
+        for tag in seq:
             if not 0 <= tag < len(names):
                 raise TagSchemeError(f"tag index out of range: {tag}")
+        checked.append(seq)
+    for sent, seq in zip(sentences, checked):
+        stream.write(f"# id {sent.id}\n")
+        for token, tag in zip(sent.tokens, seq):
             stream.write(f"{token} _ _ {names[tag]}\n")
         stream.write("\n")
 
@@ -338,8 +363,21 @@ def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
 
 
 def write_embeddings(embeddings: EmbeddingSet, stream) -> None:
-    """Write an EmbeddingSet losslessly (float64 repr round-trips)."""
-    stream.write(f"dim {embeddings.dim}\n")
+    """Write an EmbeddingSet losslessly (float64 repr round-trips). The whole set
+    is checked first: an id, dimension or matrix that load_embeddings would not
+    read back as written raises EmbeddingError before anything is written."""
+    dim = embeddings.dim
+    if dim < 1:
+        raise EmbeddingError(f"bad dimension {dim}")
+    for sid, matrix in embeddings.matrices.items():
+        _check_id(sid, EmbeddingError)
+        shape = np.shape(matrix)
+        if len(shape) != 2 or shape[0] < 1 or shape[1] != dim:
+            raise EmbeddingError(
+                f"sentence {sid!r}: matrix of shape {shape}, expected (tokens, {dim})")
+        if not np.isfinite(matrix).all():
+            raise EmbeddingError(f"sentence {sid!r}: non-finite embedding value")
+    stream.write(f"dim {dim}\n")
     for sid, matrix in embeddings.matrices.items():
         stream.write(f"# id {sid}\n")
         for row in matrix:

@@ -16,10 +16,12 @@ arrays of the same layout (max over the reduced axis, a shift of 0 where that
 max is not finite, exp, sum, log, add the shift back). The kernels only
 reuse buffers and skip the per-call overhead, so every result is bit-identical
 to the per-step log-sum-exp recursion; the tests hold them to that reference
-(tests/oracles.py) bit for bit. The marginals run the alpha and beta
-recursions in one time loop (_alpha_beta): each pass keeps its own max and
-sum, whose order depends on the reduced axis, and only the elementwise calls
-(exp, log, adding the shift back) run over both at once.
+(tests/oracles.py) bit for bit. One time loop (_alpha_beta) runs both
+recursions as one stacked log-sum-exp per step: alpha's terms held [from, to]
+and beta's [to, from], both reduced over the leading axis of a C-contiguous
+(k, k) block. So each pass sums its k terms in index order, one after the
+other (numpy's pairwise sum only runs along contiguous memory); the reference
+builds its blocks in the same layout.
 """
 
 import math
@@ -125,7 +127,7 @@ def _log_sum_exp(buf, axis, shift, out, guard):
     """out = log(sum(exp(buf - shift), axis)) + shift, where shift is the max of
     buf over axis. shift and out keep the reduced axis, so they broadcast over
     buf; buf is overwritten. Where the max is not finite the per-step reference
-    shifts by 0 instead; only the guard pass does that (see _forward)."""
+    shifts by 0 instead; only the guard pass does that (see _alpha_beta)."""
     np.maximum.reduce(buf, axis=axis, out=shift, keepdims=True)
     if guard:
         np.copyto(shift, 0.0, where=~np.isfinite(shift))
@@ -136,47 +138,16 @@ def _log_sum_exp(buf, axis, shift, out, guard):
     np.add(out, shift, out=out)
 
 
-def _forward(P: np.ndarray, A: TransitionMatrix, guard: bool = False):
-    """Forward algorithm on checked input: log_alpha (n, k) and log Z.
-
-    A max that is not finite (only once scores overflow float64) makes the
-    unguarded pass subtract inf from inf, and the nan reaches log Z; the pass
-    is then rerun with the reference's shift of 0, so overflowing scores give
-    the reference's inf, -inf or nan as well. Finite maxima need no guard."""
-    n, k = P.shape
-    av = A.values
-    trans = av[:k, :k]
-    log_alpha = np.empty((n, k))
-    np.add(av[k, :k], P[0], out=log_alpha[0])
-    cols = log_alpha[:, :, None]
-    rows = log_alpha[:, None, :]
-    buf = np.empty((k, k))
-    shift = np.empty((1, k))
-    log_z = np.empty((1, 1))
-    with np.errstate(invalid="ignore"):  # inf - inf: only in an unguarded pass, rerun below
-        for t in range(1, n):
-            np.add(cols[t - 1], trans, out=buf)
-            _log_sum_exp(buf, 0, shift, rows[t], guard)
-            np.add(rows[t], P[t], out=rows[t])
-        last = (log_alpha[n - 1] + av[:k, k + 1])[None, :]
-        _log_sum_exp(last, 1, shift[:, :1], log_z, guard)
-    log_z = log_z.item()
-    if not guard and not math.isfinite(log_z):
-        with np.errstate(divide="ignore"):  # log(0) of an all -inf column is -inf
-            return _forward(P, A, guard=True)
-    return log_alpha, log_z
-
-
 def log_partition(P: np.ndarray, A: TransitionMatrix) -> float:
     """log sum over all k^n paths of exp(sequence_score), by the forward algorithm."""
     P, _ = _check(P, A)
-    return _forward(P, A)[1]
+    return _alpha_beta(P, A)[-1]
 
 
 def log_likelihood(P: np.ndarray, A: TransitionMatrix, y) -> float:
     """log p(y) = sequence_score(y) - log_partition; always <= 0."""
     P, y = _check(P, A, y)
-    return _path_score(P, A, y) - _forward(P, A)[1]
+    return _path_score(P, A, y) - _alpha_beta(P, A)[-1]
 
 
 @dataclass
@@ -198,62 +169,51 @@ class Marginals:
 
 def _alpha_beta(P: np.ndarray, A: TransitionMatrix, guard: bool = False):
     """The forward and backward algorithms on checked input, in one time loop:
-    (log_alpha, log_beta, log Z), log_beta[n-1] the STOP column.
+    (log_alpha, log_beta, ahead, log Z), with log_beta[n-1] the STOP column and
+    ahead[t] = P[t] + log_beta[t], the row that a beta step and an edge add.
 
-    Step s takes alpha step s and beta step n-1-s. ab[s] holds alpha row s
-    and beta row n-1-s, so both passes read block s-1 and write block s. Each
-    pass keeps its own max and sum, alpha over axis 0 and beta over axis 1, as
-    in _forward; exp, log and adding back the shift run once over both. A max
-    that is not finite leaves nan in log Z or in log_beta[0] (see _forward),
-    and both passes are then rerun with the guard, which changes nothing in
-    a pass whose maxima are finite."""
+    Step s is alpha step s and beta step n-1-s as one log-sum-exp over axis 1
+    of a (2, k, k) buffer, filled against the stack (trans, trans.T): row 0
+    holds alpha[i] + trans[i, j] as [i, j], row 1 ahead[j] + trans[i, j] as
+    [j, i]. lse[s] receives both sums; runs[s] = lse[s] + (P[s], P[n-1-s]) is
+    alpha row s and ahead row n-1-s, which step s+1 reads. A max that is not
+    finite makes the unguarded pass subtract inf from inf, and the nan reaches
+    log Z or log_beta[0]; both passes are then rerun with the reference's shift
+    of 0 there, so overflowing scores give the reference's inf, -inf or nan as
+    well. The guard changes nothing in a pass whose maxima are finite."""
     n, k = P.shape
     av = A.values
-    trans = av[:k, :k]
-    ab = np.empty((n, 2, k))
-    np.add(av[k, :k], P[0], out=ab[0, 0])
-    ab[0, 1] = av[:k, k + 1]
-    bufs = np.empty((2, k, k))
-    alpha_buf, beta_buf = bufs
-    shifts = np.empty((2, k))
-    alpha_shift, beta_shift = shifts[0, None, :], shifts[1, :, None]
-    ahead = np.empty(k)
+    stacked = np.stack((av[:k, :k], av[:k, :k].T))
+    emissions = np.stack((P, P[::-1]), axis=1)
+    lse = np.empty((n, 2, k))
+    lse[0] = av[k, :k], av[:k, k + 1]
+    runs = np.empty((n, 2, k))
+    np.add(lse[0], emissions[0], out=runs[0])
+    buf = np.empty((2, k, k))
+    shift = np.empty((2, 1, k))
     log_z = np.empty((1, 1))
     # one view per step and array, so the loop body only calls ufuncs
-    steps = zip(ab[:-1, 0, :, None], ab[:-1, 1], P[:0:-1], ab[1:, 0, None, :],
-                ab[1:, 1, :, None], ab[1:], ab[1:, 0], P[1:])
+    steps = zip(runs[:-1, :, :, None], lse[1:, :, None], emissions[1:, :, None], runs[1:, :, None])
     with np.errstate(invalid="ignore"):  # inf - inf: only in an unguarded pass, rerun below
-        for alpha_prev, beta_prev, p_ahead, alpha_out, beta_out, block, alpha_t, p_t in steps:
-            np.add(alpha_prev, trans, out=alpha_buf)
-            np.add(p_ahead, beta_prev, out=ahead)
-            np.add(trans, ahead, out=beta_buf)
-            np.maximum.reduce(alpha_buf, axis=0, out=alpha_shift, keepdims=True)
-            np.maximum.reduce(beta_buf, axis=1, out=beta_shift, keepdims=True)
-            if guard:
-                np.copyto(shifts, 0.0, where=~np.isfinite(shifts))
-            np.subtract(alpha_buf, alpha_shift, out=alpha_buf)
-            np.subtract(beta_buf, beta_shift, out=beta_buf)
-            np.exp(bufs, out=bufs)
-            np.add.reduce(alpha_buf, axis=0, out=alpha_out, keepdims=True)
-            np.add.reduce(beta_buf, axis=1, out=beta_out, keepdims=True)
-            np.log(block, out=block)
-            np.add(block, shifts, out=block)
-            np.add(alpha_t, p_t, out=alpha_t)
-        last = (ab[n - 1, 0] + av[:k, k + 1])[None, :]
-        _log_sum_exp(last, 1, shifts[:1, :1], log_z, guard)
-    log_alpha, log_beta, log_z = ab[:, 0], ab[::-1, 1], log_z.item()
+        for prev, sums, emissions_s, runs_s in steps:
+            np.add(prev, stacked, out=buf)
+            _log_sum_exp(buf, 1, shift, sums, guard)
+            np.add(sums, emissions_s, out=runs_s)
+        last = (runs[n - 1, 0] + av[:k, k + 1])[None, :]
+        _log_sum_exp(last, 1, shift[0, :, :1], log_z, guard)
+    log_beta, log_z = lse[::-1, 1], log_z.item()
     if not guard and not (math.isfinite(log_z) and np.isfinite(log_beta[0]).all()):
         with np.errstate(divide="ignore"):  # log(0) of an all -inf column is -inf
             return _alpha_beta(P, A, guard=True)
-    return log_alpha, log_beta, log_z
+    return runs[:, 0], log_beta, runs[::-1, 1], log_z
 
 
 def _marginals(P: np.ndarray, A: TransitionMatrix) -> Marginals:
     k = P.shape[1]
-    log_alpha, log_beta, log_z = _alpha_beta(P, A)
+    log_alpha, log_beta, ahead, log_z = _alpha_beta(P, A)
     node = np.exp(log_alpha + log_beta - log_z)
     edge = log_alpha[:-1, :, None] + A.values[:k, :k]
-    edge += (P[1:] + log_beta[1:])[:, None, :]
+    edge += ahead[1:, None, :]
     edge -= log_z
     np.exp(edge, out=edge)
     return Marginals(node, edge, log_z)

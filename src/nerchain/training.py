@@ -28,7 +28,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .conll_io import Corpus, EmbeddingSet, TokenVocabulary, build_token_vocabulary
+from .conll_io import (Corpus, EmbeddingSet, TokenVocabulary, build_token_vocabulary,
+                       storable_token)
 from .crf import LengthLayout, NonFiniteScoreError, TransitionMatrix, nll_gradients, viterbi_decode
 from .encoders import (
     ARCHITECTURES,
@@ -373,7 +374,7 @@ def _serialize(checkpoint: Checkpoint) -> bytes:
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Serialize; atomic on the destination (no partial file is left behind)."""
     for token in checkpoint.token_vocab.tokens if checkpoint.token_vocab is not None else ():
-        if token.split() != [token]:  # load reads the tokens back with split()
+        if not storable_token(token):  # load reads the tokens back with split()
             raise CheckpointError(f"token {token!r} cannot be stored in a checkpoint")
     blob = _serialize(checkpoint)
     directory = os.path.dirname(os.path.abspath(path))

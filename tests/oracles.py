@@ -101,7 +101,8 @@ def reference_forward_backward(P, A):
     log_beta = np.empty((n, k))
     log_beta[n - 1] = A[:k, k + 1]
     for t in range(n - 2, -1, -1):
-        log_beta[t] = logsumexp(trans + (P[t + 1] + log_beta[t + 1])[None, :], axis=1)
+        log_beta[t] = logsumexp(
+            np.ascontiguousarray((P[t + 1] + log_beta[t + 1])[:, None] + trans.T), axis=0)
 
     node = np.exp(log_alpha + log_beta - log_z)
     edge = np.empty((n - 1, k, k))

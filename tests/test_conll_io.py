@@ -402,8 +402,8 @@ def test_load_embeddings_matches_the_per_line_reference(text):
         matrix_bits(outcome(reference_load_embeddings, text, EMB_CORPUS))
 
 
-# every id the readers accept: non-empty, no surrounding whitespace, one line
-_IDS = st.text(min_size=1, max_size=8).filter(lambda s: s == s.strip() and "\n" not in s)
+# every id the writers accept: non-empty, no surrounding whitespace, one line
+_IDS = st.text(min_size=1, max_size=8).filter(lambda s: s == s.strip() and s.splitlines() == [s])
 
 
 @given(st.lists(_IDS, min_size=1, max_size=5, unique=True), st.integers(0, 2**32 - 1),
@@ -456,3 +456,39 @@ def test_readers_stream_their_input(tmp_path):
     embeddings, peak = read_traced(emb, load_embeddings, corpus)
     assert len(embeddings.matrices) == 1000
     assert peak < emb.stat().st_size / 2, (peak, emb.stat().st_size)
+
+
+# any text, rich in what the readers strip, split at or read as a comment
+_TEXT = (st.text(min_size=1, max_size=4)
+         | st.text(st.sampled_from(list("ab# \t\n\r\x0b\x0c\x1c\x85\u2028")), max_size=4))
+
+
+@given(st.lists(st.tuples(_TEXT, st.lists(_TEXT, min_size=1, max_size=4)), max_size=4,
+                unique_by=lambda sentence: sentence[0]),
+       st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.sampled_from([None, np.nan, np.inf, -np.inf, -0.0]))
+@settings(max_examples=200, deadline=None)
+def test_writers_write_what_their_readers_read_back_or_nothing(sentences, seed, dim, odd):
+    rng = np.random.default_rng(seed)
+    corpus = Corpus(tuple(Sentence(sid, tuple(tokens),
+                                   tuple(rng.integers(0, VOC.k, len(tokens)).tolist()))
+                          for sid, tokens in sentences), VOC)
+    out = io.StringIO()
+    try:
+        write_conll(corpus, out)
+    except ConllError:
+        assert out.getvalue() == ""
+    else:
+        assert parse_conll(out.getvalue(), VOC) == corpus
+    matrices = {s.id: rng.standard_normal((len(s), dim)) * 10.0 ** rng.integers(-320, 300)
+                for s in corpus}
+    if odd is not None and matrices:
+        next(iter(matrices.values()))[0, 0] = odd
+    embeddings = EmbeddingSet(dim, matrices)
+    out = io.StringIO()
+    try:
+        write_embeddings(embeddings, out)
+    except EmbeddingError:
+        assert out.getvalue() == ""
+    else:
+        assert matrix_bits(load_embeddings(out.getvalue(), corpus)) == matrix_bits(embeddings)

@@ -450,6 +450,24 @@ class TestCheckpointIO:
             save_checkpoint(checkpoint, tmp_path / "c.ckpt")
         assert os.listdir(tmp_path) == []
 
+    @given(st.lists(st.text(min_size=1, max_size=4)
+                    | st.text(st.sampled_from(list("ab# \t\n\r\x1c\x85\u2028")), max_size=4),
+                    min_size=1, max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_tokens_load_back_or_no_file_is_written(self, tokens):
+        vocab = TokenVocabulary(tokens)
+        params = init_params("crf", dim=2, k=VOC.k, vocab_size=len(vocab),
+                             rng=np.random.default_rng(0))
+        checkpoint = Checkpoint(TrainConfig(dim=2), tuple(VOC.entity_types.types), params, vocab)
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "c.ckpt")
+            try:
+                save_checkpoint(checkpoint, path)
+            except CheckpointError:
+                assert os.listdir(workdir) == []
+            else:
+                assert load_checkpoint(path).token_vocab.tokens == vocab.tokens
+
     def test_equal_exactly_when_bytes_match(self):
         base = self.checkpoints()[2]  # the one with a token vocabulary
         assert self.checkpoints()[2] == base
