@@ -168,16 +168,16 @@ def parse_conll(
 
 
 def storable_token(token: str) -> bool:
-    """Whether a token reads back as itself from a column file or a checkpoint.
-    Both store it as one whitespace-separated field, and a column file line
-    that begins with "#" is a comment."""
-    return token.split() == [token] and token[0] != "#"
+    """Whether a token reads back as itself from one whitespace-separated field,
+    as both a column file and a checkpoint store it."""
+    return token.split() == [token]
 
 
 def _check_id(sid: str, error) -> None:
-    """Raise error unless the line "# id " + sid reads back as sid: one line,
+    """Raise error unless the line "# id " + sid reads back as sid: one line
+    (a file opened in text mode also ends a line at a carriage return),
     non-empty, without the whitespace at either end that _id_line strips."""
-    if sid.splitlines() != [sid] or _id_line("# id " + sid) != sid:
+    if not sid or "\n" in sid or "\r" in sid or _id_line("# id " + sid) != sid:
         raise error(f"sentence id {sid!r} cannot be serialized")
 
 
@@ -195,23 +195,20 @@ def write_conll(corpus: Corpus, stream, tags=None) -> None:
     elif len(tags) != len(sentences):
         raise ConllError(f"{len(tags)} tag sequences for {len(sentences)} sentences")
     names = corpus.tag_vocabulary.tags
-    checked = []
     for sent, seq in zip(sentences, tags):
         _check_id(sent.id, ConllError)
         if seq is None or len(seq) != len(sent):
             raise ConllError(f"sentence {sent.id!r} is missing a full tag sequence")
-        for token in sent.tokens:
-            if not storable_token(token):
+        for token in sent.tokens:  # a line that begins with "#" is a comment
+            if not storable_token(token) or token[0] == "#":
                 raise ConllError(f"token {token!r} cannot be serialized")
-        seq = [int(tag) for tag in seq]
         for tag in seq:
-            if not 0 <= tag < len(names):
-                raise TagSchemeError(f"tag index out of range: {tag}")
-        checked.append(seq)
-    for sent, seq in zip(sentences, checked):
+            if not 0 <= int(tag) < len(names):
+                raise TagSchemeError(f"tag index out of range: {int(tag)}")
+    for sent, seq in zip(sentences, tags):
         stream.write(f"# id {sent.id}\n")
         for token, tag in zip(sent.tokens, seq):
-            stream.write(f"{token} _ _ {names[tag]}\n")
+            stream.write(f"{token} _ _ {names[int(tag)]}\n")
         stream.write("\n")
 
 

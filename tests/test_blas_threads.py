@@ -2,7 +2,11 @@
 
 OpenBLAS reads OPENBLAS_NUM_THREADS once, at load, so each count runs in a
 process of its own; this file, run as a script, trains every head and prints
-its digests.
+its digests, then the CPU ticks that threads other than the main one spent
+while it trained and predicted.
+OpenBLAS hands a product to its second thread only when it is large enough:
+here the fc head's (200, 16) @ (16, 512) products on the 200-token sentence.
+Smaller ones, like (200, 8) @ (8, 512), stay on the calling thread.
 """
 
 import hashlib
@@ -11,15 +15,30 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 
 import numpy as np
 
 HERE = pathlib.Path(__file__).resolve().parent
 
 
+def worker_ticks() -> int | None:
+    """CPU ticks (user and system) of every thread of this process but the
+    main one; None where /proc/self/task does not list them."""
+    if not os.path.isdir("/proc/self/task"):
+        return None
+    total = 0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+            total += int(fields[11]) + int(fields[12])  # utime, stime
+    return total
+
+
 def digests() -> list[str]:
     """Per head: sha256 of the saved checkpoint's bytes and of the predictions.
-    Tiny configs, with one 200-token sentence among short ones."""
+    Small configs, with one 200-token sentence among short ones."""
     from nerchain.conll_io import Corpus, Sentence
     from nerchain.tagscheme import EntityTypeSet, expand_bio
     from nerchain.training import (ARCHITECTURES, TrainConfig, predict_with_checkpoint,
@@ -35,7 +54,7 @@ def digests() -> list[str]:
     lines = []
     with tempfile.TemporaryDirectory() as workdir:
         for arch in ARCHITECTURES:
-            cfg = TrainConfig(arch=arch, epochs=2, dim=8, hidden=8, fc_size=16, seed=3)
+            cfg = TrainConfig(arch=arch, epochs=2, dim=16, hidden=8, fc_size=512, seed=3)
             checkpoint, _ = train(corpus, corpus, cfg)
             path = os.path.join(workdir, f"{arch}.ckpt")
             save_checkpoint(checkpoint, path)
@@ -56,9 +75,15 @@ def test_one_and_two_blas_threads_give_the_same_checkpoints_and_predictions():
                                 text=True, timeout=300)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
-    assert len(outputs[0].splitlines()) == 3
-    assert outputs[0] == outputs[1]
+    (*one, _), (*two, ticks) = (output.splitlines() for output in outputs)
+    assert len(one) == 3
+    assert one == two
+    if ticks != "None" and len(os.sched_getaffinity(0)) >= 2:
+        assert int(ticks) > 0, "no product ran on a second BLAS thread"
 
 
 if __name__ == "__main__":
+    time.sleep(0.2)  # OpenBLAS's threads spin a while after they start
+    before = worker_ticks()
     print("\n".join(digests()))
+    print(None if before is None else worker_ticks() - before)

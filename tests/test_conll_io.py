@@ -403,7 +403,8 @@ def test_load_embeddings_matches_the_per_line_reference(text):
 
 
 # every id the writers accept: non-empty, no surrounding whitespace, one line
-_IDS = st.text(min_size=1, max_size=8).filter(lambda s: s == s.strip() and s.splitlines() == [s])
+_IDS = st.text(min_size=1, max_size=8).filter(
+    lambda s: s == s.strip() and "\n" not in s and "\r" not in s)
 
 
 @given(st.lists(_IDS, min_size=1, max_size=5, unique=True), st.integers(0, 2**32 - 1),
@@ -456,6 +457,34 @@ def test_readers_stream_their_input(tmp_path):
     embeddings, peak = read_traced(emb, load_embeddings, corpus)
     assert len(embeddings.matrices) == 1000
     assert peak < emb.stat().st_size / 2, (peak, emb.stat().st_size)
+
+
+@pytest.mark.parametrize("sid", ["a\u2028b", "a\x0cb", "a\x0bb", "a\x1cb", "a\x85b", "a\u2029b"])
+def test_ids_with_other_line_breaks_read_back_from_a_file(tmp_path, sid):
+    # str.splitlines() splits at these; the readers, and a file opened in
+    # text mode, split only at "\n", "\r" and "\r\n"
+    corpus = Corpus((Sentence(sid, ("a", "b"), (0, 0)),), VOC)
+    embeddings = EmbeddingSet(1, {sid: np.array([[0.5], [-2.0]])})
+    conll, emb = tmp_path / "c.conll", tmp_path / "e.txt"
+    with open(conll, "w", encoding="utf-8") as handle:
+        write_conll(corpus, handle)
+    with open(emb, "w", encoding="utf-8") as handle:
+        write_embeddings(embeddings, handle)
+    with open(conll, encoding="utf-8") as handle:
+        assert parse_conll(handle, VOC) == corpus
+    with open(emb, encoding="utf-8") as handle:
+        assert matrix_bits(load_embeddings(handle, corpus)) == matrix_bits(embeddings)
+
+
+@pytest.mark.parametrize("sid", ["a\rb", "a\nb", "a\r\nb", "", " a", "a\t"])
+def test_ids_a_file_would_not_give_back_are_refused_before_any_write(sid):
+    corpus = Corpus((Sentence(sid, ("a",), (0,)),), VOC)
+    out = io.StringIO()
+    with pytest.raises(ConllError, match="cannot be serialized"):
+        write_conll(corpus, out)
+    with pytest.raises(EmbeddingError, match="cannot be serialized"):
+        write_embeddings(EmbeddingSet(1, {sid: np.zeros((1, 1))}), out)
+    assert out.getvalue() == ""
 
 
 # any text, rich in what the readers strip, split at or read as a comment

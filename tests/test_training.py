@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerchain import encoders, training
@@ -453,6 +453,7 @@ class TestCheckpointIO:
     @given(st.lists(st.text(min_size=1, max_size=4)
                     | st.text(st.sampled_from(list("ab# \t\n\r\x1c\x85\u2028")), max_size=4),
                     min_size=1, max_size=5))
+    @example(["#NLP", "#"])  # a comment in a column file, a token here
     @settings(max_examples=100, deadline=None)
     def test_tokens_load_back_or_no_file_is_written(self, tokens):
         vocab = TokenVocabulary(tokens)
@@ -465,6 +466,7 @@ class TestCheckpointIO:
                 save_checkpoint(checkpoint, path)
             except CheckpointError:
                 assert os.listdir(workdir) == []
+                assert any(token.split() != [token] for token in tokens)
             else:
                 assert load_checkpoint(path).token_vocab.tokens == vocab.tokens
 
