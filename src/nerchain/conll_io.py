@@ -288,6 +288,10 @@ def _reject_rows(rows, first_lineno, dim):
 def load_embeddings(stream, corpus: Corpus) -> EmbeddingSet:
     """Load per-token embedding matrices keyed by sentence id.
 
+    The file may hold only sentences of corpus: a block whose id corpus does
+    not have is an EmbeddingError, so a file for train plus dev, or for a
+    predict input, holds those sentences and no others.
+
     The file is read line by line. A block's values are kept as strings and
     converted once the block ends, in one np.array call and one finiteness
     check; a rejected block is re-read row by row for the error."""

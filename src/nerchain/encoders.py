@@ -1,7 +1,7 @@
 """Token encoders: embedding lookup, BiLSTM, linear projection, FC softmax head.
 
-One pair, emissions_forward/emissions_backward, maps a sentence's embeddings
-to per-tag scores (n, k) and back for all three heads:
+One pair, emissions_forward/emissions_backward, maps embeddings to per-tag
+scores (n, k) and back for all three heads:
 
   crf         embeddings -> dropout -> linear projection -> emissions
   bilstm-crf  embeddings -> dropout -> BiLSTM -> dropout -> projection -> emissions
@@ -9,8 +9,9 @@ to per-tag scores (n, k) and back for all three heads:
 
 The CRF heads' scores are emissions; the linear head's are log-probabilities,
 and its backward takes the gradient at the logits (cross_entropy_and_grads).
-emissions_batch gives the evaluation-mode scores of a list of sentences, bit
-for bit those of emissions_forward on each.
+emissions_forward takes a list of sentences, for training and decoding alike,
+and gives each sentence the bits it gets alone; a one-sentence list also
+yields the cache that emissions_backward consumes.
 
 The embeddings come from an EmbeddingSource: ingested per-sentence matrices
 (an embedding file) or a trainable lookup table. It stores only the data;
@@ -25,8 +26,8 @@ checkpoint can treat every architecture uniformly. Keys:
   fc.w1 / fc.b1 / fc.w2 / fc.b2                (fc, d) / (fc,) / (k, fc) / (k,)
   crf.trans                                    (k+2, k+2)
 
-Forward passes are pure given parameters and input; every forward returns a
-cache consumed exactly once by its backward. Backward passes are exact
+Forward passes are pure given parameters and input; a one-sentence forward
+returns a cache consumed exactly once by its backward. Backward passes are exact
 reverse-mode gradients. Dropout uses inverted scaling and is applied only at
 a rate above 0; evaluation passes none, so it is deterministic.
 
@@ -49,10 +50,10 @@ to the gate block, with tanh on the g slice. States are kept as
 directions' recurrent weights, for which np.matmul makes one BLAS gemv per
 row, the call wh @ h_prev makes for one direction of one sentence; the rest is
 elementwise, so a sentence gets the same bits in any batch (h_prev @ wh.T, one
-gemm, might not). Training passes one sentence, and its backward reads the
-loop's arrays as a cache (LstmCache); decoding (emissions_batch) passes
-batches and keeps no cache, and there every step writes its c and tanh(c)
-over the step before's, since a step reads only the c before it.
+gemm, might not). A one-sentence list keeps the loop's arrays as the cache
+its backward reads (LstmCache); a longer list keeps no cache, and there every
+step writes its c and tanh(c) over the step before's, since a step reads only
+the c before it.
 
 The backward runs one reversed loop over the same rows, and each step forms
 every row's dh_next = dz @ wh as one stacked matmul of (1, 4h) rows against
@@ -278,19 +279,14 @@ def _lstm_backward(cache: LstmCache, grad_h):
             for flat, wx, x, states in zip(dz, cache.wx, inputs, cache.h.transpose(1, 0, 2))]
 
 
-def bilstm_forward(x: np.ndarray, params: dict):
-    """Concatenated forward/backward hidden states, (n, 2h) plus cache.
+def bilstm_forward(xs, params: dict):
+    """Concatenated forward/backward hidden states of every sentence in xs, one
+    (n_j, 2h) array each, from one time loop, plus the cache of a one-sentence
+    list (None for any other length).
 
     Row t is [h_fw(t) ; h_bw(t)] where the backward direction scans the
     reversed sequence and its states are re-aligned to token positions.
     """
-    (out,), cache = _bilstm([x], params)
-    return out, cache
-
-
-def _bilstm(xs, params):
-    """bilstm_forward of every sentence in xs, in one time loop; the cache is
-    set when xs holds one sentence."""
     states, cache = _lstm_forward(xs, params)
     return [np.concatenate([s[:, 0], s[::-1, 1]], axis=1) for s in states], cache
 
@@ -320,10 +316,9 @@ def project(features: np.ndarray, params: dict) -> np.ndarray:
     return features @ w.T + b
 
 
-def project_backward(features: np.ndarray, params: dict, grad_scores: np.ndarray):
-    w = params["proj.w"]
-    grads = {"proj.w": grad_scores.T @ features, "proj.b": grad_scores.sum(axis=0)}
-    return grad_scores @ w, grads
+def _affine_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
+    """(dx, dw, db) of the rows y = x @ w.T + b, given the gradient at y."""
+    return grad_y @ w, grad_y.T @ x, grad_y.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -417,36 +412,34 @@ class EmissionCache:
     z1: np.ndarray | None = None  # linear only: the first layer before relu
 
 
-def emissions_forward(arch: str, params: dict, x: np.ndarray, dropout: float = 0.0, rng=None):
-    """Per-tag scores (n, k) of one sentence plus backward cache: emissions
-    for the CRF heads, log-probabilities for the linear head."""
+def emissions_forward(arch: str, params: dict, xs: list, dropout: float = 0.0, rng=None):
+    """Per-tag scores (n_j, k) of every sentence in xs, in input order:
+    emissions for the CRF heads, log-probabilities for the linear head.
+
+    Returns (scores, cache), cache the backward cache of a one-sentence list
+    and None for any other length. Dropout masks are drawn per sentence in
+    input order. The bilstm-crf head runs one LSTM time loop for all of xs;
+    the other heads map each sentence with its own matmuls.
+    """
     if arch == "linear":
-        return fc_head_forward(x, params, dropout, rng)
-    if arch == "crf":
-        return project(x, params), EmissionCache(x, None)
-    if arch == "bilstm-crf":
-        hidden, lstm_cache = bilstm_forward(x, params)
-        hidden, mask = _dropout(hidden, dropout, rng)
-        return project(hidden, params), EmissionCache(hidden, mask, lstm_cache)
-    raise EncoderError(f"unknown architecture {arch!r}")
-
-
-def emissions_batch(arch: str, params: dict, xs: list) -> list[np.ndarray]:
-    """Evaluation-mode scores of several sentences, bit for bit emissions_forward
-    of each; the bilstm-crf head runs one LSTM time loop for all of them."""
-    if arch != "bilstm-crf":
-        return [emissions_forward(arch, params, x)[0] for x in xs]
-    return [project(hidden, params) for hidden in _bilstm(xs, params)[0]]
+        pairs = [fc_head_forward(x, params, dropout, rng) for x in xs]
+    elif arch == "crf":
+        pairs = [(project(x, params), EmissionCache(x, None)) for x in xs]
+    elif arch == "bilstm-crf":
+        states, lstm_cache = bilstm_forward(xs, params)
+        pairs = [(project(hidden, params), EmissionCache(hidden, mask, lstm_cache))
+                 for hidden, mask in (_dropout(s, dropout, rng) for s in states)]
+    else:
+        raise EncoderError(f"unknown architecture {arch!r}")
+    return [scores for scores, _ in pairs], pairs[0][1] if len(pairs) == 1 else None
 
 
 def emissions_backward(params: dict, cache: EmissionCache, grad_scores: np.ndarray):
-    """Backward through the emission path; returns (grad_x, param grads).
-    For the linear head grad_scores is the gradient at the logits."""
-    if cache.z1 is None:
-        dfeats, grads = project_backward(cache.feats, params, grad_scores)
-    else:
-        grads = {"fc.w2": grad_scores.T @ cache.feats, "fc.b2": grad_scores.sum(axis=0)}
-        dfeats = grad_scores @ params["fc.w2"]
+    """Backward through one sentence's emission path; returns (grad_x, param
+    grads). For the linear head grad_scores is the gradient at the logits."""
+    w, b = ("proj.w", "proj.b") if cache.z1 is None else ("fc.w2", "fc.b2")
+    dfeats, dw, db = _affine_backward(cache.feats, params[w], grad_scores)
+    grads = {w: dw, b: db}
     if cache.mask is not None:
         dfeats = dfeats * cache.mask
     if cache.lstm is not None:
@@ -455,7 +448,6 @@ def emissions_backward(params: dict, cache: EmissionCache, grad_scores: np.ndarr
         return dx, grads
     if cache.z1 is not None:
         dz1 = dfeats * (cache.z1 > 0.0)
-        grads["fc.w1"] = dz1.T @ cache.x
-        grads["fc.b1"] = dz1.sum(axis=0)
-        return dz1 @ params["fc.w1"], grads
+        dx, grads["fc.w1"], grads["fc.b1"] = _affine_backward(cache.x, params["fc.w1"], dz1)
+        return dx, grads
     return dfeats, grads

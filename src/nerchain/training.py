@@ -38,7 +38,6 @@ from .encoders import (
     embed,
     embed_backward,
     emissions_backward,
-    emissions_batch,
     emissions_forward,
     init_params,
     param_shapes,
@@ -219,7 +218,7 @@ class EpochStats:
 
 
 def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng):
-    scores, cache = emissions_forward(arch, params, x, dropout, rng)
+    (scores,), cache = emissions_forward(arch, params, [x], dropout, rng)
     if arch == "linear":
         loss, d_scores = cross_entropy_and_grads(scores, gold)
         head_grads = {}
@@ -239,7 +238,7 @@ def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
     hard BIO mask if constrained; None is the head's default. The linear
     head's log-probabilities are decoded with zero transitions. Every head
     decodes the corpus longest first, DECODE_BATCH sentences per batch: one
-    emissions_batch call and one viterbi_decode call each. A failing corpus
+    emissions_forward call and one viterbi_decode call each. A failing corpus
     is decoded again by the same loop in batches of one, in input order, so
     that it raises the error of its first failing sentence."""
     voc = corpus.tag_vocabulary
@@ -253,7 +252,7 @@ def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
     def paths(order, size):
         for start in range(0, len(order), size):
             xs = [embed(sentences[j], source)[0] for j in order[start:start + size]]
-            for path, _ in viterbi_decode(emissions_batch(arch, params, xs), trans, mask):
+            for path, _ in viterbi_decode(emissions_forward(arch, params, xs)[0], trans, mask):
                 yield path
 
     layout = LengthLayout(len(s) for s in sentences)
@@ -340,6 +339,12 @@ def _validate_arrays(checkpoint: Checkpoint) -> None:
             )
 
 
+def _refuse_non_finite(params: dict) -> None:
+    for key in sorted(params):
+        if not np.isfinite(params[key]).all():
+            raise CheckpointError(f"array {key!r} holds a non-finite value")
+
+
 def _serialize(checkpoint: Checkpoint) -> bytes:
     meta: dict[str, str] = {}
     for name in CONFIG_TYPES:
@@ -372,10 +377,13 @@ def _serialize(checkpoint: Checkpoint) -> bytes:
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
-    """Serialize; atomic on the destination (no partial file is left behind)."""
+    """Serialize; atomic on the destination (no partial file is left behind).
+    A token the metadata cannot hold or a non-finite array is refused before
+    anything is written, since load_checkpoint would not take it back."""
     for token in checkpoint.token_vocab.tokens if checkpoint.token_vocab is not None else ():
         if not storable_token(token):  # load reads the tokens back with split()
             raise CheckpointError(f"token {token!r} cannot be stored in a checkpoint")
+    _refuse_non_finite(checkpoint.params)
     blob = _serialize(checkpoint)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
@@ -390,9 +398,16 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; every CheckpointError it raises names path."""
     with open(path, "rb") as handle:
         blob = handle.read()
+    try:
+        return _deserialize(blob)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
+
+def _deserialize(blob: bytes) -> Checkpoint:
     offset = 0
 
     def take(count, what):
@@ -449,6 +464,7 @@ def load_checkpoint(path) -> Checkpoint:
         params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     if offset != len(blob):
         raise CheckpointError("corrupt checkpoint: trailing bytes")
+    _refuse_non_finite(params)
 
     checkpoint = Checkpoint(config, entity_types, params, token_vocab, best_f1, best_epoch)
     _validate_arrays(checkpoint)

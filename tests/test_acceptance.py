@@ -131,10 +131,10 @@ def test_criterion_2_gradient_correctness():
         grad_out = rng.standard_normal((n, 2 * h))
 
         def lstm_loss():
-            out, _ = bilstm_forward(x, params)
+            (out,), _ = bilstm_forward([x], params)
             return float((grad_out * out).sum())
 
-        _, cache = bilstm_forward(x, params)
+        _, cache = bilstm_forward([x], params)
         dx, grads = bilstm_backward(cache, grad_out)
         fd = finite_difference(lstm_loss, {"x": x, **params})
         worst["bilstm"] = max(worst["bilstm"], max_rel_err(dx, fd["x"]),
@@ -155,13 +155,13 @@ def test_criterion_2_gradient_correctness():
         }
         x = r.standard_normal((n, d))
         gold = [int(r.integers(k)) for _ in range(n)]
-        log_probs, cache = emissions_forward("linear", params, x)
+        (log_probs,), cache = emissions_forward("linear", params, [x])
         if np.min(np.abs(cache.z1)) < 1e-3:
             continue  # stay away from the relu kink
         checked += 1
 
         def fc_loss():
-            lp, _ = emissions_forward("linear", params, x)
+            (lp,), _ = emissions_forward("linear", params, [x])
             return -float(lp[np.arange(n), gold].mean())
 
         _, d_logits = cross_entropy_and_grads(log_probs, gold)

@@ -52,6 +52,20 @@ def test_traced_training_and_tagging_reach_the_crf_and_training_layers():
             "encoders.embed_backward", "tagscheme.repair_bio"} <= bilstm
 
 
+def test_traced_decoding_alone_reaches_the_emission_layer():
+    # tagging with a bilstm-crf model spends most of its time in the LSTM;
+    # outside a layer span that time would leave the traced coverage short
+    corpus = random_corpus(np.random.default_rng(1), expand_bio(EntityTypeSet(("PER",))), 4)
+    config = TrainConfig(arch="bilstm-crf", epochs=1, dim=4, hidden=4)
+    checkpoint, _ = training.train(corpus, corpus, config)
+    tracer = load_tracer().Tracer()
+    with tracer.tracing(0):
+        training.predict_with_checkpoint(checkpoint, corpus)
+    recorded = [name for name, *_ in tracer.spans]
+    assert "encoders.emissions_forward" in recorded
+    assert "crf.viterbi_decode" in recorded
+
+
 def test_traced_cli_round_reaches_the_tag_workload_layers(tmp_path):
     # predict, evaluate and inspect on files, as the tag workload runs them
     rng = np.random.default_rng(0)

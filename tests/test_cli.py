@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import struct
 import sys
 import tempfile
 
@@ -737,8 +738,9 @@ _EDITS = st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_siz
        constrained=st.sampled_from([None, True, False]))
 @example(model="crf", data=b" #tag _ _ O\nx _ _ O\n", config=None, embeddings=None, edits=[],
          constrained=None)
-# the last weight of the model becomes 1.7e308, or nan: the emissions overflow
-# in the matmul, and the run must exit 2 with no numpy warning (an error here)
+# the last weight of the model becomes 1.7e308, which overflows the emissions in
+# the matmul, or nan, which load refuses: either way the run must exit 2 with no
+# numpy warning (an error here)
 @example(model="crf-emb", data=TINY.encode("utf-8"), config=None,
          embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0x7F), (1, 0xEF)], constrained=None)
 @example(model="crf-emb", data=TINY.encode("utf-8"), config=None,
@@ -779,6 +781,30 @@ def test_checkpoint_with_a_rejected_setting_exits_two(capsys, tiny_models, tiny,
     code, out, err = run(capsys, "predict", "--checkpoint", str(bad), "--input", tiny)
     assert (code, out) == (2, "")
     assert "corrupt checkpoint metadata: epochs must be >= 1, got 0" in err
+
+
+def test_checkpoint_with_a_non_finite_array_exits_two_naming_file_and_array(capsys, tiny_models,
+                                                                            tiny, tmp_path):
+    """A non-finite weight is corrupted bytes: load refuses it before decoding."""
+    with open(tiny_models["linear"], "rb") as handle:
+        blob = handle.read()
+    header = b"\x05\x00fc.w2\x02"  # name length, name and rank of the array
+    assert blob.count(header) == 1
+    at = blob.index(header) + len(header) + 16  # past its two extents
+    bad = tmp_path / "bad.ckpt"
+    for value in (math.nan, math.inf):
+        bad.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
+        code, out, err = run(capsys, "predict", "--checkpoint", str(bad), "--input", tiny)
+        assert (code, out) == (2, "")
+        assert err == f"nerchain: error: {bad}: array 'fc.w2' holds a non-finite value\n"
+
+
+def test_truncated_checkpoint_exits_two_naming_the_file(capsys, tiny, tmp_path):
+    bad = tmp_path / "short.ckpt"
+    bad.write_bytes(b"NERCHKP")
+    code, out, err = run(capsys, "predict", "--checkpoint", str(bad), "--input", tiny)
+    assert (code, out) == (2, "")
+    assert err == f"nerchain: error: {bad}: corrupt checkpoint: truncated while reading header\n"
 
 
 # every flag that takes a value, on each command that has it; the constrained

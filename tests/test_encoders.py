@@ -17,12 +17,10 @@ from nerchain.encoders import (
     embed,
     embed_backward,
     emissions_backward,
-    emissions_batch,
     emissions_forward,
     fc_head_forward,
     init_params,
     project,
-    project_backward,
 )
 
 from oracles import (
@@ -135,7 +133,7 @@ class TestBiLstmForward:
         d, h = 3, 2
         params = {k: np.zeros_like(v)
                   for k, v in lstm_params(np.random.default_rng(0), d, h).items()}
-        out, _ = bilstm_forward(np.random.default_rng(1).standard_normal((4, d)), params)
+        (out,), _ = bilstm_forward([np.random.default_rng(1).standard_normal((4, d))], params)
         assert np.allclose(out, 0.0)
 
     def test_length_one_is_two_single_cells(self):
@@ -143,11 +141,11 @@ class TestBiLstmForward:
         d, h = 2, 2
         params = lstm_params(rng, d, h)
         x = rng.standard_normal((1, d))
-        out, _ = bilstm_forward(x, params)
-        fwd, _ = bilstm_forward(x, {**params,
-                                    "lstm.bw.wx": params["lstm.fw.wx"],
-                                    "lstm.bw.wh": params["lstm.fw.wh"],
-                                    "lstm.bw.b": params["lstm.fw.b"]})
+        (out,), _ = bilstm_forward([x], params)
+        (fwd,), _ = bilstm_forward([x], {**params,
+                                         "lstm.bw.wx": params["lstm.fw.wx"],
+                                         "lstm.bw.wh": params["lstm.fw.wh"],
+                                         "lstm.bw.b": params["lstm.fw.b"]})
         assert np.allclose(out[:, :h], fwd[:, :h])
 
     def test_matches_scalar_reference(self):
@@ -155,7 +153,7 @@ class TestBiLstmForward:
         d, h = 2, 2
         params = lstm_params(rng, d, h)
         x = rng.standard_normal((3, d))
-        out, _ = bilstm_forward(x, params)
+        (out,), _ = bilstm_forward([x], params)
         ref = scalar_bilstm(x, params["lstm.fw.wx"], params["lstm.fw.wh"], params["lstm.fw.b"],
                             params["lstm.bw.wx"], params["lstm.bw.wh"], params["lstm.bw.b"])
         assert np.allclose(out, ref, atol=1e-10)
@@ -165,13 +163,13 @@ class TestBiLstmForward:
         d, h = 3, 4
         params = lstm_params(rng, d, h)
         x = rng.standard_normal((5, d))
-        out, _ = bilstm_forward(x, params)
+        (out,), _ = bilstm_forward([x], params)
         swapped = {
             "lstm.fw.wx": params["lstm.bw.wx"], "lstm.fw.wh": params["lstm.bw.wh"],
             "lstm.fw.b": params["lstm.bw.b"], "lstm.bw.wx": params["lstm.fw.wx"],
             "lstm.bw.wh": params["lstm.fw.wh"], "lstm.bw.b": params["lstm.fw.b"],
         }
-        out2, _ = bilstm_forward(x[::-1], swapped)
+        (out2,), _ = bilstm_forward([x[::-1]], swapped)
         assert np.allclose(out2[:, :h], out[::-1, h:], atol=1e-12)
         assert np.allclose(out2[:, h:], out[::-1, :h], atol=1e-12)
 
@@ -183,7 +181,7 @@ class TestBiLstmForward:
     def test_shape_mismatch(self):
         params = lstm_params(np.random.default_rng(0), 3, 2)
         with pytest.raises(EncoderError):
-            bilstm_forward(np.zeros((2, 5)), params)
+            bilstm_forward([np.zeros((2, 5))], params)
 
 
 class TestBiLstmBackward:
@@ -191,7 +189,7 @@ class TestBiLstmBackward:
         rng = np.random.default_rng(11)
         params = lstm_params(rng, 2, 3)
         x = rng.standard_normal((4, 2))
-        out, cache = bilstm_forward(x, params)
+        (out,), cache = bilstm_forward([x], params)
         dx, grads = bilstm_backward(cache, np.zeros_like(out))
         assert np.allclose(dx, 0.0)
         assert all(np.allclose(g, 0.0) for g in grads.values())
@@ -202,7 +200,7 @@ class TestBiLstmBackward:
         d, h = 1, 1
         params = lstm_params(rng, d, h)
         x = np.array([[0.7]])
-        out, cache = bilstm_forward(x, params)
+        (out,), cache = bilstm_forward([x], params)
         grad_out = np.zeros((1, 2))
         grad_out[0, 0] = 1.0
         _, grads = bilstm_backward(cache, grad_out)
@@ -238,10 +236,10 @@ class TestBiLstmBackward:
             grad_out = rng.standard_normal((n, 2 * h))
 
             def loss():
-                out, _ = bilstm_forward(x, params)
+                (out,), _ = bilstm_forward([x], params)
                 return float((grad_out * out).sum())
 
-            _, cache = bilstm_forward(x, params)
+            _, cache = bilstm_forward([x], params)
             dx, grads = bilstm_backward(cache, grad_out)
             arrays = {"x": x, **params}
             fd = finite_difference(loss, arrays)
@@ -279,7 +277,7 @@ def test_hoisted_cell_loop_matches_the_per_step_reference(n, d, h, log_scale, se
               if key.startswith("lstm.")}
     x = rng.standard_normal((n, d))
     grad_out = rng.standard_normal((n, 2 * h))
-    out, cache = bilstm_forward(x, params)
+    (out,), cache = bilstm_forward([x], params)
     dx, grads = bilstm_backward(cache, grad_out)
 
     def assert_close(got, ref):
@@ -387,10 +385,10 @@ def test_batched_kernel_takes_an_empty_batch_and_rejects_an_empty_sentence():
     rng = np.random.default_rng(2)
     params = lstm_params(rng, 3, 2)
     assert _lstm_forward([], params) == ([], None)
-    assert emissions_batch("bilstm-crf", params, []) == []
+    assert emissions_forward("bilstm-crf", params, []) == ([], None)
     empty = np.zeros((0, 3))
     messages = []
-    for call in (lambda: bilstm_forward(empty, params),
+    for call in (lambda: bilstm_forward([empty], params),
                  lambda: _lstm_forward([rng.standard_normal((2, 3)), empty], params)):
         with pytest.raises(EncoderError) as info:
             call()
@@ -399,14 +397,22 @@ def test_batched_kernel_takes_an_empty_batch_and_rejects_an_empty_sentence():
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
-def test_emissions_batch_is_emissions_forward_of_each_sentence(arch):
-    rng = np.random.default_rng(4)
-    params = init_params(arch, 3, k=5, hidden=4, fc_size=6, rng=rng)
-    xs = [rng.standard_normal((n, 3)) for n in (4, 1, 7, 4, 2)]
-    scores = emissions_batch(arch, params, xs)
+@given(lengths=LENGTHS | st.just([]), d=st.integers(1, 8), h=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+@example(lengths=[], d=3, h=4, seed=0)
+@example(lengths=[4, 1, 7, 4, 2], d=3, h=4, seed=4)
+@settings(max_examples=100, deadline=None)
+def test_emissions_forward_of_a_list_is_emissions_forward_of_each_sentence(arch, lengths, d, h,
+                                                                          seed):
+    rng = np.random.default_rng(seed)
+    params = init_params(arch, d, k=5, hidden=h, fc_size=h + 2, rng=rng)
+    xs = [rng.standard_normal((n, d)) for n in lengths]
+    scores, cache = emissions_forward(arch, params, xs)
     assert len(scores) == len(xs)
+    assert (cache is None) == (len(xs) != 1)
     for got, x in zip(scores, xs):
-        assert_same_bits(got, emissions_forward(arch, params, x)[0])
+        (ref,), _ = emissions_forward(arch, params, [x])
+        assert_same_bits(got, ref)
 
 
 class TestProject:
@@ -441,7 +447,8 @@ class TestProject:
         def loss():
             return float((grad_scores * project(feats, params)).sum())
 
-        dfeats, grads = project_backward(feats, params, grad_scores)
+        _, cache = emissions_forward("crf", params, [feats])
+        dfeats, grads = emissions_backward(params, cache, grad_scores)
         fd = finite_difference(loss, {"feats": feats, **params})
         assert max_rel_err(dfeats, fd["feats"]) <= 1e-6
         assert max_rel_err(grads["proj.w"], fd["proj.w"]) <= 1e-6
@@ -524,13 +531,13 @@ class TestCrossEntropy:
         while checked < 22:
             seed += 1
             params, x, gold = self._fd_instance(seed)
-            log_probs, cache = emissions_forward("linear", params, x)
+            (log_probs,), cache = emissions_forward("linear", params, [x])
             if np.min(np.abs(cache.z1)) < 1e-3:
                 continue  # keep finite differences away from the relu kink
             checked += 1
 
             def loss():
-                log_probs, _ = emissions_forward("linear", params, x)
+                (log_probs,), _ = emissions_forward("linear", params, [x])
                 return -float(log_probs[np.arange(len(gold)), gold].mean())
 
             _, d_logits = cross_entropy_and_grads(log_probs, gold)
@@ -579,10 +586,10 @@ class TestArchitectureAssembly:
                 grad_scores -= grad_scores.mean(axis=1, keepdims=True)
 
             def loss():
-                scores, _ = emissions_forward(arch, params, x)
+                (scores,), _ = emissions_forward(arch, params, [x])
                 return float((grad_scores * scores).sum())
 
-            _, cache = emissions_forward(arch, params, x)
+            _, cache = emissions_forward(arch, params, [x])
             dx, grads = emissions_backward(params, cache, grad_scores)
             arrays = {"x": x, **{k: v for k, v in params.items() if k != "crf.trans"}}
             fd = finite_difference(loss, arrays)
@@ -596,6 +603,6 @@ class TestArchitectureAssembly:
         rng = np.random.default_rng(47)
         params = init_params("bilstm-crf", dim=2, k=3, hidden=2, rng=rng)
         x = rng.standard_normal((3, 2))
-        one, _ = emissions_forward("bilstm-crf", params, x)
-        two, _ = emissions_forward("bilstm-crf", params, x)
+        (one,), _ = emissions_forward("bilstm-crf", params, [x])
+        (two,), _ = emissions_forward("bilstm-crf", params, [x])
         assert np.array_equal(one, two)

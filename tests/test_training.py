@@ -504,6 +504,22 @@ class TestCheckpointIO:
             save_checkpoint(checkpoint, path)
             assert checkpoint.dim == load_checkpoint(path).dim == checkpoint.params[key].shape[1]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_array_is_refused_by_name(self, tmp_path, value):
+        # saving writes nothing; the bytes it would have written do not load
+        path = tmp_path / "c.ckpt"
+        for i, checkpoint in enumerate(self.checkpoints()):
+            key = sorted(checkpoint.params)[i]
+            checkpoint.params[key].flat[-1] = value
+            message = f"array {key!r} holds a non-finite value"
+            with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+                save_checkpoint(checkpoint, path)
+            assert os.listdir(tmp_path) == []
+            path.write_bytes(training._serialize(checkpoint))
+            with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                load_checkpoint(path)
+            path.unlink()
+
     def test_undecodable_text_rejected(self, tmp_path):
         path = tmp_path / "c.ckpt"
         save_checkpoint(self.checkpoints()[2], path)
@@ -617,6 +633,8 @@ def test_corrupted_checkpoint_loads_or_raises_checkpoint_error(edits):
         with open(path, "wb") as handle:
             handle.write(blob)
         try:
-            load_checkpoint(path)
-        except CheckpointError:
-            pass
+            checkpoint = load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert all(np.isfinite(array).all() for array in checkpoint.params.values())
