@@ -179,6 +179,15 @@ def _read(path, error, reader, *args):
         raise error(f"{path}:{bad}: not UTF-8 text") from None
 
 
+def _naming(path, call, *args):
+    """call(*args); a CheckpointError it raises, from checking the model loaded
+    from path against the input, names path as load_checkpoint's errors do."""
+    try:
+        return call(*args)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
 def _config_entries(handle) -> dict:
     path, values = handle.name, {}
     for lineno, raw in enumerate(handle, start=1):
@@ -290,7 +299,7 @@ def cmd_predict(settings: Settings) -> int:
     settings.require("checkpoint", "input")
     checkpoint = load_checkpoint(settings.checkpoint)
     voc = expand_bio(settings.types)
-    ensure_compatible(checkpoint, voc)
+    _naming(settings.checkpoint, ensure_compatible, checkpoint, voc)
     corpus = _parse_file(settings.input, voc, settings, has_labels=False)
 
     embeddings = None
@@ -299,8 +308,8 @@ def cmd_predict(settings: Settings) -> int:
 
     # a diverged model's overflow ends in a CrfError (exit 2 or 3), not in numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
-                                              settings.constrained)
+        predictions = _naming(settings.checkpoint, predict_with_checkpoint, checkpoint, corpus,
+                              embeddings, settings.constrained)
     if settings.repair:  # the whole corpus in one pass
         tags, starts = flat_tags(predictions)
         repaired = repair_bio(voc, tags, settings.repair, starts=starts).tags.tolist()

@@ -37,23 +37,26 @@ zero initial state. Weights initialize uniform(-0.1, 0.1); biases zero
 except the forget-gate section, which starts at 1.
 
 Only the recurrence runs in the Python time loop, and one loop serves any
-list of sentences, one included, and both directions of each: sentence r of
-a crf.LengthLayout (longest first, so the sentences still running at a step
-are a prefix) puts its forward and backward directions in rows 2r and 2r + 1
-of a (steps, rows, 4h) gate array; both directions of a sentence run the
-same number of steps, so the running rows stay a prefix. Each (sentence,
-direction) input projection x @ wx.T + b is written into its row as one
-matmul (one stacked matmul would send 1-token sentences down another BLAS
-path). A step adds wh @ h_prev to its rows, then applies one in-place sigmoid
-to the gate block, with tanh on the g slice. States are kept as
-(sentences, 2, h, 1) columns against the (2, 4h, h) stack of both
-directions' recurrent weights, for which np.matmul makes one BLAS gemv per
-row, the call wh @ h_prev makes for one direction of one sentence; the rest is
-elementwise, so a sentence gets the same bits in any batch (h_prev @ wh.T, one
-gemm, might not). A one-sentence list keeps the loop's arrays as the cache
-its backward reads (LstmCache); a longer list keeps no cache, and there every
-step writes its c and tanh(c) over the step before's, since a step reads only
-the c before it.
+list of sentences, one included, and both directions of each: sentence r of a
+crf.LengthLayout (longest first, so the sentences still running at a step are
+a prefix) puts its forward and backward directions in rows 2r and 2r + 1;
+both directions of a sentence run the same number of steps, so the running
+rows stay a prefix. Each (sentence, direction) input projection x @ wx.T + b
+is written into its row of a (steps, rows, 4h) array as one matmul (one
+stacked matmul would send 1-token sentences down another BLAS path). A step
+adds wh @ h_prev to its rows there and copies them into a gate-major
+(4, rows, h) block, so that each gate i, f, g and o of the running rows is
+one contiguous (rows, h) array for the activations and the cell update: one
+in-place sigmoid over the block, with tanh on the g gate. (Adding straight
+into the block reads both operands across gates, which cost more than the
+copy at decode batch sizes.) States are kept as (sentences, 2, h, 1) columns
+against the (2, 4h, h) stack of both directions' recurrent weights, for which
+np.matmul makes one BLAS gemv per row, the call wh @ h_prev makes for one
+direction of one sentence; the rest is elementwise, so a sentence gets the
+same bits in any batch (h_prev @ wh.T, one gemm, might not). A one-sentence
+list keeps the loop's arrays as the cache its backward reads (LstmCache); a
+longer list keeps no cache, and there every step writes its gates, c and
+tanh(c) over the step before's, since a step reads only the c before it.
 
 The backward runs one reversed loop over the same rows, and each step forms
 every row's dh_next = dz @ wh as one stacked matmul of (1, 4h) rows against
@@ -158,17 +161,24 @@ def embed_backward(cache: EmbedCache, grad_x: np.ndarray) -> dict:
 
 @dataclass
 class LstmCache:
-    """One sentence's time loop: [t, r] of each (n, 2, .) array is direction
-    DIRECTIONS[r] at its step t. The backward direction steps through the
-    sentence in reverse."""
+    """One sentence's time loop: [t, r] of each (n, 2, h) array, and [t, :, r]
+    of the gates, is direction DIRECTIONS[r] at its step t. The backward
+    direction steps through the sentence in reverse."""
 
     x: np.ndarray  # the forward input; the backward direction reads x[::-1]
     wx: tuple  # each direction's (4h, d) input weights
     wh: np.ndarray  # (2, 4h, h): each direction's recurrent weights
-    gates: np.ndarray  # (n, 2, 4h): sigmoid(i), sigmoid(f), tanh(g), sigmoid(o) per step
-    c: np.ndarray
-    tanh_c: np.ndarray
+    # (n, 4, 2, h), gate-major: gates[t, 0..3] are sigmoid(i), sigmoid(f),
+    # tanh(g), sigmoid(o) of both directions at step t
+    gates: np.ndarray
+    c: np.ndarray  # (n, 2, h), each direction's cell state per step
+    tanh_c: np.ndarray  # (n, 2, h)
     h: np.ndarray  # (n, 2, h), h[t, r] is the state direction r emits at its step t
+
+
+def _every_step(a, steps):
+    """a repeated over a leading axis of steps without a copy."""
+    return as_strided(a, (steps, *a.shape), (0, *a.strides))
 
 
 def _lstm_forward(xs, params):
@@ -191,17 +201,19 @@ def _lstm_forward(xs, params):
     wh = np.stack(whs)
     layout = LengthLayout(len(x) for x in xs)
     steps, rows = max(layout.lengths, default=0), 2 * len(xs)
-    gates = np.empty((steps, rows, 4 * h))  # the input projections; the loop adds wh @ h_prev
+    proj = np.empty((steps, rows, 4 * h))  # the input projections; the loop adds wh @ h_prev
     for row, j in enumerate(layout.order):
         for r, (x, wx, b) in enumerate(zip((xs[j], xs[j][::-1]), wxs, bs)):
-            z = gates[:len(x), 2 * row + r]
+            z = proj[:len(x), 2 * row + r]
             np.matmul(x, wx.T, out=z)
             z += b
-    split = gates.reshape(steps, rows, 4, h).transpose(0, 2, 1, 3)  # step -> (4, rows, h)
-    if len(xs) == 1:  # the cache keeps every step's c and tanh(c)
-        cs, tc = np.empty((2, steps, rows, h))
-    else:  # a step reads only the c before it, so all steps write one (rows, h) array
-        cs, tc = (as_strided(a, (steps, rows, h), (0, *a.strides)) for a in np.empty((2, rows, h)))
+    proj_gm = proj.reshape(steps, rows, 4, h).transpose(0, 2, 1, 3)  # step -> (4, rows, h)
+    keep = len(xs) == 1
+    if keep:  # the cache keeps every step's gates, c and tanh(c)
+        gates, cs, tc = np.empty((steps, 4, rows, h)), *np.empty((2, steps, rows, h))
+    else:  # a step reads only the c before it, so all steps write one buffer each
+        block = np.empty(4 * rows * h)
+        cs, tc = (_every_step(a, steps) for a in np.empty((2, rows, h)))
     cols = np.empty((steps, len(xs), 2, h, 1))  # states as (h, 1) columns, for which
     hs = cols.reshape(steps, rows, h)  # matmul(wh, h_prev) makes one gemv call per row
     g_all = np.empty((rows, h))
@@ -213,28 +225,33 @@ def _lstm_forward(xs, params):
             h_prev, c_prev = h_prev[:count], c_prev[:m]
         # the tanh(g) and wh @ h_prev buffers (the latter as columns and rows)
         g, rec, rec_rows = g_all[:m], rec_all[:count], rec_all[:count].reshape(m, 4 * h)
-        run = (gates[start:end, :m], split[start:end, :, :m], cs[start:end, :m],
+        # each step's contiguous (4, m, h) gate block; one sentence is one run
+        blocks = gates if keep else _every_step(block[:4 * m * h].reshape(4, m, h), end - start)
+        run = (proj[start:end, :m], proj_gm[start:end, :, :m], blocks, cs[start:end, :m],
                tc[start:end, :m], hs[start:end, :m], cols[start:end, :count])
         # one view per step and array, so the loop body only calls ufuncs
-        for z, (i, f, g_z, o), c, tanh_c, h_t, col in zip(*run):
+        for p, p_gm, z, c, tanh_c, h_t, col in zip(*run):
             if h_prev is not None:
                 np.matmul(wh, h_prev, out=rec)
-                z += rec_rows
+                p += rec_rows
+            z[...] = p_gm  # gate-major from here on
+            i, f, g_z, o = z
             np.tanh(g_z, out=g)
             np.negative(z, out=z)  # sigmoid over the whole gate block, in place ...
             np.exp(z, out=z)
             z += 1.0
             np.reciprocal(z, out=z)
-            g_z[...] = g  # ... with tanh on the g slice
+            g_z[...] = g  # ... with tanh on the g gate
             if c_prev is None:
                 np.multiply(i, g, out=c)
             else:  # c may be c_prev itself, so c_prev is read first
                 np.multiply(f, c_prev, out=c)
-                c += i * g
+                g *= i
+                c += g
             np.tanh(c, out=tanh_c)
             np.multiply(o, tanh_c, out=h_t)
             h_prev, c_prev = col, c
-    cache = LstmCache(xs[0], tuple(wxs), wh, gates, cs, tc, hs) if len(xs) == 1 else None
+    cache = LstmCache(xs[0], tuple(wxs), wh, gates, cs, tc, hs) if keep else None
     by_sentence = hs.reshape(steps, len(xs), 2, h)
     return layout.unstack(by_sentence[:n, row] for row, n in enumerate(layout.lengths)), cache
 
@@ -244,7 +261,7 @@ def _lstm_backward(cache: LstmCache, grad_h):
     grad_h (n, 2, h), the gradient at cache.h. Returns (dx, dwx, dwh, db) per
     direction, dx in that direction's step order."""
     n, _, h = cache.h.shape
-    i, f, g, o = cache.gates.reshape(n, 2, 4, h).transpose(2, 0, 1, 3)
+    i, f, g, o = cache.gates.transpose(1, 0, 2, 3)
     tc = cache.tanh_c
     c_prev = np.zeros((n, 2, h))
     c_prev[1:] = cache.c[:-1]

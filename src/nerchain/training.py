@@ -6,6 +6,13 @@ global-norm clipping at 5.0, and evaluates entity macro-F1 on the dev set.
 The checkpoint of the best dev epoch is returned. Given the same seed,
 config and data, training is bit-for-bit reproducible.
 
+The optimizer state is one contiguous float64 vector each for the
+parameters, both Adam moments and the step's gradient: init_adam adopts
+the parameter arrays as views of its vector, and adam_step gathers the
+gradient dict into its vector and makes each elementwise pass once over
+all parameters. Clipping stays per array, summing the squared norms in the
+gradient dict's order.
+
 Decoding (predict_corpus, and so each epoch's dev evaluation) cuts the
 corpus's LengthLayout order, longest first, into batches of at most
 DECODE_BATCH sentences: one Viterbi time loop per batch, and for the
@@ -85,42 +92,74 @@ class CheckpointError(ValueError):
 # optimizer
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """The parameters, both moments, the step's gradient and one scratch
+    array, each one contiguous float64 vector over the keys in sorted order;
+    views holds each key's parameter array, a view of params."""
+
+    views: dict[str, np.ndarray]
+    params: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    grad: np.ndarray
+    scratch: np.ndarray
     step: int = 0
 
 
 def init_adam(params: dict) -> AdamState:
-    return AdamState(
-        m={k: np.zeros_like(v) for k, v in params.items()},
-        v={k: np.zeros_like(v) for k, v in params.items()},
-    )
+    """Zero moments for params, whose arrays it adopts: each is copied into
+    the state's parameter vector and replaced in the dict by its view of it."""
+    keys = sorted(params)
+    flat = np.empty(sum(params[key].size for key in keys))
+    at = 0
+    for key in keys:
+        view = flat[at:at + params[key].size].reshape(params[key].shape)
+        view[...] = params[key]
+        params[key] = view
+        at += view.size
+    return AdamState({key: params[key] for key in keys}, flat, *np.zeros((4, flat.size)))
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
-    """One bias-corrected Adam update, in place over every parameter array."""
+    """One bias-corrected Adam update of every parameter in place: the
+    gradients are gathered into one vector, checked for finiteness once,
+    and each elementwise pass runs once over all parameters."""
+    if params.keys() != state.views.keys() or any(
+            params[key] is not view for key, view in state.views.items()):
+        raise TrainingError("the parameters are not the arrays init_adam adopted")
+    for key, p in state.views.items():
+        if key not in grads:
+            raise TrainingError(f"missing gradient for parameter {key!r}")
+        if grads[key].shape != p.shape:
+            raise TrainingError(
+                f"gradient shape {grads[key].shape} != parameter shape {p.shape} for {key!r}")
+    g, s, m, v = state.grad, state.scratch, state.m, state.v
+    np.concatenate([grads[key].ravel() for key in state.views], out=g)
+    if not np.isfinite(g).all():
+        for key in state.views:  # name the first key holding a non-finite value
+            if not np.isfinite(grads[key]).all():
+                raise NonFiniteError(f"non-finite gradient in {key!r}")
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
-    for key in sorted(params):
-        if key not in grads:
-            raise TrainingError(f"missing gradient for parameter {key!r}")
-        g = grads[key]
-        p = params[key]
-        if g.shape != p.shape:
-            raise TrainingError(f"gradient shape {g.shape} != parameter shape {p.shape} for {key!r}")
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient in {key!r}")
-        m = state.m[key]
-        v = state.v[key]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+    # p -= lr (m / c1) / (sqrt(v / c2) + eps), each product in that order
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    m *= ADAM_BETA1
+    m += s
+    np.multiply(g, 1.0 - ADAM_BETA2, out=s)
+    s *= g
+    v *= ADAM_BETA2
+    v += s
+    np.divide(v, c2, out=s)
+    np.sqrt(s, out=s)
+    s += ADAM_EPS
+    np.divide(m, c1, out=g)
+    g *= lr
+    g /= s
+    state.params -= g
     return params, state
 
 
@@ -504,7 +543,8 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
     layout = (config.arch, dim, voc.k, config.hidden, config.fc_size, vocab_size)
     floats = sum(math.prod(shape) for shape in param_shapes(*layout).values())
     try:
-        if 3 * 8 * floats > physical_memory():  # rejected before anything is allocated
+        # the optimizer's five vectors; rejected before anything is allocated
+        if 5 * 8 * floats > physical_memory():
             raise MemoryError
         params = init_params(*layout, rng)
         state = init_adam(params)
@@ -512,7 +552,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
         raise LayoutError(
             f"cannot allocate the {config.arch} layout (hidden={config.hidden}, "
             f"fc_size={config.fc_size}, dim={dim}): {floats} parameter floats, "
-            f"three times that with the Adam moments"
+            f"five times that with the optimizer state"
         ) from None
     source = EmbeddingSource(embeddings, params.get("embed.table"), token_vocab)
 

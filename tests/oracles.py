@@ -397,6 +397,51 @@ def scalar_adam(grad_fn, theta0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 # ---------------------------------------------------------------------------
+# per-array clipping and Adam: one pass over each array in turn, the
+# reference that the one-vector optimizer must match bit for bit
+
+
+def reference_clip_global_norm(grads, max_norm):
+    """Scale the dict's gradients in place so their joint L2 norm is at most
+    max_norm; returns the norm before scaling."""
+    total = 0.0
+    for g in grads.values():
+        total += float((g * g).sum())
+    norm = total ** 0.5
+    if norm > max_norm:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return norm
+
+
+class ReferenceAdam:
+    """Bias-corrected Adam with one (m, v) pair of arrays per key."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.step = 0
+
+    def update(self, params, grads, lr):
+        """One step in place over params, key by key in sorted order; a
+        non-finite gradient raises ValueError naming its key."""
+        self.step += 1
+        c1 = 1.0 - self.beta1 ** self.step
+        c2 = 1.0 - self.beta2 ** self.step
+        for key in sorted(params):
+            g, p, m, v = grads[key], params[key], self.m[key], self.v[key]
+            if not np.all(np.isfinite(g)):
+                raise ValueError(f"non-finite gradient in {key!r}")
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+# ---------------------------------------------------------------------------
 # declarative span extractor: checks every candidate (start, end, type) triple
 
 

@@ -45,8 +45,14 @@ def test_traced_training_and_tagging_reach_the_crf_and_training_layers():
             checkpoint, _ = training.train(corpus, corpus, config)
             training.predict_with_checkpoint(checkpoint, corpus)
     recorded = {name for name, *_ in tracer.spans}
+    # training.clip_rate counts one clip_global_norm call per step, which
+    # returns the norm before clipping
     assert {"crf.nll_gradients", "crf.viterbi_decode", "training.adam_step",
-            "training.evaluate_corpus", "tagscheme.transition_mask"} <= recorded
+            "training.clip_global_norm", "training.evaluate_corpus",
+            "tagscheme.transition_mask"} <= recorded
+    names = [name for name, *_ in tracer.spans]
+    steps = len(archs) * len(corpus.sentences)  # one epoch each
+    assert names.count("training.clip_global_norm") == names.count("training.adam_step") == steps
     bilstm = {name for name, *_, op in tracer.spans if op == archs.index("bilstm-crf")}
     assert {"encoders.emissions_forward", "encoders.emissions_backward",
             "encoders.embed_backward", "tagscheme.repair_bio"} <= bilstm

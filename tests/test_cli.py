@@ -807,6 +807,32 @@ def test_truncated_checkpoint_exits_two_naming_the_file(capsys, tiny, tmp_path):
     assert err == f"nerchain: error: {bad}: corrupt checkpoint: truncated while reading header\n"
 
 
+# three-dimensional embeddings of every TINY sentence
+TINY_EMB_3 = "dim 3\n" + "".join(
+    f"# id {s.id}\n" + "".join(f"{0.5 * j} {-1.0 + j} 1.0\n" for j in range(len(s))) + "\n"
+    for s in parse_conll(TINY, VOC))
+
+
+@pytest.mark.parametrize("model, config, embeddings, message", [
+    ("crf", "types=PER,LOC\n", None, "checkpoint label space has 13 tags "
+     "(PER,LOC,GRP,CORP,PROD,CW), vocabulary has 5 (PER,LOC)"),
+    ("crf-emb", "", None, "model was trained on ingested embeddings; none provided"),
+    ("crf-emb", "", TINY_EMB_3, "embedding dimension 3 != checkpoint dimension 2"),
+], ids=["label-space", "no-embeddings", "embedding-width"])
+def test_checkpoint_that_does_not_fit_the_input_exits_two_naming_the_file(
+        capsys, tiny_models, tiny, tmp_path, model, config, embeddings, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    argv = ["predict", "--checkpoint", tiny_models[model], "--input", tiny, "--config", str(cfg)]
+    if embeddings is not None:
+        emb = tmp_path / "input.emb"
+        emb.write_text(embeddings)
+        argv += ["--embeddings", str(emb)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"nerchain: error: {tiny_models[model]}: {message}\n"
+
+
 # every flag that takes a value, on each command that has it; the constrained
 # switch takes none and has its own test below
 _FLAGGED = [(command, name) for name, setting in cli._SETTINGS.items()

@@ -250,10 +250,11 @@ class TestBiLstmBackward:
 
 def by_direction(cache):
     """Each direction's name and its one-direction view of bilstm_forward's
-    cache."""
+    cache, with the gate-major (n, 4, 2, h) gates as (n, 4h) rows."""
+    n, _, h = cache.h.shape
     for r, (d, x) in enumerate(zip(DIRECTIONS, (cache.x, cache.x[::-1]))):
-        yield d, LstmDirection(x, cache.wx[r], cache.wh[r], cache.gates[:, r], cache.c[:, r],
-                               cache.tanh_c[:, r], cache.h[:, r])
+        yield d, LstmDirection(x, cache.wx[r], cache.wh[r], cache.gates[:, :, r].reshape(n, 4 * h),
+                               cache.c[:, r], cache.tanh_c[:, r], cache.h[:, r])
 
 
 def reference_cache(cache):
@@ -354,11 +355,13 @@ def test_batched_kernel_matches_the_single_sentence_kernel_bit_for_bit(lengths, 
         return
     # one sentence: the cache _lstm_backward reads, row by row
     assert cache.x is xs[0]
+    assert cache.gates.shape == (lengths[0], 4, 2, h)  # gate-major
+    views = dict(by_direction(cache))
     for r, (name, (_, ref_cache)) in enumerate(zip(DIRECTIONS, refs[0])):
         assert cache.wx[r] is params[f"lstm.{name}.wx"]
         assert_same_bits(cache.wh[r], params[f"lstm.{name}.wh"])
         for field in ("gates", "c", "tanh_c", "h"):
-            assert_same_bits(getattr(cache, field)[:, r], getattr(ref_cache, field))
+            assert_same_bits(getattr(views[name], field), getattr(ref_cache, field))
 
 
 @given(n=st.integers(1, 40), d=st.integers(1, 8), h=st.integers(1, 8),

@@ -40,7 +40,9 @@ from nerchain.training import (
 )
 
 from oracles import (
+    ReferenceAdam,
     random_corpus,
+    reference_clip_global_norm,
     reference_lstm_backward_kernel,
     reference_lstm_kernel,
     reference_nll_gradients,
@@ -109,6 +111,73 @@ class TestAdam:
         grads = {"a": np.array([30.0]), "b": np.array([40.0])}
         clip_global_norm(grads, 5.0)
         assert np.hypot(grads["a"][0], grads["b"][0]) == pytest.approx(5.0)
+
+
+def bits(array):
+    return np.ascontiguousarray(array).view(np.uint64)
+
+
+def assert_array_bits(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(bits(got), bits(ref))
+
+
+# 1-6 arrays: vectors and matrices with 1-5 entries a side, under names
+# whose insertion order differs from their sorted order
+_SHAPES = st.one_of(st.tuples(st.integers(1, 5)), st.tuples(st.integers(1, 5), st.integers(1, 5)))
+_LAYOUTS = st.dictionaries(st.text("ab.z", min_size=1, max_size=3), _SHAPES, min_size=1,
+                           max_size=6)
+# per step, a gradient scale; 10**-3 never reaches the clip norm, 10**1.5 always does
+_SCALES = st.lists(st.floats(-3.0, 1.5), min_size=1, max_size=20)
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@given(layout=_LAYOUTS, log_scales=_SCALES, seed=st.integers(0, 2**32 - 1),
+       poison=st.none() | st.tuples(st.integers(0, 19), st.lists(
+           st.tuples(st.integers(0, 5), _NON_FINITE), min_size=1, max_size=3)))
+@example(layout={"b": (3,), "a": (4, 2)}, log_scales=[-3.0, 1.5, -3.0, 1.5], seed=0, poison=None)
+@example(layout={"z": (2, 2), "a.b": (5,), "b": (1,)}, log_scales=[1.5] * 20, seed=1,
+         poison=None)
+@example(layout={"z": (3, 4), "a": (2,)}, log_scales=[0.0, 0.0], seed=2,
+         poison=(1, [(0, np.inf), (1, np.nan)]))
+@settings(max_examples=200, deadline=None)
+def test_one_vector_adam_step_matches_the_per_array_reference_bit_for_bit(layout, log_scales,
+                                                                          seed, poison):
+    rng = np.random.default_rng(seed)
+    params = {key: rng.uniform(-1.0, 1.0, shape) for key, shape in layout.items()}
+    expected = {key: p.copy() for key, p in params.items()}
+    reference = ReferenceAdam(expected)
+    state = init_adam(params)
+    keys = list(layout)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in train()
+        for step, log_scale in enumerate(log_scales):
+            lr = rng.uniform(1e-6, 1e-1)
+            grads = {key: rng.standard_normal(shape) * 10.0 ** log_scale
+                     for key, shape in layout.items()}
+            for g in grads.values():  # rows of a table that no token of a sentence reached
+                if g.ndim == 2:
+                    g[rng.random(len(g)) < 0.5] = 0.0
+            if poison is not None and poison[0] == step:
+                for index, value in poison[1]:
+                    grads[keys[index % len(keys)]].flat[0] = value
+            ref_grads = {key: g.copy() for key, g in grads.items()}
+            norm = clip_global_norm(grads)
+            assert bits(norm) == bits(reference_clip_global_norm(ref_grads, 5.0))
+            try:
+                reference.update(expected, ref_grads, lr)
+            except ValueError as exc:
+                with pytest.raises(NonFiniteError) as raised:
+                    adam_step(params, grads, state, lr)
+                assert str(raised.value) == str(exc)
+                return
+            adam_step(params, grads, state, lr)
+            assert state.step == reference.step
+            for key in layout:
+                assert_array_bits(params[key], expected[key])
+            for flat, per_key in ((state.m, reference.m), (state.v, reference.v)):
+                assert_array_bits(flat, np.concatenate([per_key[k].ravel()
+                                                        for k in sorted(per_key)]))
+    assert poison is None or poison[0] >= len(log_scales)  # a poisoned step returns above
 
 
 class TestLrSchedule:
@@ -343,8 +412,9 @@ class TestTrain:
                                                constrained=constrained) == [], arch
 
     def test_a_layout_beyond_physical_memory_is_rejected_before_allocating(self, monkeypatch):
-        # parameters and two Adam moments of 8-byte floats; the bound is patched,
-        # and the allocation is simulated: it fails, as one beyond the bound would
+        # parameters, two Adam moments, gradient and scratch of 8-byte floats;
+        # the bound is patched, and the allocation is simulated: it fails, as
+        # one beyond the bound would
         allocations = []
 
         def no_memory(*args):
@@ -357,9 +427,9 @@ class TestTrain:
         floats = sum(math.prod(shape) for shape in param_shapes(
             "bilstm-crf", 4, VOC.k, cfg.hidden, cfg.fc_size).values())
         message = (f"cannot allocate the bilstm-crf layout (hidden=5, fc_size={cfg.fc_size}, "
-                   f"dim=4): {floats} parameter floats, three times that with the Adam moments")
+                   f"dim=4): {floats} parameter floats, five times that with the optimizer state")
         monkeypatch.setattr(training, "init_params", no_memory)
-        for memory, allocated in ((3 * 8 * floats - 1, 0), (3 * 8 * floats, 1)):
+        for memory, allocated in ((5 * 8 * floats - 1, 0), (5 * 8 * floats, 1)):
             monkeypatch.setattr(training, "physical_memory", lambda: memory)
             with pytest.raises(LayoutError) as raised:
                 train(corpus, corpus, cfg, embeddings)
