@@ -11,6 +11,7 @@ decimal floats per token, sentences separated by blank lines.
 """
 
 import io
+import re
 from functools import cached_property
 from itertools import repeat
 from dataclasses import dataclass, field
@@ -22,6 +23,7 @@ from .tagscheme import TagSchemeError, TagVocabulary, flat_tags
 PAD_INDEX = 0
 UNK_INDEX = 1
 _N_RESERVED = 2
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # the code points UTF-8 cannot encode
 
 
 class ConllError(ValueError):
@@ -167,17 +169,13 @@ def parse_conll(
     return Corpus(tuple(sentences), voc)
 
 
-def storable_token(token: str) -> bool:
-    """Whether a token reads back as itself from one whitespace-separated field,
-    as both a column file and a checkpoint store it."""
-    return token.split() == [token]
-
-
 def _check_id(sid: str, error) -> None:
     """Raise error unless the line "# id " + sid reads back as sid: one line
     (a file opened in text mode also ends a line at a carriage return),
-    non-empty, without the whitespace at either end that _id_line strips."""
-    if not sid or "\n" in sid or "\r" in sid or _id_line("# id " + sid) != sid:
+    non-empty, without the whitespace at either end that _id_line strips,
+    and encodable as UTF-8."""
+    if (not sid or "\n" in sid or "\r" in sid or _id_line("# id " + sid) != sid
+            or _SURROGATE.search(sid)):
         raise error(f"sentence id {sid!r} cannot be serialized")
 
 
@@ -199,8 +197,8 @@ def write_conll(corpus: Corpus, stream, tags=None) -> None:
         _check_id(sent.id, ConllError)
         if seq is None or len(seq) != len(sent):
             raise ConllError(f"sentence {sent.id!r} is missing a full tag sequence")
-        for token in sent.tokens:  # a line that begins with "#" is a comment
-            if not storable_token(token) or token[0] == "#":
+        for token in sent.tokens:  # one field, in UTF-8; a line that begins with "#" is a comment
+            if token.split() != [token] or token[0] == "#" or _SURROGATE.search(token):
                 raise ConllError(f"token {token!r} cannot be serialized")
         for tag in seq:
             if not 0 <= int(tag) < len(names):

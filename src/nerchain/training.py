@@ -20,23 +20,29 @@ bilstm-crf head one LSTM time loop as well; the cap bounds their buffers.
 The batched kernels give each sentence the bits it gets alone, and a corpus
 that fails raises the error of its first failing sentence in input order.
 
-Checkpoint container format (little endian): magic b"NERCHKP" + one version
-byte, a UTF-8 metadata block of key=value lines, then named float64 arrays
-with explicit dimension headers.
+Checkpoint container format, version 2 (little endian): magic b"NERCHKP",
+one version byte and a u64 header length; a JSON header with sorted keys,
+holding the TrainConfig fields under "config", the entity types, the best
+dev F1 and epoch, the token list (null for ingested embeddings) and each
+array's shape under "arrays", by name; the arrays' float64 values in that
+name order; and a u32 CRC-32 of every byte before it. The header is UTF-8
+with surrogates passed through, so any str is a token: a lone surrogate, or
+two that JSON's escapes would read back as one character.
 """
 
+import json
 import logging
 import math
 import os
 import struct
 import tempfile
 import typing
+import zlib
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .conll_io import (Corpus, EmbeddingSet, TokenVocabulary, build_token_vocabulary,
-                       storable_token)
+from .conll_io import Corpus, EmbeddingSet, TokenVocabulary, build_token_vocabulary
 from .crf import LengthLayout, NonFiniteScoreError, TransitionMatrix, nll_gradients, viterbi_decode
 from .encoders import (
     ARCHITECTURES,
@@ -61,7 +67,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"NERCHKP"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class TrainingError(ValueError):
@@ -385,43 +391,28 @@ def _refuse_non_finite(params: dict) -> None:
 
 
 def _serialize(checkpoint: Checkpoint) -> bytes:
-    meta: dict[str, str] = {}
-    for name in CONFIG_TYPES:
-        value = getattr(checkpoint.config, name)
-        if value is None:
-            value = ""
-        meta[name] = repr(value) if isinstance(value, float) else str(value)
-    meta["entity_types"] = " ".join(checkpoint.entity_types)
-    meta["activation"] = "relu"
-    meta["selection"] = "dev-macro-f1"
-    meta["best_f1"] = repr(float(checkpoint.best_f1))
-    meta["best_epoch"] = str(checkpoint.best_epoch)
-    if checkpoint.token_vocab is not None:
-        meta["tokens"] = " ".join(checkpoint.token_vocab.tokens)
-
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC + bytes([CHECKPOINT_VERSION])
-    meta_bytes = "".join(f"{k}={v}\n" for k, v in sorted(meta.items())).encode("utf-8")
-    blob += struct.pack("<Q", len(meta_bytes)) + meta_bytes
-    blob += struct.pack("<I", len(checkpoint.params))
-    for key in sorted(checkpoint.params):
-        array = np.ascontiguousarray(checkpoint.params[key], dtype="<f8")
-        name = key.encode("utf-8")
-        blob += struct.pack("<H", len(name)) + name
-        blob += struct.pack("<B", array.ndim)
-        for extent in array.shape:
-            blob += struct.pack("<Q", extent)
-        blob += array.tobytes()
-    return bytes(blob)
+    header = json.dumps({
+        "config": {name: None if value is None else CONFIG_TYPES[name](value)
+                   for name, value in vars(checkpoint.config).items()},
+        "entity_types": list(checkpoint.entity_types),
+        "best_f1": float(checkpoint.best_f1),
+        "best_epoch": int(checkpoint.best_epoch),
+        "tokens": None if checkpoint.token_vocab is None else list(checkpoint.token_vocab.tokens),
+        "arrays": {key: list(np.shape(array)) for key, array in checkpoint.params.items()},
+    }, sort_keys=True, ensure_ascii=False).encode("utf-8", "surrogatepass")
+    parts = [CHECKPOINT_MAGIC, bytes([CHECKPOINT_VERSION]), struct.pack("<Q", len(header)), header]
+    parts += [np.ascontiguousarray(checkpoint.params[key], dtype="<f8").tobytes()
+              for key in sorted(checkpoint.params)]
+    crc = 0
+    for part in parts:  # part by part: one copy of the payload, in the join
+        crc = zlib.crc32(part, crc)
+    return b"".join(parts + [struct.pack("<I", crc)])
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Serialize; atomic on the destination (no partial file is left behind).
-    A token the metadata cannot hold or a non-finite array is refused before
-    anything is written, since load_checkpoint would not take it back."""
-    for token in checkpoint.token_vocab.tokens if checkpoint.token_vocab is not None else ():
-        if not storable_token(token):  # load reads the tokens back with split()
-            raise CheckpointError(f"token {token!r} cannot be stored in a checkpoint")
+    An array holding a non-finite value is refused before anything is
+    written, since load_checkpoint would not take it back."""
     _refuse_non_finite(checkpoint.params)
     blob = _serialize(checkpoint)
     directory = os.path.dirname(os.path.abspath(path))
@@ -446,12 +437,19 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: {exc}") from None
 
 
+def _typed(value, kind, what):
+    """value if it is an instance of kind, and no bool; else a TypeError."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{what} has type {type(value).__name__}")
+    return value
+
+
 def _deserialize(blob: bytes) -> Checkpoint:
-    offset = 0
+    offset, end = 0, len(blob) - 4  # the CRC-32 trailer covers blob[:end]
 
     def take(count, what):
         nonlocal offset
-        if offset + count > len(blob):
+        if offset + count > end:
             raise CheckpointError(f"corrupt checkpoint: truncated while reading {what}")
         piece = blob[offset:offset + count]
         offset += count
@@ -465,43 +463,39 @@ def _deserialize(blob: bytes) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint format version {version} is not supported (expected {CHECKPOINT_VERSION})"
         )
+    if zlib.crc32(memoryview(blob)[:end]) != int.from_bytes(blob[end:], "little"):
+        raise CheckpointError("corrupt checkpoint: checksum mismatch")
 
-    (meta_len,) = struct.unpack("<Q", take(8, "metadata length"))
-    meta_bytes = take(meta_len, "metadata")
-    try:  # every decoding failure below is a ValueError (UnicodeDecodeError included)
-        meta: dict[str, str] = {}
-        for line in meta_bytes.decode("utf-8").splitlines():
-            if line:
-                key, _, value = line.partition("=")
-                meta[key] = value
-        kwargs = {}
-        for f in fields(TrainConfig):
-            text = meta[f.name]  # "" stands for None in the optional fields
-            kwargs[f.name] = None if f.default is None and not text else CONFIG_TYPES[f.name](text)
-        config = TrainConfig(**kwargs)
-        entity_types = EntityTypeSet(tuple(meta["entity_types"].split())).types
-        best_f1 = float(meta["best_f1"])
-        best_epoch = int(meta["best_epoch"])
-    except (KeyError, ValueError) as exc:
+    (header_len,) = struct.unpack("<Q", take(8, "header length"))
+    text = take(header_len, "header")
+    floats = (end - offset) // 8  # bounds every extent, a zero-size array's too
+    try:  # a crafted header can carry a valid checksum, and hold any JSON
+        meta = json.loads(text.decode("utf-8", "surrogatepass"))
+        config = TrainConfig(**{f.name: _typed(meta["config"][f.name], f.type, f.name)
+                                for f in fields(TrainConfig)})
+        entity_types = EntityTypeSet(tuple(_typed(meta["entity_types"], list,
+                                                  "entity_types"))).types
+        best_f1 = _typed(meta["best_f1"], float, "best_f1")
+        best_epoch = _typed(meta["best_epoch"], int, "best_epoch")
+        tokens = _typed(meta["tokens"], list | None, "tokens")
+        if tokens is not None and not set(map(type, tokens)) <= {str}:
+            raise TypeError("a token is not a str")
+        token_vocab = None if tokens is None else TokenVocabulary(tokens)
+        shapes = {}
+        for name, shape in _typed(meta["arrays"], dict, "arrays").items():
+            shape = tuple(_typed(extent, int, f"extent of {name!r}")
+                          for extent in _typed(shape, list, f"shape of {name!r}"))
+            if len(shape) > 2 or not all(0 <= extent <= floats for extent in shape):
+                raise ValueError(f"array {name!r} has shape {shape}")  # vector or matrix
+            shapes[name] = shape
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"corrupt checkpoint metadata: {exc}") from None
-    token_vocab = TokenVocabulary(meta["tokens"].split()) if "tokens" in meta else None
 
-    (n_arrays,) = struct.unpack("<I", take(4, "array count"))
     params: dict[str, np.ndarray] = {}
-    for _ in range(n_arrays):
-        (name_len,) = struct.unpack("<H", take(2, "array name length"))
-        try:
-            name = take(name_len, "array name").decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError("corrupt checkpoint: array name is not UTF-8") from None
-        (ndim,) = struct.unpack("<B", take(1, "array rank"))
-        if ndim > 2:  # every layout array is a vector or a matrix
-            raise CheckpointError(f"corrupt checkpoint: array {name!r} has rank {ndim}")
-        shape = tuple(struct.unpack("<Q", take(8, "array dimension"))[0] for _ in range(ndim))
-        count = math.prod(shape)  # exact: a corrupted extent cannot wrap around
-        data = take(8 * count, f"array {name!r} data")
+    for name, shape in shapes.items():
+        data = take(8 * math.prod(shape), f"array {name!r} data")
         params[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
-    if offset != len(blob):
+    if offset != end:
         raise CheckpointError("corrupt checkpoint: trailing bytes")
     _refuse_non_finite(params)
 

@@ -7,6 +7,7 @@ code paths it checks.
 
 import itertools
 import math
+import zlib
 from typing import NamedTuple
 
 import numpy as np
@@ -717,6 +718,24 @@ def reference_load_embeddings(stream, corpus):
     if dim is None:
         raise EmbeddingError("empty embedding file")
     return EmbeddingSet(dim, matrices)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint container
+
+
+def resealed(blob, header=None, payload=None):
+    """A version 2 checkpoint blob with its JSON header text and its payload
+    bytes passed through the given bytes -> bytes edits, and its header
+    length and CRC-32 trailer written anew, so that a load of an edited file
+    gets past the checksum to the check the edit targets. The layout: 7-byte
+    magic and version byte, u64 header length, header, payload, u32 CRC-32."""
+    size = int.from_bytes(blob[8:16], "little")
+    text, data = blob[16:16 + size], blob[16 + size:-4]
+    text = text if header is None else header(text)
+    data = data if payload is None else payload(data)
+    body = blob[:8] + len(text).to_bytes(8, "little") + text + data
+    return body + zlib.crc32(body).to_bytes(4, "little")
 
 
 # ---------------------------------------------------------------------------

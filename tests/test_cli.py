@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import math
 import os
 import re
@@ -20,7 +21,9 @@ from nerchain.crf import NoValidPathError
 from nerchain.encoders import param_shapes
 from nerchain.metrics import render_kv, render_text, score
 from nerchain.tagscheme import EntityTypeSet, count_invalid_transitions, expand_bio
-from nerchain.training import NonFiniteError, TrainConfig
+from nerchain.training import CheckpointError, NonFiniteError, TrainConfig, load_checkpoint
+
+from oracles import resealed
 
 VOC = expand_bio(EntityTypeSet())
 
@@ -735,23 +738,31 @@ _EDITS = st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), max_siz
        embeddings=st.none() | st.just(TINY_EMB.encode("utf-8")) | HOSTILE
        | _EDITS.map(lambda edits: _corrupt(TINY_EMB.encode("utf-8"), edits)),
        edits=_EDITS,
+       sealed=st.sampled_from([None, "header", "payload"]),
        constrained=st.sampled_from([None, True, False]))
 @example(model="crf", data=b" #tag _ _ O\nx _ _ O\n", config=None, embeddings=None, edits=[],
-         constrained=None)
+         sealed=None, constrained=None)
 # the last weight of the model becomes 1.7e308, which overflows the emissions in
 # the matmul, or nan, which load refuses: either way the run must exit 2 with no
 # numpy warning (an error here)
 @example(model="crf-emb", data=TINY.encode("utf-8"), config=None,
-         embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0x7F), (1, 0xEF)], constrained=None)
+         embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0x7F), (1, 0xEF)], sealed="payload",
+         constrained=None)
 @example(model="crf-emb", data=TINY.encode("utf-8"), config=None,
-         embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0xFF), (1, 0xFF)], constrained=True)
+         embeddings=TINY_EMB.encode("utf-8"), edits=[(0, 0xFF), (1, 0xFF)], sealed="payload",
+         constrained=True)
 def test_predict_on_arbitrary_bytes_ends_in_an_exit_code(tiny_models, model, data, config,
-                                                         embeddings, edits, constrained):
+                                                         embeddings, edits, sealed, constrained):
     """Hostile input, config and embedding bytes, against checkpoints with up
-    to four bytes overwritten."""
+    to four bytes overwritten: anywhere, which the checksum refuses, or in the
+    header or the payload of a checkpoint resealed after the edits."""
     with tempfile.TemporaryDirectory() as tmp:
         with open(tiny_models[model], "rb") as handle:
-            checkpoint = _corrupt(handle.read(), edits)
+            checkpoint = handle.read()
+        if sealed is None:
+            checkpoint = _corrupt(checkpoint, edits)
+        else:
+            checkpoint = resealed(checkpoint, **{sealed: lambda part: _corrupt(part, edits)})
         output = os.path.join(tmp, "out.conll")
         argv = ["predict", "--output", output]
         argv += {None: [], True: ["--constrained"], False: ["--no-constrained"]}[constrained]
@@ -775,9 +786,9 @@ def test_checkpoint_with_a_rejected_setting_exits_two(capsys, tiny_models, tiny,
     """In a checkpoint, a setting TrainConfig rejects is corrupted metadata."""
     with open(tiny_models["crf"], "rb") as handle:
         blob = handle.read()
-    assert blob.count(b"\nepochs=1\n") == 1
+    assert blob.count(b'"epochs": 1,') == 1
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(blob.replace(b"\nepochs=1\n", b"\nepochs=0\n"))
+    bad.write_bytes(resealed(blob, header=lambda h: h.replace(b'"epochs": 1,', b'"epochs": 0,')))
     code, out, err = run(capsys, "predict", "--checkpoint", str(bad), "--input", tiny)
     assert (code, out) == (2, "")
     assert "corrupt checkpoint metadata: epochs must be >= 1, got 0" in err
@@ -788,15 +799,42 @@ def test_checkpoint_with_a_non_finite_array_exits_two_naming_file_and_array(caps
     """A non-finite weight is corrupted bytes: load refuses it before decoding."""
     with open(tiny_models["linear"], "rb") as handle:
         blob = handle.read()
-    header = b"\x05\x00fc.w2\x02"  # name length, name and rank of the array
-    assert blob.count(header) == 1
-    at = blob.index(header) + len(header) + 16  # past its two extents
+    # arrays are stored in name order, so the payload ends with fc.w2's last weight
+    assert max(load_checkpoint(tiny_models["linear"]).params) == "fc.w2"
     bad = tmp_path / "bad.ckpt"
     for value in (math.nan, math.inf):
-        bad.write_bytes(blob[:at] + struct.pack("<d", value) + blob[at + 8:])
+        bad.write_bytes(resealed(blob, payload=lambda p: p[:-8] + struct.pack("<d", value)))
         code, out, err = run(capsys, "predict", "--checkpoint", str(bad), "--input", tiny)
         assert (code, out) == (2, "")
         assert err == f"nerchain: error: {bad}: array 'fc.w2' holds a non-finite value\n"
+
+
+def _without(key):
+    return lambda h: json.dumps({k: v for k, v in json.loads(h).items() if k != key}).encode()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: b"[" * 100_000,
+    lambda h: h.replace(b'"crf.trans": [15, 15]', b'"crf.trans": [Infinity, 15]'),
+    lambda h: h.replace(b'"crf.trans": [15, 15]', b'"crf.trans": [-1, 15]'),
+    lambda h: h.replace(b'"crf.trans": [15, 15]', b'"crf.trans": [15.0, 15]'),
+    lambda h: h.replace(b'"crf.trans": [15, 15]', b'"crf.trans": [0, 1000000000000000000000]'),
+    lambda h: b"[" + h + b"]",
+    _without("best_f1"),
+    _without("config"),
+], ids=["deep-nesting", "infinite-extent", "negative-extent", "float-extent", "huge-extent",
+        "list", "missing-best-f1", "missing-config"])
+def test_crafted_header_with_a_valid_checksum_exits_two(capsys, tiny_models, tiny, tmp_path, edit):
+    with open(tiny_models["crf"], "rb") as handle:
+        blob = handle.read()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(resealed(blob, header=edit))
+    assert bad.read_bytes() != blob
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(bad))}: corrupt checkpoint"):
+        load_checkpoint(bad)
+    code, out, err = run(capsys, "predict", "--checkpoint", str(bad), "--input", tiny)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"nerchain: error: {bad}: corrupt checkpoint") and "Traceback" not in err
 
 
 def test_truncated_checkpoint_exits_two_naming_the_file(capsys, tiny, tmp_path):

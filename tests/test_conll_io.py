@@ -487,6 +487,24 @@ def test_ids_a_file_would_not_give_back_are_refused_before_any_write(sid):
     assert out.getvalue() == ""
 
 
+@pytest.mark.parametrize("where", ["id", "token"])
+def test_a_lone_surrogate_is_refused_before_any_byte_of_a_utf8_file(tmp_path, where):
+    # UTF-8 cannot encode it: the file would stop at the second sentence
+    bad = "\ud800"
+    second = Sentence(bad, ("x",), (0,)) if where == "id" else Sentence("s1", (bad,), (0,))
+    corpus = Corpus((Sentence("s0", ("x",), (0,)), second), VOC)
+    embeddings = EmbeddingSet(1, {s.id: np.zeros((len(s), 1)) for s in corpus})
+    path = tmp_path / "out"
+    writers = [(write_conll, corpus, ConllError)]
+    if where == "id":
+        writers.append((write_embeddings, embeddings, EmbeddingError))
+    for write, data, error in writers:
+        with open(path, "w", encoding="utf-8") as handle:
+            with pytest.raises(error, match="cannot be serialized"):
+                write(data, handle)
+        assert path.read_bytes() == b""
+
+
 # any text, rich in what the readers strip, split at or read as a comment
 _TEXT = (st.text(min_size=1, max_size=4)
          | st.text(st.sampled_from(list("ab# \t\n\r\x0b\x0c\x1c\x85\u2028")), max_size=4))
