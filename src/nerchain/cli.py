@@ -179,15 +179,6 @@ def _read(path, error, reader, *args):
         raise error(f"{path}:{bad}: not UTF-8 text") from None
 
 
-def _naming(path, call, *args):
-    """call(*args); a CheckpointError it raises, from checking the model loaded
-    from path against the input, names path as load_checkpoint's errors do."""
-    try:
-        return call(*args)
-    except CheckpointError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
-
-
 def _config_entries(handle) -> dict:
     path, values = handle.name, {}
     for lineno, raw in enumerate(handle, start=1):
@@ -299,17 +290,18 @@ def cmd_predict(settings: Settings) -> int:
     settings.require("checkpoint", "input")
     checkpoint = load_checkpoint(settings.checkpoint)
     voc = expand_bio(settings.types)
-    _naming(settings.checkpoint, ensure_compatible, checkpoint, voc)
-    corpus = _parse_file(settings.input, voc, settings, has_labels=False)
-
-    embeddings = None
-    if settings.embeddings:
-        embeddings = _read(settings.embeddings, EmbeddingError, load_embeddings, corpus)
-
-    # a diverged model's overflow ends in a CrfError (exit 2 or 3), not in numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        predictions = _naming(settings.checkpoint, predict_with_checkpoint, checkpoint, corpus,
-                              embeddings, settings.constrained)
+    try:  # checking the model against the input, or decoding with it, names its file
+        ensure_compatible(checkpoint, voc)  # before the input is parsed
+        corpus = _parse_file(settings.input, voc, settings, has_labels=False)
+        embeddings = None
+        if settings.embeddings:
+            embeddings = _read(settings.embeddings, EmbeddingError, load_embeddings, corpus)
+        # a diverged model's overflow ends in a CrfError (exit 2 or 3), not in numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
+                                                  settings.constrained)
+    except (CheckpointError, CrfError) as exc:
+        raise type(exc)(f"{settings.checkpoint}: {exc}") from None
     if settings.repair:  # the whole corpus in one pass
         tags, starts = flat_tags(predictions)
         repaired = repair_bio(voc, tags, settings.repair, starts=starts).tags.tolist()
@@ -379,6 +371,9 @@ def main(argv=None) -> int:
     except (UsageError, LayoutError) as exc:  # a layout too large is a bad flag value
         print(f"nerchain: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print(f"nerchain: error: {args.command}: out of memory", file=sys.stderr)
+        return EXIT_DATA
     except (NonFiniteError, NoValidPathError) as exc:
         print(f"nerchain: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -13,12 +13,13 @@ gradient dict into its vector and makes each elementwise pass once over
 all parameters. Clipping stays per array, summing the squared norms in the
 gradient dict's order.
 
-Decoding (predict_corpus, and so each epoch's dev evaluation) cuts the
-corpus's LengthLayout order, longest first, into batches of at most
+Decoding (predict_with_checkpoint, each epoch's dev evaluation included)
+cuts the corpus's LengthLayout order, longest first, into batches of at most
 DECODE_BATCH sentences: one Viterbi time loop per batch, and for the
 bilstm-crf head one LSTM time loop as well; the cap bounds their buffers.
 The batched kernels give each sentence the bits it gets alone, and a corpus
-that fails raises the error of its first failing sentence in input order.
+that fails raises the error of its first failing sentence in input order,
+naming that sentence.
 
 Checkpoint container format, version 2 (little endian): magic b"NERCHKP",
 one version byte and a u64 header length; a JSON header with sorted keys,
@@ -38,12 +39,19 @@ import struct
 import tempfile
 import typing
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .conll_io import Corpus, EmbeddingSet, TokenVocabulary, build_token_vocabulary
-from .crf import LengthLayout, NonFiniteScoreError, TransitionMatrix, nll_gradients, viterbi_decode
+from .crf import (
+    CrfError,
+    LengthLayout,
+    NonFiniteScoreError,
+    TransitionMatrix,
+    nll_gradients,
+    viterbi_decode,
+)
 from .encoders import (
     ARCHITECTURES,
     EmbeddingSource,
@@ -127,13 +135,10 @@ def init_adam(params: dict) -> AdamState:
     return AdamState({key: params[key] for key in keys}, flat, *np.zeros((4, flat.size)))
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
-    """One bias-corrected Adam update of every parameter in place: the
-    gradients are gathered into one vector, checked for finiteness once,
-    and each elementwise pass runs once over all parameters."""
-    if params.keys() != state.views.keys() or any(
-            params[key] is not view for key, view in state.views.items()):
-        raise TrainingError("the parameters are not the arrays init_adam adopted")
+def adam_step(state: AdamState, grads: dict, lr: float) -> None:
+    """One bias-corrected Adam update of every parameter in state.views, in
+    place: the gradients are gathered into one vector, checked for finiteness
+    once, and each elementwise pass runs once over all parameters."""
     for key, p in state.views.items():
         if key not in grads:
             raise TrainingError(f"missing gradient for parameter {key!r}")
@@ -166,7 +171,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float):
     g *= lr
     g /= s
     state.params -= g
-    return params, state
 
 
 def clip_global_norm(grads: dict, max_norm: float = GRAD_CLIP_NORM) -> float:
@@ -259,7 +263,7 @@ class EpochStats:
 
 
 # ---------------------------------------------------------------------------
-# per-sentence forward/backward and decoding
+# per-sentence forward/backward
 
 
 def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng):
@@ -275,41 +279,6 @@ def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng):
     grads.update(head_grads)
     grads.update(embed_backward(embed_cache, dx))
     return loss, grads
-
-
-def predict_corpus(arch, params, corpus: Corpus, source: EmbeddingSource,
-                   constrained: bool | None = None) -> list[list[int]]:
-    """Predicted tag indices for every sentence (no dropout), under the
-    hard BIO mask if constrained; None is the head's default. The linear
-    head's log-probabilities are decoded with zero transitions. Every head
-    decodes the corpus longest first, DECODE_BATCH sentences per batch: one
-    emissions_forward call and one viterbi_decode call each. A failing corpus
-    is decoded again by the same loop in batches of one, in input order, so
-    that it raises the error of its first failing sentence."""
-    voc = corpus.tag_vocabulary
-    trans = (TransitionMatrix.zeros(voc) if arch == "linear"
-             else TransitionMatrix(params["crf.trans"]))
-    if constrained is None:  # CRF heads learn transitions and decode freely; the
-        constrained = arch == "linear"  # softmax head cannot, so it gets the BIO mask
-    mask = transition_mask(voc) if constrained else None
-    sentences = corpus.sentences
-
-    def paths(order, size):
-        for start in range(0, len(order), size):
-            xs = [embed(sentences[j], source)[0] for j in order[start:start + size]]
-            for path, _ in viterbi_decode(emissions_forward(arch, params, xs)[0], trans, mask):
-                yield path
-
-    layout = LengthLayout(len(s) for s in sentences)
-    try:
-        return layout.unstack(paths(layout.order, DECODE_BATCH))
-    except ValueError:  # raise what the first failing sentence in input order raises alone
-        list(paths(range(len(sentences)), 1))
-        raise
-
-
-def evaluate_corpus(arch, params, corpus, source):
-    return score(corpus, predict_corpus(arch, params, corpus, source))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +474,7 @@ def _deserialize(blob: bytes) -> Checkpoint:
 
 
 # ---------------------------------------------------------------------------
-# training loop
+# training loop and decoding
 
 
 def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
@@ -540,71 +509,102 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
         # the optimizer's five vectors; rejected before anything is allocated
         if 5 * 8 * floats > physical_memory():
             raise MemoryError
-        params = init_params(*layout, rng)
-        state = init_adam(params)
+        state = init_adam(init_params(*layout, rng))
     except MemoryError:
         raise LayoutError(
             f"cannot allocate the {config.arch} layout (hidden={config.hidden}, "
             f"fc_size={config.fc_size}, dim={dim}): {floats} parameter floats, "
             f"five times that with the optimizer state"
         ) from None
-    source = EmbeddingSource(embeddings, params.get("embed.table"), token_vocab)
+    # the model being trained, over the optimizer's live parameter views
+    model = Checkpoint(config, tuple(voc.entity_types.types), state.views, token_vocab)
+    source = model.embedding_source(embeddings)
 
     sentences = list(train_corpus.sentences)
     cycle = max(2, 2 * len(sentences)) if config.cycle_length is None else config.cycle_length
     schedule = LrSchedule(config.lr_min, config.lr_max, cycle)
 
-    best_params: dict[str, np.ndarray] = {}
+    best: Checkpoint | None = None
     history: list[EpochStats] = []
     step = 0
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteError, not warned
-        try:  # a diverged model fails the CRF score checks; that is a numeric failure
-            for epoch in range(1, config.epochs + 1):
-                order = rng.permutation(len(sentences))
-                total_nll = 0.0
-                for idx in order:
-                    sent = sentences[idx]
-                    x, embed_cache = embed(sent, source, config.dropout, rng)
-                    loss, grads = _loss_and_grads(config.arch, params, x, sent.gold_tags,
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(len(sentences))
+            total_nll = 0.0
+            for idx in order:
+                sent = sentences[idx]
+                x, embed_cache = embed(sent, source, config.dropout, rng)
+                try:  # a diverged model fails the CRF score checks; that is a numeric failure
+                    loss, grads = _loss_and_grads(config.arch, model.params, x, sent.gold_tags,
                                                   embed_cache, config.dropout, rng)
                     if not np.isfinite(loss):
-                        raise NonFiniteError(
-                            f"non-finite loss {loss!r} at epoch {epoch}, sentence {sent.id!r}"
-                        )
+                        raise NonFiniteError(f"non-finite loss {loss!r}")
                     clip_global_norm(grads)
-                    try:
-                        adam_step(params, grads, state, lr_at(schedule, step))
-                    except NonFiniteError as exc:
-                        raise NonFiniteError(
-                            f"{exc} at epoch {epoch}, sentence {sent.id!r}") from None
-                    step += 1
-                    total_nll += loss
-                mean_nll = total_nll / len(sentences)
+                    adam_step(state, grads, lr_at(schedule, step))
+                except (NonFiniteError, NonFiniteScoreError) as exc:
+                    raise NonFiniteError(f"training diverged at epoch {epoch}, "
+                                         f"sentence {sent.id!r}: {exc}") from None
+                step += 1
+                total_nll += loss
+            mean_nll = total_nll / len(sentences)
 
-                report = evaluate_corpus(config.arch, params, dev_corpus, source)
-                stats = EpochStats(epoch, mean_nll, report)
-                history.append(stats)
-                logger.info(
-                    "epoch %d nll %.6f dev P %.4f R %.4f F1 %.4f",
-                    epoch, mean_nll, report.macro_precision, report.macro_recall, report.macro_f1,
-                )
-                # a new best epoch; ties keep the first
-                if max(history, key=lambda h: h.report.macro_f1) is stats:
-                    best_params = {k: v.copy() for k, v in params.items()}
-        except NonFiniteScoreError as exc:
-            raise NonFiniteError(f"training diverged at epoch {epoch}: {exc}") from None
-
-    best = max(history, key=lambda h: h.report.macro_f1)
-    checkpoint = Checkpoint(config, tuple(voc.entity_types.types), best_params,
-                            token_vocab, best.report.macro_f1, best.epoch)
-    return checkpoint, history
+            try:
+                report = evaluate_corpus(model, dev_corpus, embeddings)
+            except NonFiniteScoreError as exc:
+                raise NonFiniteError(f"training diverged at epoch {epoch}, "
+                                     f"dev evaluation: {exc}") from None
+            history.append(EpochStats(epoch, mean_nll, report))
+            logger.info(
+                "epoch %d nll %.6f dev P %.4f R %.4f F1 %.4f",
+                epoch, mean_nll, report.macro_precision, report.macro_recall, report.macro_f1,
+            )
+            if best is None or report.macro_f1 > best.best_f1:  # ties keep the first
+                best = replace(
+                    model, params={k: v.copy() for k, v in model.params.items()},
+                    best_f1=report.macro_f1, best_epoch=epoch)
+    return best, history
 
 
 def predict_with_checkpoint(checkpoint: Checkpoint, corpus: Corpus,
                             embeddings: EmbeddingSet | None = None,
                             constrained: bool | None = None) -> list[list[int]]:
-    """Decode a corpus with a trained model; constrained as predict_corpus."""
-    ensure_compatible(checkpoint, corpus.tag_vocabulary)
+    """Predicted tag indices for every sentence (no dropout), under the
+    hard BIO mask if constrained; None is the head's default. The linear
+    head's log-probabilities are decoded with zero transitions. Every head
+    decodes the corpus longest first, DECODE_BATCH sentences per batch: one
+    emissions_forward call and one viterbi_decode call each. A failing corpus
+    is decoded again by the same loop in batches of one, in input order, and
+    the CrfError of its first failing sentence is raised naming that sentence."""
+    voc = corpus.tag_vocabulary
+    ensure_compatible(checkpoint, voc)
     source = checkpoint.embedding_source(embeddings)
-    return predict_corpus(checkpoint.config.arch, checkpoint.params, corpus, source, constrained)
+    arch, params = checkpoint.config.arch, checkpoint.params
+    trans = (TransitionMatrix.zeros(voc) if arch == "linear"
+             else TransitionMatrix(params["crf.trans"]))
+    if constrained is None:  # CRF heads learn transitions and decode freely; the
+        constrained = arch == "linear"  # softmax head cannot, so it gets the BIO mask
+    mask = transition_mask(voc) if constrained else None
+    sentences = corpus.sentences
+
+    def paths(order, size):
+        for start in range(0, len(order), size):
+            xs = [embed(sentences[j], source)[0] for j in order[start:start + size]]
+            for path, _ in viterbi_decode(emissions_forward(arch, params, xs)[0], trans, mask):
+                yield path
+
+    layout = LengthLayout(len(s) for s in sentences)
+    try:
+        return layout.unstack(paths(layout.order, DECODE_BATCH))
+    except ValueError:  # raise what the first failing sentence in input order raises alone
+        for j, sent in enumerate(sentences):
+            try:
+                list(paths([j], 1))
+            except CrfError as exc:
+                raise type(exc)(f"sentence {sent.id!r}: {exc}") from None
+        raise
+
+
+def evaluate_corpus(checkpoint: Checkpoint, corpus: Corpus,
+                    embeddings: EmbeddingSet | None) -> MetricsReport:
+    return score(corpus, predict_with_checkpoint(checkpoint, corpus, embeddings))

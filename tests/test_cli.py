@@ -229,13 +229,13 @@ class TestTrain:
     def test_report_is_the_kept_epochs_dev_scores(self, capsys, tiny, tmp_path, monkeypatch,
                                                   extra):
         decoded = []
-        real = training.predict_corpus
+        real = training.predict_with_checkpoint
 
-        def counted(arch, params, corpus, *args):
+        def counted(checkpoint, corpus, *args):
             decoded.append(corpus)
-            return real(arch, params, corpus, *args)
+            return real(checkpoint, corpus, *args)
 
-        monkeypatch.setattr(training, "predict_corpus", counted)
+        monkeypatch.setattr(training, "predict_with_checkpoint", counted)
         ckpt, argv = self.train_args(tiny, tmp_path, "--epochs", "3", *extra)
         code, out, _ = run(capsys, *argv)
         assert code == 0
@@ -308,7 +308,8 @@ class TestTrain:
                            "--checkpoint", str(tmp_path / "m.ckpt"), "--lr-min", "1e307",
                            "--lr-max", "1e308", "--dropout", "0", "--epochs", "3")
         assert code == 3
-        assert "training diverged at epoch 1: non-finite emission score" in err
+        assert err == ("nerchain: numeric failure: training diverged at epoch 1, dev evaluation: "
+                       "sentence '0': non-finite emission score\n")
 
     def test_diverged_crf_decode_names_the_epoch(self, capsys, tmp_path):
         # the unmasked decode of a diverged crf model overflows its best path
@@ -320,7 +321,8 @@ class TestTrain:
                            str(mixed), "--checkpoint", str(tmp_path / "m.ckpt"), "--lr-min",
                            "1e307", "--lr-max", "1e308", "--dropout", "0", "--epochs", "3")
         assert code == 3
-        assert "training diverged at epoch 1: non-finite best path score inf" in err
+        assert err == ("nerchain: numeric failure: training diverged at epoch 1, dev evaluation: "
+                       "sentence '0': non-finite best path score inf\n")
 
     @pytest.mark.parametrize("extra, config, message", [
         (["--epochs", "0"], "", "epochs must be >= 1, got 0"),
@@ -510,11 +512,13 @@ class TestPredict:
         # error, or under the mask to -inf, where no path is allowed
         checkpoint = training.load_checkpoint(tiny_models["crf"])
         diverged, out = tmp_path / "diverged.ckpt", tmp_path / "out.conll"
+        named = f"{diverged}: sentence 's0'"  # the model's file and the first sentence
+        error, numeric = f"nerchain: error: {named}:", f"nerchain: numeric failure: {named}:"
         for value, flags, expected in (
-                (1e308, [], (2, "nerchain: error: non-finite best path score inf\n")),
-                (-1e308, [], (2, "nerchain: error: non-finite best path score -inf\n")),
+                (1e308, [], (2, f"{error} non-finite best path score inf\n")),
+                (-1e308, [], (2, f"{error} non-finite best path score -inf\n")),
                 (-1e308, ["--constrained"],
-                 (3, "nerchain: numeric failure: no path satisfies the transition mask\n"))):
+                 (3, f"{numeric} no path satisfies the transition mask\n"))):
             checkpoint.params["crf.trans"][...] = value
             training.save_checkpoint(checkpoint, diverged)
             code, _, err = run(capsys, "predict", "--checkpoint", str(diverged), "--input", tiny,
@@ -658,6 +662,19 @@ class TestExitCodeContract:
             code, _, err = run(capsys, "evaluate", "--gold", tiny, "--pred", tiny)
             assert code == 3
             assert "numeric" in err
+
+    def test_running_out_of_memory_exits_two_with_one_line(self, capsys, tiny, tmp_path,
+                                                           monkeypatch, tiny_models):
+        def no_memory(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(training, "emissions_forward", no_memory)
+        for argv in (["train", "--train-file", tiny, "--dev-file", tiny,
+                      "--checkpoint", str(tmp_path / "m.ckpt")],
+                     ["predict", "--checkpoint", tiny_models["crf"], "--input", tiny]):
+            code, out, err = run(capsys, *argv)
+            # one line naming the command, and no traceback
+            assert (code, out, err) == (2, "", f"nerchain: error: {argv[0]}: out of memory\n")
 
 
 # fragments that get past the first checks more often than random bytes do
