@@ -11,20 +11,25 @@ softmax of s over all k^n label sequences. All dynamic programs run in log
 space with max-shifted log-sum-exp, in float64. Everything here is pure.
 
 Kernel invariant: each step of the forward and backward recursions does the
-float operations of one generic log-sum-exp call, in the same order and over
-arrays of the same layout (max over the reduced axis, a shift of 0 where that
-max is not finite, exp, sum, log, add the shift back). The kernels only
-reuse buffers and skip the per-call overhead, so every result is bit-identical
-to the per-step log-sum-exp recursion; the tests hold them to that reference
-(tests/oracles.py) bit for bit. One time loop (_alpha_beta) runs both
-recursions as one stacked log-sum-exp per step: alpha's terms held [from, to]
-and beta's [to, from], both reduced over the leading axis of a C-contiguous
-(k, k) block. So each pass sums its k terms in index order, one after the
-other (numpy's pairwise sum only runs along contiguous memory); the reference
-builds its blocks in the same layout.
+float operations of one generic log-sum-exp call, in the same order (max over
+the reduced axis, a shift of 0 where that max is not finite, exp, sum, log,
+add the shift back). The kernels only reuse buffers, skip the per-call
+overhead and lay their arrays out where numpy reduces them cheaply, so every
+result is bit-identical to the per-step log-sum-exp recursion; the tests hold
+them to that reference (tests/oracles.py) bit for bit. One time loop
+(_alpha_beta) runs both recursions as one stacked log-sum-exp per step, over
+the leading axis of a C-contiguous (k, 2, k) block laid out [from, pass, to]:
+alpha sums over the tags it comes from, beta over the tags it goes to. A
+reduction over the leading axis adds whole rows, so each pass sums its k
+terms in index order, one after the other, as the reference's reduction over
+the leading axis of its (k, k) block does (numpy's pairwise sum only runs
+along contiguous memory). Viterbi only adds, compares and gathers: both of its
+kernels hold a step's candidates [to, from], so that the first maximum over
+the tag they come from is taken along contiguous memory.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,12 +54,16 @@ class NonFiniteScoreError(CrfError):
 @dataclass
 class TransitionMatrix:
     """(k+2) x (k+2) transition scores; START is state k, STOP state k+1, and
-    their impossible cells are pinned."""
+    their impossible cells are pinned. A float64 array is adopted in place
+    (the pins write into it); any other real array is copied to float64."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = self.values
+        v = np.asarray(self.values)
+        if v.dtype.kind not in "iuf":
+            raise CrfError(f"transition scores must be real numbers, got dtype {v.dtype}")
+        self.values = v = v.astype(np.float64, copy=False)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 3:
             raise CrfError(f"transition matrix must be square (k+2), got {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -85,6 +94,18 @@ def pin_boundary(values: np.ndarray) -> None:
     values[-1, :] = SENTINEL
 
 
+def _tag_indices(tags, error=CrfError) -> list[int]:
+    """tags as Python ints. What operator.index refuses, such as the float 1.9,
+    raises error naming it, instead of being truncated to another tag."""
+    indices = []
+    for t in tags:
+        try:
+            indices.append(operator.index(t))
+        except TypeError:
+            raise error(f"tag index {t!r} is not an integer") from None
+    return indices
+
+
 def _check(P: np.ndarray, A: TransitionMatrix, y=None):
     P = np.asarray(P, dtype=np.float64)
     k = A.k
@@ -95,7 +116,7 @@ def _check(P: np.ndarray, A: TransitionMatrix, y=None):
     if not np.isfinite(P).all():
         raise NonFiniteScoreError("non-finite emission score")
     if y is not None:
-        y = [int(t) for t in y]
+        y = _tag_indices(y)
         if len(y) != P.shape[0]:
             raise CrfError(f"label path length {len(y)} != sequence length {P.shape[0]}")
         if min(y) < 0 or max(y) >= k:
@@ -121,21 +142,6 @@ def sequence_score(P: np.ndarray, A: TransitionMatrix, y) -> float:
     """Score of one label path (transitions including START/STOP, plus emissions)."""
     P, y = _check(P, A, y)
     return _path_score(P, A, y)
-
-
-def _log_sum_exp(buf, axis, shift, out, guard):
-    """out = log(sum(exp(buf - shift), axis)) + shift, where shift is the max of
-    buf over axis. shift and out keep the reduced axis, so they broadcast over
-    buf; buf is overwritten. Where the max is not finite the per-step reference
-    shifts by 0 instead; only the guard pass does that (see _alpha_beta)."""
-    np.maximum.reduce(buf, axis=axis, out=shift, keepdims=True)
-    if guard:
-        np.copyto(shift, 0.0, where=~np.isfinite(shift))
-    np.subtract(buf, shift, out=buf)
-    np.exp(buf, out=buf)
-    np.add.reduce(buf, axis=axis, out=out, keepdims=True)
-    np.log(out, out=out)
-    np.add(out, shift, out=out)
 
 
 def log_partition(P: np.ndarray, A: TransitionMatrix) -> float:
@@ -172,40 +178,50 @@ def _alpha_beta(P: np.ndarray, A: TransitionMatrix, guard: bool = False):
     (log_alpha, log_beta, ahead, log Z), with log_beta[n-1] the STOP column and
     ahead[t] = P[t] + log_beta[t], the row that a beta step and an edge add.
 
-    Step s is alpha step s and beta step n-1-s as one log-sum-exp over axis 1
-    of a (2, k, k) buffer, filled against the stack (trans, trans.T): row 0
-    holds alpha[i] + trans[i, j] as [i, j], row 1 ahead[j] + trans[i, j] as
-    [j, i]. lse[s] receives both sums; runs[s] = lse[s] + (P[s], P[n-1-s]) is
-    alpha row s and ahead row n-1-s, which step s+1 reads. A max that is not
-    finite makes the unguarded pass subtract inf from inf, and the nan reaches
-    log Z or log_beta[0]; both passes are then rerun with the reference's shift
-    of 0 there, so overflowing scores give the reference's inf, -inf or nan as
-    well. The guard changes nothing in a pass whose maxima are finite."""
+    Step s is alpha step s and beta step n-1-s as one log-sum-exp over axis 0
+    of a (k, 2, k) buffer laid out [from, pass, to], filled against the stack
+    of trans and trans.T: pass 0 holds alpha[i] + trans[i, j] at [i, 0, j],
+    pass 1 ahead[j] + trans[i, j] at [j, 1, i]. lse[s] receives both sums as
+    [pass, to]; runs[s] = lse[s] + (P[s], P[n-1-s]) is alpha row s and ahead
+    row n-1-s, which step s+1 reads as [from, pass]. log Z is a log-sum-exp
+    over one contiguous row, which numpy sums pairwise, as in the reference.
+    A max that is not finite makes the unguarded pass subtract inf from inf,
+    and the nan reaches log Z or log_beta[0]; both passes are then rerun with
+    the reference's shift of 0 there, so overflowing scores give the
+    reference's inf, -inf or nan as well. The guard changes nothing in a pass
+    whose maxima are finite."""
     n, k = P.shape
     av = A.values
-    stacked = np.stack((av[:k, :k], av[:k, :k].T))
+    stacked = np.stack((av[:k, :k], av[:k, :k].T), axis=1)
     emissions = np.stack((P, P[::-1]), axis=1)
     lse = np.empty((n, 2, k))
     lse[0] = av[k, :k], av[:k, k + 1]
     runs = np.empty((n, 2, k))
     np.add(lse[0], emissions[0], out=runs[0])
-    buf = np.empty((2, k, k))
-    shift = np.empty((2, 1, k))
-    log_z = np.empty((1, 1))
+    buf = np.empty((k, 2, k))
+    shift = np.empty((2, k))
     # one view per step and array, so the loop body only calls ufuncs
-    steps = zip(runs[:-1, :, :, None], lse[1:, :, None], emissions[1:, :, None], runs[1:, :, None])
+    steps = zip(runs[:-1, :, :, None].transpose(0, 2, 1, 3), lse[1:], emissions[1:], runs[1:])
     with np.errstate(invalid="ignore"):  # inf - inf: only in an unguarded pass, rerun below
         for prev, sums, emissions_s, runs_s in steps:
             np.add(prev, stacked, out=buf)
-            _log_sum_exp(buf, 1, shift, sums, guard)
+            np.maximum.reduce(buf, axis=0, out=shift)
+            if guard:
+                np.copyto(shift, 0.0, where=~np.isfinite(shift))
+            np.subtract(buf, shift, out=buf)
+            np.exp(buf, out=buf)
+            np.add.reduce(buf, axis=0, out=sums)
+            np.log(sums, out=sums)
+            np.add(sums, shift, out=sums)
             np.add(sums, emissions_s, out=runs_s)
-        last = (runs[n - 1, 0] + av[:k, k + 1])[None, :]
-        _log_sum_exp(last, 1, shift[0, :, :1], log_z, guard)
-    log_beta, log_z = lse[::-1, 1], log_z.item()
-    if not guard and not (math.isfinite(log_z) and np.isfinite(log_beta[0]).all()):
+        last = runs[n - 1, 0] + av[:k, k + 1]
+        top = last.max()
+        top = top if math.isfinite(top) or not guard else 0.0
+        log_z = (np.log(np.exp(last - top).sum(keepdims=True)) + top).item()
+    if not guard and not (math.isfinite(log_z) and np.isfinite(lse[n - 1, 1]).all()):
         with np.errstate(divide="ignore"):  # log(0) of an all -inf column is -inf
             return _alpha_beta(P, A, guard=True)
-    return runs[:, 0], log_beta, runs[::-1, 1], log_z
+    return runs[:, 0], lse[::-1, 1], runs[::-1, 1], log_z
 
 
 def _marginals(P: np.ndarray, A: TransitionMatrix) -> Marginals:
@@ -332,19 +348,26 @@ def viterbi_decode(P, A: TransitionMatrix, mask: np.ndarray | None = None):
 
 
 def _viterbi_one(P, A: TransitionMatrix, mask):
+    """Viterbi on one emission matrix, in _viterbi_batch's layout: each step
+    forms delta[i] + trans[i, j] as cand[j, i], takes the first maximum over
+    i along contiguous memory, gathers its cell with one flat take into
+    delta and adds the emissions there."""
     P, _ = _check(P, A)
     n, k = P.shape
     av = _allowed(A, mask)
-    trans = av[:k, :k]
-    columns = np.arange(k)
+    trans_t = np.ascontiguousarray(av[:k, :k].T)  # trans_t[j, i] = trans[i, j]
     cand = np.empty((k, k))
+    flat = cand.reshape(-1)
+    base = np.arange(0, k * k, k, dtype=np.intp)  # cand's flat index of (j, 0)
+    pick = np.empty(k, dtype=np.intp)
     back = np.empty((n, k), dtype=np.intp)
     delta = av[k, :k] + P[0]
-    for t in range(1, n):
-        np.add(delta[:, None], trans, out=cand)
-        best_from = back[t]
-        cand.argmax(axis=0, out=best_from)
-        delta = cand[best_from, columns] + P[t]
+    for best_from, emissions in zip(back[1:], P[1:]):
+        np.add(delta, trans_t, out=cand)
+        cand.argmax(axis=1, out=best_from)
+        np.add(best_from, base, out=pick)
+        flat.take(pick, out=delta, mode="clip")
+        np.add(delta, emissions, out=delta)
 
     final = delta + av[:k, k + 1]
     best = int(np.argmax(final))

@@ -73,7 +73,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .conll_io import EmbeddingError, EmbeddingSet, Sentence, TokenVocabulary
-from .crf import LengthLayout, pin_boundary
+from .crf import LengthLayout, _tag_indices, pin_boundary
 
 ARCHITECTURES = ("crf", "bilstm-crf", "linear")
 DIRECTIONS = ("fw", "bw")  # the BiLSTM's directions, in their row order
@@ -361,7 +361,7 @@ def fc_head_forward(x: np.ndarray, params: dict, dropout: float = 0.0, rng=None)
 def cross_entropy_and_grads(log_probs: np.ndarray, gold):
     """Mean token-level negative log probability of the gold tags and its
     gradient with respect to the logits; returns (loss, d_logits)."""
-    gold = [int(t) for t in gold]
+    gold = _tag_indices(gold, EncoderError)
     n, k = log_probs.shape
     if len(gold) != n:
         raise EncoderError(f"{len(gold)} gold tags for {n} tokens")

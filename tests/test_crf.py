@@ -70,6 +70,28 @@ class TestTransitionMatrix:
         with pytest.raises(CrfError):
             TransitionMatrix(np.zeros((4, 5)))
 
+    def test_a_float64_array_is_adopted_in_place(self):
+        values = np.zeros((5, 5))  # as the optimizer's live view of crf.trans
+        A = TransitionMatrix(values)
+        assert A.values is values
+        assert values[0, A.start] == values[A.stop, 0] == SENTINEL
+
+    def test_an_integer_array_is_held_as_float64(self):
+        # held as integers, the pins would be truncated, and nll_gradients could
+        # not write float marginals into an integer dA
+        values = np.zeros((5, 5), dtype=np.int64)
+        A = TransitionMatrix(values)
+        assert A.values.dtype == np.float64 and not values.any()
+        got = nll_gradients(np.zeros((3, 3)), A, [0, 1, 2])
+        expected = nll_gradients(np.zeros((3, 3)), zero_trans(3), [0, 1, 2])
+        assert [_bits(g) for g in got] == [_bits(e) for e in expected]
+
+    @pytest.mark.parametrize("values", [np.full((5, 5), "0"), np.zeros((5, 5), dtype=complex),
+                                        np.zeros((5, 5), dtype=bool)])
+    def test_a_non_real_array_is_refused(self, values):
+        with pytest.raises(CrfError, match=f"real numbers, got dtype {values.dtype}"):
+            TransitionMatrix(values)
+
 
 class TestSequenceScore:
     def test_zero_parameters(self):
@@ -100,6 +122,21 @@ class TestSequenceScore:
             sequence_score(P, A, [0, 1])
         with pytest.raises(CrfError):
             sequence_score(P, A, [0, 1, 4])
+
+    @pytest.mark.parametrize("score", [sequence_score, log_likelihood, nll_gradients])
+    def test_a_non_integral_tag_index_is_refused_naming_it(self, score):
+        # truncated, these would score the path [0, 1, 2], which training would fit
+        P, A = make_instance(np.random.default_rng(0), n=3, k=4)
+        with pytest.raises(CrfError, match=r"tag index 0\.7 is not an integer"):
+            score(P, A, [0.7, 1.9, 2.2])
+        with pytest.raises(CrfError, match=r"tag index np\.float64\(0\.0\) is not an integer"):
+            score(P, A, np.array([0.0, 1.0, 2.0]))
+
+    def test_numpy_integer_tag_indices_are_accepted(self):
+        P, A = make_instance(np.random.default_rng(0), n=3, k=4)
+        expected = sequence_score(P, A, [0, 1, 2])
+        assert sequence_score(P, A, np.array([0, 1, 2], dtype=np.int32)) == expected
+        assert sequence_score(P, A, [np.uint8(0), np.int64(1), 2]) == expected
 
 
 class TestLogPartition:
@@ -514,6 +551,29 @@ class TestViterbiList:
             CrfError, "mask shape (3, 3) != transition shape (4, 4)")
         assert _outcome(lambda: viterbi_decode([not_finite, good], A, bad_mask)) == (
             NonFiniteScoreError, "non-finite emission score")
+
+
+@pytest.mark.parametrize("k", [1, 2, 13])
+def test_the_kernels_leave_their_inputs_alone(k):
+    # every input read-only, so a write through an out= buffer or a view that
+    # aliases one raises, and byte-compared afterwards
+    rng = np.random.default_rng(k)
+    Ps = [rng.uniform(-3.0, 3.0, (n, k)) for n in (5, 1, 3)]
+    A = TransitionMatrix(rng.uniform(-1.0, 1.0, (k + 2, k + 2)))
+    mask = np.ones((k + 2, k + 2), dtype=bool)
+    mask[0, 0] = k == 1  # one forbidden cell, unless it would leave no path
+    inputs = Ps + [A.values, mask]
+    before = [x.tobytes() for x in inputs]
+    for x in inputs:
+        x.flags.writeable = False
+    y = rng.integers(0, k, 5).tolist()
+    nll_gradients(Ps[0], A, y)
+    forward_backward(Ps[0], A)
+    log_partition(Ps[0], A)
+    for m in (None, mask):
+        viterbi_decode(Ps[0], A, m)
+        viterbi_decode(Ps, A, m)
+    assert [x.tobytes() for x in inputs] == before
 
 
 @given(lengths=st.lists(st.integers(1, 40), max_size=40), width=st.integers(1, 3))

@@ -558,6 +558,15 @@ class TestCrossEntropy:
         with pytest.raises(EncoderError):
             cross_entropy_and_grads(log_probs, [0, 5])
 
+    def test_tag_indices_must_be_integers(self):
+        # truncated, 1.5 would be tag 1, and training would fit it
+        log_probs = np.log(np.full((2, 3), 1.0 / 3.0))
+        with pytest.raises(EncoderError, match=r"tag index 1\.5 is not an integer"):
+            cross_entropy_and_grads(log_probs, [0, 1.5])
+        expected = cross_entropy_and_grads(log_probs, [0, 2])
+        got = cross_entropy_and_grads(log_probs, np.array([0, 2], dtype=np.int16))
+        assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
+
 
 class TestArchitectureAssembly:
     def test_init_shapes(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nerchain import encoders, training
+from nerchain import crf, encoders, training
 from nerchain.conll_io import Corpus, EmbeddingSet, Sentence, TokenVocabulary
 from nerchain.crf import NonFiniteScoreError
 from nerchain.encoders import ARCHITECTURES, init_params, param_shapes
@@ -41,6 +41,7 @@ from nerchain.training import (
 
 from oracles import (
     ReferenceAdam,
+    markov_cycle_corpus,
     random_corpus,
     reference_clip_global_norm,
     reference_lstm_backward_kernel,
@@ -341,16 +342,32 @@ class TestTrain:
                                      "non-finite gradient in 'crf.trans'")
 
     def test_crf_kernels_give_the_reference_checkpoint_bytes(self, monkeypatch):
-        corpus = tiny_corpus()
+        # DECODE_BATCH + 1 dev sentences decode as a batch of 32 and a batch of
+        # one, so each epoch runs both Viterbi kernels; the tag cycle is learnt
+        # within an epoch, so a wrong path in either batch changes the reports
+        corpus = markov_cycle_corpus(np.random.default_rng(11), VOC, training.DECODE_BATCH + 1)
         cfg = TrainConfig(arch="crf", epochs=3, dropout=0.2, lr_min=1e-3, lr_max=1e-1, seed=7,
                           dim=6)
-        kernels, _ = train(corpus, corpus, cfg)
+        calls = {"_viterbi_one": 0, "_viterbi_batch": 0}
+
+        def counted(name, kernel):
+            def call(*args):
+                calls[name] += 1
+                return kernel(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(crf, name, counted(name, getattr(crf, name)))
+        kernels, history = train(corpus, corpus, cfg)
+        assert calls == {"_viterbi_one": 3, "_viterbi_batch": 3}
         monkeypatch.setattr(training, "nll_gradients",
                             lambda P, A, y: reference_nll_gradients(P, A.values, y))
         monkeypatch.setattr(training, "viterbi_decode",
                             lambda Ps, A, mask=None: [reference_viterbi(P, A.values, mask)
                                                       for P in Ps])
-        assert train(corpus, corpus, cfg)[0] == kernels  # same checkpoint bytes
+        reference, reference_history = train(corpus, corpus, cfg)
+        assert reference == kernels  # same checkpoint bytes
+        assert [h.report for h in reference_history] == [h.report for h in history]
 
     def test_bilstm_kernel_gives_the_reference_checkpoint_bytes(self, monkeypatch):
         # 40 dev sentences: each epoch decodes them in two length-sorted batches.
