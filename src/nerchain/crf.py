@@ -25,7 +25,13 @@ terms in index order, one after the other, as the reference's reduction over
 the leading axis of its (k, k) block does (numpy's pairwise sum only runs
 along contiguous memory). Viterbi only adds, compares and gathers: both of its
 kernels hold a step's candidates [to, from], so that the first maximum over
-the tag they come from is taken along contiguous memory.
+the tag they come from is taken along contiguous memory. Every time-loop body
+calls its ufuncs and methods through locals and passes axis, out and mode
+positionally: numpy parses call keywords on every call, and the arithmetic is
+the same. A gold path is checked once, where it enters (_check, and
+encoders.cross_entropy_and_grads for the linear head), by _tag_indices, into
+the intp array that the kernels index with; its score is one accumulate over
+its interleaved terms, the float loop's adds in the loop's order.
 """
 
 import math
@@ -37,6 +43,7 @@ import numpy as np
 # Finite stand-in for -inf on the structurally impossible transition cells
 # (into START, out of STOP); keeps all gradients defined.
 SENTINEL = -1e4
+INTP = np.iinfo(np.intp)
 
 
 class CrfError(ValueError):
@@ -66,7 +73,7 @@ class TransitionMatrix:
         self.values = v = v.astype(np.float64, copy=False)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] < 3:
             raise CrfError(f"transition matrix must be square (k+2), got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise NonFiniteScoreError("non-finite transition score")
         pin_boundary(v)
 
@@ -94,16 +101,26 @@ def pin_boundary(values: np.ndarray) -> None:
     values[-1, :] = SENTINEL
 
 
-def _tag_indices(tags, error=CrfError) -> list[int]:
-    """tags as Python ints. What operator.index refuses, such as the float 1.9,
-    raises error naming it, instead of being truncated to another tag."""
+def _tag_indices(tags, error=CrfError) -> np.ndarray:
+    """tags as an intp array. What operator.index refuses, such as the float
+    1.9 or np.True_, raises error naming it, instead of being truncated to
+    another tag, and so does input that is not iterable. An index that intp
+    cannot hold, which no tag set reaches, comes back negative, out of every
+    tag set's range."""
+    try:
+        items = iter(tags)
+    except TypeError:
+        raise error(f"tag indices must be a sequence, not {type(tags).__name__}") from None
     indices = []
-    for t in tags:
+    for t in items:
         try:
             indices.append(operator.index(t))
         except TypeError:
             raise error(f"tag index {t!r} is not an integer") from None
-    return indices
+    try:
+        return np.array(indices, dtype=np.intp)
+    except OverflowError:
+        return np.array([t if INTP.min <= t <= INTP.max else -1 for t in indices], dtype=np.intp)
 
 
 def _check(P: np.ndarray, A: TransitionMatrix, y=None):
@@ -119,23 +136,26 @@ def _check(P: np.ndarray, A: TransitionMatrix, y=None):
         y = _tag_indices(y)
         if len(y) != P.shape[0]:
             raise CrfError(f"label path length {len(y)} != sequence length {P.shape[0]}")
-        if min(y) < 0 or max(y) >= k:
+        if y.view(np.uintp).max() >= k:  # a negative index reads as a huge unsigned one
             raise CrfError("label path contains an out-of-range tag index")
     return P, y
 
 
-def _path_score(P: np.ndarray, A: TransitionMatrix, y: list[int]) -> float:
+def _path_score(P: np.ndarray, A: TransitionMatrix, y: np.ndarray) -> float:
     """Score of a checked path, added left to right: the START edge, then each
-    emission followed by the edge out of it."""
+    emission followed by the edge out of it. One accumulate over the
+    interleaved terms makes those adds one after the other, as a float loop
+    would; like that loop, it does not warn when a sum overflows."""
     n, k = P.shape
     av = A.values
-    emissions = P[np.arange(n), y].tolist()
-    steps = av[y[:-1], y[1:]].tolist()
-    score = float(av[k, y[0]]) + emissions[0]
-    for t in range(1, n):
-        score = score + steps[t - 1]
-        score = score + emissions[t]
-    return score + float(av[y[n - 1], k + 1])
+    terms = np.empty(2 * n + 1)
+    terms[0] = av[k, y[0]]
+    terms[1::2] = P[np.arange(n), y]
+    terms[2:-1:2] = av[y[:-1], y[1:]]
+    terms[-1] = av[y[-1], k + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.add.accumulate(terms, out=terms)
+    return float(terms[-1])
 
 
 def sequence_score(P: np.ndarray, A: TransitionMatrix, y) -> float:
@@ -192,28 +212,31 @@ def _alpha_beta(P: np.ndarray, A: TransitionMatrix, guard: bool = False):
     whose maxima are finite."""
     n, k = P.shape
     av = A.values
-    stacked = np.stack((av[:k, :k], av[:k, :k].T), axis=1)
-    emissions = np.stack((P, P[::-1]), axis=1)
+    stacked = np.empty((k, 2, k))
+    stacked[:, 0], stacked[:, 1] = av[:k, :k], av[:k, :k].T
     lse = np.empty((n, 2, k))
-    lse[0] = av[k, :k], av[:k, k + 1]
+    lse[0, 0], lse[0, 1] = av[k, :k], av[:k, k + 1]
     runs = np.empty((n, 2, k))
-    np.add(lse[0], emissions[0], out=runs[0])
+    runs[:, 0], runs[:, 1] = P, P[::-1]  # the emissions, to which each step adds its sums
+    np.add(lse[0], runs[0], out=runs[0])
     buf = np.empty((k, 2, k))
     shift = np.empty((2, k))
     # one view per step and array, so the loop body only calls ufuncs
-    steps = zip(runs[:-1, :, :, None].transpose(0, 2, 1, 3), lse[1:], emissions[1:], runs[1:])
+    steps = zip(runs[:-1, :, :, None].transpose(0, 2, 1, 3), lse[1:], runs[1:])
+    add, subtract, exp, log = np.add, np.subtract, np.exp, np.log
+    maximum, total = np.maximum.reduce, np.add.reduce
     with np.errstate(invalid="ignore"):  # inf - inf: only in an unguarded pass, rerun below
-        for prev, sums, emissions_s, runs_s in steps:
-            np.add(prev, stacked, out=buf)
-            np.maximum.reduce(buf, axis=0, out=shift)
+        for prev, sums, runs_s in steps:
+            add(prev, stacked, buf)
+            maximum(buf, 0, None, shift)
             if guard:
                 np.copyto(shift, 0.0, where=~np.isfinite(shift))
-            np.subtract(buf, shift, out=buf)
-            np.exp(buf, out=buf)
-            np.add.reduce(buf, axis=0, out=sums)
-            np.log(sums, out=sums)
-            np.add(sums, shift, out=sums)
-            np.add(sums, emissions_s, out=runs_s)
+            subtract(buf, shift, buf)
+            exp(buf, buf)
+            total(buf, 0, None, sums)
+            log(sums, sums)
+            add(sums, shift, sums)
+            add(sums, runs_s, runs_s)
         last = runs[n - 1, 0] + av[:k, k + 1]
         top = last.max()
         top = top if math.isfinite(top) or not guard else 0.0
@@ -253,17 +276,16 @@ def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
     marg = _marginals(P, A)
     nll = -(_path_score(P, A, y) - marg.log_z)  # as -log_likelihood, to the bit
 
-    dA = np.zeros_like(A.values)
-    dA[:k, :k] = marg.edge.sum(axis=0)
+    dA = np.zeros((k + 2, k + 2))
+    np.add.reduce(marg.edge, axis=0, out=dA[:k, :k])
     dA[k, :k] = marg.node[0]
     dA[:k, k + 1] += marg.node[n - 1]
-    gold = np.asarray(y, dtype=np.intp)
     dA[k, y[0]] -= 1.0
-    np.subtract.at(dA, (gold[:-1], gold[1:]), 1.0)
+    np.subtract.at(dA, (y[:-1], y[1:]), 1.0)
     dA[y[n - 1], k + 1] -= 1.0
 
     dP = marg.node
-    dP[np.arange(n), gold] -= 1.0
+    dP[np.arange(n), y] -= 1.0
     return nll, dP, dA
 
 
@@ -304,10 +326,14 @@ class LengthLayout:
         return results
 
 
-def _allowed(A: TransitionMatrix, mask: np.ndarray | None) -> np.ndarray:
-    """The transition scores with the cells the mask forbids at -inf."""
+def _allowed(A: TransitionMatrix, mask) -> np.ndarray:
+    """The transition scores with the cells the mask forbids at -inf. The mask
+    is any boolean array-like of the transitions' shape; others are refused."""
     if mask is None:
         return A.values
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise CrfError(f"mask must be boolean, got dtype {mask.dtype}")
     if mask.shape != A.values.shape:
         raise CrfError(f"mask shape {mask.shape} != transition shape {A.values.shape}")
     return A.values + np.where(mask, 0.0, -np.inf)
@@ -319,9 +345,10 @@ def _best_score_error(score: float, mask) -> CrfError:
     return NoValidPathError("no path satisfies the transition mask")
 
 
-def viterbi_decode(P, A: TransitionMatrix, mask: np.ndarray | None = None):
+def viterbi_decode(P, A: TransitionMatrix, mask=None):
     """Highest-scoring path and its score, optionally restricted to mask-valid
-    transitions (mask True = allowed, shape (k+2, k+2)).
+    transitions (mask True = allowed: a boolean array-like of shape
+    (k+2, k+2); any other mask raises CrfError).
 
     Ties are broken toward the lowest tag index at every backtracking step,
     i.e. the returned path is the minimum of the argmax set under reversed
@@ -362,12 +389,13 @@ def _viterbi_one(P, A: TransitionMatrix, mask):
     pick = np.empty(k, dtype=np.intp)
     back = np.empty((n, k), dtype=np.intp)
     delta = av[k, :k] + P[0]
+    add, argmax, take = np.add, cand.argmax, flat.take
     for best_from, emissions in zip(back[1:], P[1:]):
-        np.add(delta, trans_t, out=cand)
-        cand.argmax(axis=1, out=best_from)
-        np.add(best_from, base, out=pick)
-        flat.take(pick, out=delta, mode="clip")
-        np.add(delta, emissions, out=delta)
+        add(delta, trans_t, cand)
+        argmax(1, best_from)
+        add(best_from, base, pick)
+        take(pick, None, delta, "clip")
+        add(delta, emissions, delta)
 
     final = delta + av[:k, k + 1]
     best = int(np.argmax(final))
@@ -405,15 +433,16 @@ def _viterbi_batch(Ps: list, A: TransitionMatrix, mask) -> list:
     # cand's flat index of (row, j, 0), to which a step adds the argmax i
     base = (np.arange(rows)[:, None] * (k * k) + np.arange(k) * k).astype(np.intp)
     pick = np.empty((rows, k), dtype=np.intp)
+    add, take = np.add, flat.take
     for start, end, m in layout.runs:
         c, p, d, o = cand[:m], pick[:m], delta[:m], base[:m]
         for t in range(max(start, 1), end):
             b = back[t, :m]
-            np.add(d[:, None, :], trans_t, out=c)
-            c.argmax(axis=2, out=b)
-            np.add(b, o, out=p)
-            flat.take(p, out=d, mode="clip")
-            np.add(d, emissions[t, :m], out=d)
+            add(d[:, None, :], trans_t, c)
+            c.argmax(2, b)
+            add(b, o, p)
+            take(p, None, d, "clip")
+            add(d, emissions[t, :m], d)
     final = delta + av[:k, k + 1]
     best = np.argmax(final, axis=1)
     scores = final[np.arange(rows), best].tolist()
@@ -429,6 +458,6 @@ def _viterbi_batch(Ps: list, A: TransitionMatrix, mask) -> list:
         for t in range(end - 1, start - 1, -1):
             paths[t, :m] = tag[:m]
             if t:
-                back[t].reshape(-1).take(offsets[:m] + tag[:m], out=tag[:m], mode="clip")
+                back[t].reshape(-1).take(offsets[:m] + tag[:m], None, tag[:m], "clip")
     return layout.unstack((path[:n], score) for path, n, score
                           in zip(paths.T.tolist(), layout.lengths, scores))

@@ -133,11 +133,12 @@ def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0, rng
                 f"sentence {sentence.id!r}: embedding shape {base.shape}, "
                 f"expected ({len(sentence)}, {source.dim})"
             )
-        x = base.astype(np.float64, copy=True)
+        # a copy, made here only when dropout's multiply will not make one
+        x = base.astype(np.float64, copy=not dropout > 0.0)
         indices = shape = None
     else:
         indices = source.token_vocab.indices(sentence.tokens)
-        x = source.table[indices].astype(np.float64)
+        x = source.table[indices].astype(np.float64, copy=False)
         shape = source.table.shape
 
     x, mask = _dropout(x, dropout, rng)
@@ -365,7 +366,7 @@ def cross_entropy_and_grads(log_probs: np.ndarray, gold):
     n, k = log_probs.shape
     if len(gold) != n:
         raise EncoderError(f"{len(gold)} gold tags for {n} tokens")
-    if any(not 0 <= t < k for t in gold):
+    if (gold.view(np.uintp) >= k).any():  # a negative index reads as a huge unsigned one
         raise EncoderError("gold tag index out of range")
     loss = -float(log_probs[np.arange(n), gold].mean())
 

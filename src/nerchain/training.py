@@ -538,7 +538,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                 try:  # a diverged model fails the CRF score checks; that is a numeric failure
                     loss, grads = _loss_and_grads(config.arch, model.params, x, sent.gold_tags,
                                                   embed_cache, config.dropout, rng)
-                    if not np.isfinite(loss):
+                    if not math.isfinite(loss):
                         raise NonFiniteError(f"non-finite loss {loss!r}")
                     clip_global_norm(grads)
                     adam_step(state, grads, lr_at(schedule, step))

@@ -7,6 +7,7 @@ code paths it checks.
 
 import itertools
 import math
+import operator
 import zlib
 from typing import NamedTuple
 
@@ -24,6 +25,22 @@ def path_score(P, A, start, stop, path):
         s = s + float(A[path[t - 1], path[t]])
         s = s + float(P[t, path[t]])
     return s + float(A[path[-1], stop])
+
+
+def reference_tag_indices(tags, error):
+    """tags as a list of Python ints, one operator.index call per element; what
+    it refuses, or a tags that is no sequence, raises error naming it."""
+    try:
+        items = iter(tags)
+    except TypeError:
+        raise error(f"tag indices must be a sequence, not {type(tags).__name__}") from None
+    indices = []
+    for t in items:
+        try:
+            indices.append(operator.index(t))
+        except TypeError:
+            raise error(f"tag index {t!r} is not an integer") from None
+    return indices
 
 
 def all_paths(n, k):

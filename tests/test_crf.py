@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nerchain.crf import (
+    INTP,
     CrfError,
     LengthLayout,
     NonFiniteScoreError,
@@ -16,9 +17,11 @@ from nerchain.crf import (
     log_likelihood,
     log_partition,
     nll_gradients,
+    _tag_indices,
     sequence_score,
     viterbi_decode,
 )
+from nerchain.encoders import EncoderError, cross_entropy_and_grads
 from nerchain.tagscheme import (
     EntityTypeSet,
     count_invalid_transitions,
@@ -37,6 +40,7 @@ from oracles import (
     path_score,
     reference_forward_backward,
     reference_nll_gradients,
+    reference_tag_indices,
     reference_viterbi,
 )
 
@@ -137,6 +141,19 @@ class TestSequenceScore:
         expected = sequence_score(P, A, [0, 1, 2])
         assert sequence_score(P, A, np.array([0, 1, 2], dtype=np.int32)) == expected
         assert sequence_score(P, A, [np.uint8(0), np.int64(1), 2]) == expected
+
+    @pytest.mark.parametrize("score", [sequence_score, log_likelihood, nll_gradients])
+    def test_a_path_that_is_no_sequence_is_refused(self, score):
+        P, A = make_instance(np.random.default_rng(0), n=3, k=4)
+        with pytest.raises(CrfError, match="^tag indices must be a sequence, not int$"):
+            score(P, A, 5)
+
+    def test_an_index_beyond_intp_is_out_of_range(self):
+        # not wrapped or truncated into a tag: 2**64 would wrap to 0
+        P, A = make_instance(np.random.default_rng(0), n=2, k=4)
+        for y in ([0, 2**64], [0, -2**64 + 1], np.array([0, 2**64 - 1], dtype=np.uint64)):
+            with pytest.raises(CrfError, match="out-of-range tag index"):
+                sequence_score(P, A, y)
 
 
 class TestLogPartition:
@@ -380,6 +397,28 @@ class TestViterbi:
         with pytest.raises(NoValidPathError):
             viterbi_decode(np.zeros((2, 2)), A, mask)
 
+    def test_a_mask_is_any_boolean_array_like(self):
+        rng = np.random.default_rng(5)
+        P, A = make_instance(rng, n=4, k=2)
+        mask = rng.random((4, 4)) < 0.8
+        mask[2, :2] = mask[:2, 3] = mask[0, 0] = True  # a path is always allowed
+        nested = mask.tolist()
+        assert viterbi_decode(P, A, nested) == viterbi_decode(P, A, mask)
+        assert viterbi_decode([P, P[:2]], A, nested) == viterbi_decode([P, P[:2]], A, mask)
+        assert viterbi_decode(P, A, [[True] * 4] * 4) == viterbi_decode(P, A)
+
+    @pytest.mark.parametrize("mask, message", [
+        (np.ones((4, 4), dtype=np.int64), "mask must be boolean, got dtype int64"),
+        ([[1.0] * 4] * 4, "mask must be boolean, got dtype float64"),
+        ([[True] * 3] * 3, r"mask shape \(3, 3\) != transition shape \(4, 4\)"),
+        (True, r"mask shape \(\) != transition shape \(4, 4\)"),
+    ])
+    def test_a_mask_that_is_not_a_boolean_transition_table_is_refused(self, mask, message):
+        P, A = make_instance(np.random.default_rng(0), n=3, k=2)
+        for Ps in (P, [P, P]):
+            with pytest.raises(CrfError, match=message):
+                viterbi_decode(Ps, A, mask)
+
     def test_overflowing_best_score_is_a_non_finite_score(self):
         # finite scores whose path sum overflows: not the mask's doing
         A = zero_trans(2)
@@ -450,6 +489,132 @@ def test_kernels_match_the_per_step_reference_bit_for_bit(instance):
     assert _bits(marg.log_z) == _bits(log_z) == _bits(got_z)
     assert got_path == expected_path
     assert _bits(got_score) == _bits(expected_score)
+
+
+def _refusal(call):
+    """call()'s result, or the type and message of the CrfError or
+    EncoderError it raises; any other exception fails the test."""
+    try:
+        return call()
+    except (CrfError, EncoderError) as exc:
+        return type(exc), str(exc)
+
+
+_INTEGER_DTYPES = [np.dtype(code) for code in np.typecodes["AllInteger"]]
+
+
+def _numpy_integers(dtype):
+    info = np.iinfo(dtype)
+    return st.integers(int(info.min), int(info.max)).map(dtype.type)
+
+
+@st.composite
+def tag_index_inputs(draw):
+    """What a caller may pass as tag indices: sequences of Python ints (small,
+    huge and around intp's limits), bools, numpy integers of every dtype,
+    np.bool_, floats, numpy floats and nested lists; integer arrays of every
+    dtype (uint64 beyond intp's maximum included), float, bool and 2-D arrays;
+    and non-iterables."""
+    python_ints = (st.integers(-2, 15) | st.integers() | st.integers(INTP.max - 2, 2**65)
+                   | st.integers(-2**65, INTP.min + 2))
+    element = st.one_of(
+        python_ints, st.booleans(), st.sampled_from(_INTEGER_DTYPES).flatmap(_numpy_integers),
+        st.booleans().map(np.bool_), st.floats(), st.floats(width=32).map(np.float32),
+        st.lists(st.integers(0, 4), max_size=2))
+    small_ints = st.lists(st.integers(0, 12), max_size=8)
+    kind = draw(st.sampled_from(["ints", "elements", "integer array", "other array",
+                                 "non-iterable"]))
+    if kind == "ints":  # the usual case, as training passes it
+        return draw(small_ints.map(tuple) | small_ints)
+    if kind == "elements":
+        return draw(st.lists(element, max_size=6) | st.lists(st.integers(0, 12) | element,
+                                                             max_size=6).map(tuple))
+    if kind == "integer array":
+        dtype = draw(st.sampled_from(_INTEGER_DTYPES))
+        values = draw(st.lists(_numpy_integers(dtype) | st.integers(0, 12).map(dtype.type),
+                               max_size=8))
+        return np.array(values, dtype=dtype)
+    if kind == "other array":
+        return draw(st.sampled_from([
+            np.array([0.0, 1.0]), np.array([0.5]), np.array([True, False]),
+            np.zeros((2, 2), dtype=np.int64), np.array([], dtype=np.float64),
+            np.array([1, 2], dtype=object), np.array([], dtype=np.int8)]))
+    return draw(st.sampled_from([5, np.int64(3), 1.5, None, np.array(2), np.float64(0.0)]))
+
+
+def _same_indices(got, expected):
+    """got, an intp array, holds expected's indices; one that intp cannot hold
+    is negative in got, out of every tag set's range."""
+    assert isinstance(got, np.ndarray) and got.dtype == np.intp and got.shape == (len(expected),)
+    for g, e in zip(got.tolist(), expected):
+        assert g == e if INTP.min <= e <= INTP.max else g < 0
+
+
+def _gold_checks(tags, n, k, error, length_message, range_message):
+    """The per-element loop's indices, then the callers' length and range checks."""
+    gold = reference_tag_indices(tags, error)
+    if len(gold) != n:
+        raise error(length_message.format(len(gold), n))
+    if any(not 0 <= t < k for t in gold):
+        raise error(range_message)
+    return gold
+
+
+@given(tag_index_inputs(), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_tag_indices_take_what_the_per_element_loop_takes(tags, seed, fits):
+    expected = _refusal(lambda: reference_tag_indices(tags, CrfError))
+    got = _refusal(lambda: _tag_indices(tags))
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    _same_indices(got, expected)
+    # through a path score: the same checks, and the float loop's bits
+    rng = np.random.default_rng(seed)
+    P, A = make_instance(rng, n=max(len(expected), 1) + (not fits), k=int(rng.integers(1, 14)))
+    gold = _refusal(lambda: _gold_checks(tags, *P.shape, CrfError,
+                                         "label path length {} != sequence length {}",
+                                         "label path contains an out-of-range tag index"))
+    score = _refusal(lambda: sequence_score(P, A, tags))
+    if isinstance(gold, tuple):
+        assert score == gold
+    else:
+        expected_score = path_score(P, A.values, A.start, A.stop, gold)
+        assert np.float64(score).view(np.uint64) == np.float64(expected_score).view(np.uint64)
+
+
+@given(tag_index_inputs(), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=500, deadline=None)
+def test_cross_entropy_takes_the_gold_the_per_element_loop_takes(tags, seed, fits):
+    rng = np.random.default_rng(seed)
+    indices = _refusal(lambda: reference_tag_indices(tags, EncoderError))
+    n = max(len(indices), 1) + (not fits) if isinstance(indices, list) else 2
+    k = int(rng.integers(1, 14))
+    logits = rng.uniform(-3.0, 3.0, (n, k))
+    log_probs = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    gold = _refusal(lambda: _gold_checks(tags, n, k, EncoderError, "{} gold tags for {} tokens",
+                                         "gold tag index out of range"))
+    got = _refusal(lambda: cross_entropy_and_grads(log_probs, tags))
+    if isinstance(gold, tuple):
+        assert got == gold
+        return
+    loss = -float(log_probs[np.arange(n), gold].mean())
+    d_logits = np.exp(log_probs)
+    d_logits[np.arange(n), gold] -= 1.0
+    d_logits /= n
+    assert _bits(got[0]) == _bits(loss) and _bits(got[1]) == _bits(d_logits)
+
+
+@given(chain_instances(), st.sampled_from([list, tuple, np.array]))
+@settings(max_examples=300, deadline=None)
+def test_a_path_score_is_the_float_loops_bits(instance, container):
+    # near the float64 limit the sums overflow to inf, or to nan where an inf
+    # meets a -inf; like the loop, the score warns of neither
+    P, A, y, _ = instance
+    got = sequence_score(P, A, container(y))
+    expected = path_score(P, A.values, A.start, A.stop, y)
+    assert isinstance(got, float)
+    assert np.float64(got).view(np.uint64) == np.float64(expected).view(np.uint64)
 
 
 def _outcome(decode):
