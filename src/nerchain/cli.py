@@ -9,8 +9,6 @@ import logging
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .conll_io import (
     ConllError,
     Corpus,
@@ -296,10 +294,8 @@ def cmd_predict(settings: Settings) -> int:
         embeddings = None
         if settings.embeddings:
             embeddings = _read(settings.embeddings, EmbeddingError, load_embeddings, corpus)
-        # a diverged model's overflow ends in a CrfError (exit 2 or 3), not in numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
-                                                  settings.constrained)
+        predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
+                                              settings.constrained)
     except (CheckpointError, CrfError) as exc:
         raise type(exc)(f"{settings.checkpoint}: {exc}") from None
     if settings.repair:  # the whole corpus in one pass
@@ -327,11 +323,7 @@ def _aligned_gold_pred(settings: Settings):
     for sent in gold:
         if sent.id not in by_id:
             raise ScoringError(f"no prediction for sentence id {sent.id!r}")
-        p = by_id[sent.id]
-        if len(p) != len(sent):
-            raise ScoringError(
-                f"sentence {sent.id!r}: {len(p)} predicted tokens for {len(sent)} gold tokens")
-        predictions.append(p.gold_tags)
+        predictions.append(by_id[sent.id].gold_tags)
     return gold, predictions
 
 
@@ -371,8 +363,9 @@ def main(argv=None) -> int:
     except (UsageError, LayoutError) as exc:  # a layout too large is a bad flag value
         print(f"nerchain: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError:
-        print(f"nerchain: error: {args.command}: out of memory", file=sys.stderr)
+    except MemoryError as exc:  # the library's message names the sentence
+        where = f": {exc}" if str(exc) else ""
+        print(f"nerchain: error: {args.command}: out of memory{where}", file=sys.stderr)
         return EXIT_DATA
     except (NonFiniteError, NoValidPathError) as exc:
         print(f"nerchain: numeric failure: {exc}", file=sys.stderr)

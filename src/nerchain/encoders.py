@@ -68,9 +68,9 @@ results agree with one to rounding, not bits.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .conll_io import EmbeddingError, EmbeddingSet, Sentence, TokenVocabulary
 from .crf import LengthLayout, _tag_indices, pin_boundary
@@ -177,11 +177,6 @@ class LstmCache:
     h: np.ndarray  # (n, 2, h), h[t, r] is the state direction r emits at its step t
 
 
-def _every_step(a, steps):
-    """a repeated over a leading axis of steps without a copy."""
-    return as_strided(a, (steps, *a.shape), (0, *a.strides))
-
-
 def _lstm_forward(xs, params):
     """Both directions' states for every sentence in xs, from one time loop.
 
@@ -213,8 +208,7 @@ def _lstm_forward(xs, params):
     if keep:  # the cache keeps every step's gates, c and tanh(c)
         gates, cs, tc = np.empty((steps, 4, rows, h)), *np.empty((2, steps, rows, h))
     else:  # a step reads only the c before it, so all steps write one buffer each
-        block = np.empty(4 * rows * h)
-        cs, tc = (_every_step(a, steps) for a in np.empty((2, rows, h)))
+        block, c_all, tc_all = np.empty(4 * rows * h), *np.empty((2, rows, h))
     cols = np.empty((steps, len(xs), 2, h, 1))  # states as (h, 1) columns, for which
     hs = cols.reshape(steps, rows, h)  # matmul(wh, h_prev) makes one gemv call per row
     g_all = np.empty((rows, h))
@@ -226,10 +220,11 @@ def _lstm_forward(xs, params):
             h_prev, c_prev = h_prev[:count], c_prev[:m]
         # the tanh(g) and wh @ h_prev buffers (the latter as columns and rows)
         g, rec, rec_rows = g_all[:m], rec_all[:count], rec_all[:count].reshape(m, 4 * h)
-        # each step's contiguous (4, m, h) gate block; one sentence is one run
-        blocks = gates if keep else _every_step(block[:4 * m * h].reshape(4, m, h), end - start)
-        run = (proj[start:end, :m], proj_gm[start:end, :, :m], blocks, cs[start:end, :m],
-               tc[start:end, :m], hs[start:end, :m], cols[start:end, :count])
+        # each step's contiguous (4, m, h) gate block, c and tanh(c); one sentence is one run
+        kept = (gates, cs, tc) if keep else map(
+            repeat, (block[:4 * m * h].reshape(4, m, h), c_all[:m], tc_all[:m]))
+        run = (proj[start:end, :m], proj_gm[start:end, :, :m], *kept, hs[start:end, :m],
+               cols[start:end, :count])
         # one view per step and array, so the loop body only calls ufuncs
         for p, p_gm, z, c, tanh_c, h_t, col in zip(*run):
             if h_prev is not None:
@@ -363,6 +358,8 @@ def cross_entropy_and_grads(log_probs: np.ndarray, gold):
     """Mean token-level negative log probability of the gold tags and its
     gradient with respect to the logits; returns (loss, d_logits)."""
     gold = _tag_indices(gold, EncoderError)
+    if log_probs.ndim != 2 or log_probs.shape[0] < 1:
+        raise EncoderError(f"log-probabilities must be (n, k) with n >= 1, got {log_probs.shape}")
     n, k = log_probs.shape
     if len(gold) != n:
         raise EncoderError(f"{len(gold)} gold tags for {n} tokens")

@@ -534,8 +534,8 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
             total_nll = 0.0
             for idx in order:
                 sent = sentences[idx]
-                x, embed_cache = embed(sent, source, config.dropout, rng)
                 try:  # a diverged model fails the CRF score checks; that is a numeric failure
+                    x, embed_cache = embed(sent, source, config.dropout, rng)
                     loss, grads = _loss_and_grads(config.arch, model.params, x, sent.gold_tags,
                                                   embed_cache, config.dropout, rng)
                     if not math.isfinite(loss):
@@ -545,6 +545,9 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                 except (NonFiniteError, NonFiniteScoreError) as exc:
                     raise NonFiniteError(f"training diverged at epoch {epoch}, "
                                          f"sentence {sent.id!r}: {exc}") from None
+                except MemoryError:
+                    raise MemoryError(f"epoch {epoch}, sentence {sent.id!r} "
+                                      f"({len(sent)} tokens)") from None
                 step += 1
                 total_nll += loss
             mean_nll = total_nll / len(sentences)
@@ -554,6 +557,8 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
             except NonFiniteScoreError as exc:
                 raise NonFiniteError(f"training diverged at epoch {epoch}, "
                                      f"dev evaluation: {exc}") from None
+            except MemoryError as exc:
+                raise MemoryError(f"epoch {epoch}, dev evaluation: {exc}") from None
             history.append(EpochStats(epoch, mean_nll, report))
             logger.info(
                 "epoch %d nll %.6f dev P %.4f R %.4f F1 %.4f",
@@ -566,6 +571,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
     return best, history
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def predict_with_checkpoint(checkpoint: Checkpoint, corpus: Corpus,
                             embeddings: EmbeddingSet | None = None,
                             constrained: bool | None = None) -> list[list[int]]:
@@ -575,7 +581,9 @@ def predict_with_checkpoint(checkpoint: Checkpoint, corpus: Corpus,
     decodes the corpus longest first, DECODE_BATCH sentences per batch: one
     emissions_forward call and one viterbi_decode call each. A failing corpus
     is decoded again by the same loop in batches of one, in input order, and
-    the CrfError of its first failing sentence is raised naming that sentence."""
+    the CrfError of its first failing sentence is raised naming that sentence;
+    numpy's overflow warnings are off, since overflow ends in that CrfError.
+    A MemoryError names the longest sentence of the batch that raised it."""
     voc = corpus.tag_vocabulary
     ensure_compatible(checkpoint, voc)
     source = checkpoint.embedding_source(embeddings)
@@ -589,8 +597,15 @@ def predict_with_checkpoint(checkpoint: Checkpoint, corpus: Corpus,
 
     def paths(order, size):
         for start in range(0, len(order), size):
-            xs = [embed(sentences[j], source)[0] for j in order[start:start + size]]
-            for path, _ in viterbi_decode(emissions_forward(arch, params, xs)[0], trans, mask):
+            batch = order[start:start + size]
+            try:
+                xs = [embed(sentences[j], source)[0] for j in batch]
+                decoded = viterbi_decode(emissions_forward(arch, params, xs)[0], trans, mask)
+            except MemoryError:
+                longest = sentences[batch[0]]  # a batch is longest first
+                raise MemoryError(f"decoding a batch of {len(batch)} sentences, the longest "
+                                  f"{longest.id!r} ({len(longest)} tokens)") from None
+            for path, _ in decoded:
                 yield path
 
     layout = LengthLayout(len(s) for s in sentences)

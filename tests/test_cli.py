@@ -595,8 +595,21 @@ class TestEvaluate:
     def test_length_mismatch_exits_two(self, capsys, tmp_path, tiny):
         bad = tmp_path / "bad.conll"
         bad.write_text("# id s0\nJohn _ _ B-PER\n\n# id s1\nAcme _ _ O\n\n# id s2\nx _ _ O\n")
-        code, _, err = run(capsys, "evaluate", "--gold", tiny, "--pred", str(bad))
-        assert code == 2
+        for command in ("evaluate", "inspect"):  # the scorer's error, naming the sentence
+            code, out, err = run(capsys, command, "--gold", tiny, "--pred", str(bad))
+            assert (code, out, err) == (
+                2, "", "nerchain: error: sentence 's0': 1 predicted tags for 5 tokens\n")
+
+    def test_the_first_failing_sentence_is_reported_under_strict_repair(self, capsys, tmp_path,
+                                                                         tiny):
+        # s0 breaks the scheme and s1 is short: s0 comes first in the corpus
+        bad = tmp_path / "bad.conll"
+        bad.write_text(TINY.replace("John _ _ B-PER", "John _ _ I-PER")
+                       .replace("ships _ _ O\nWidget _ _ B-PROD\n", ""), encoding="utf-8")
+        code, out, err = run(capsys, "evaluate", "--gold", tiny, "--pred", str(bad),
+                             "--repair", "strict")
+        assert (code, out, err) == (
+            2, "", "nerchain: error: invalid transition <START> -> I-PER at position 0\n")
 
     def test_out_of_range_token_column_exits_two(self, capsys, tiny):
         code, _, err = run(capsys, "evaluate", "--gold", tiny, "--pred", tiny, "--token-col", "-9")
@@ -665,16 +678,32 @@ class TestExitCodeContract:
 
     def test_running_out_of_memory_exits_two_with_one_line(self, capsys, tiny, tmp_path,
                                                            monkeypatch, tiny_models):
-        def no_memory(*args):
-            raise MemoryError
+        emissions_forward = training.emissions_forward
 
-        monkeypatch.setattr(training, "emissions_forward", no_memory)
-        for argv in (["train", "--train-file", tiny, "--dev-file", tiny,
-                      "--checkpoint", str(tmp_path / "m.ckpt")],
-                     ["predict", "--checkpoint", tiny_models["crf"], "--input", tiny]):
+        def no_memory_for(fails):
+            def forward(arch, params, xs, *args):
+                if fails(xs):
+                    raise MemoryError
+                return emissions_forward(arch, params, xs, *args)
+            return forward
+
+        # the longest of the three input sentences, not the first one, names the batch
+        skewed = tmp_path / "skewed.conll"
+        skewed.write_text("# id a\nx\n\n# id b\nx\ny\nz\n\n# id c\nx\ny\n", encoding="utf-8")
+        train_argv = ["train", "--train-file", tiny, "--dev-file", tiny,
+                      "--checkpoint", str(tmp_path / "m.ckpt")]
+        batch = "decoding a batch of 3 sentences, the longest"
+        for fails, argv, detail in (
+                (lambda xs: len(xs[0]) == 4, train_argv, "epoch 1, sentence 's1' (4 tokens)"),
+                (lambda xs: len(xs) > 1, train_argv,
+                 f"epoch 1, dev evaluation: {batch} 's0' (5 tokens)"),
+                (lambda xs: True, ["predict", "--checkpoint", tiny_models["crf"], "--input",
+                                   str(skewed)], f"{batch} 'b' (3 tokens)")):
+            monkeypatch.setattr(training, "emissions_forward", no_memory_for(fails))
             code, out, err = run(capsys, *argv)
-            # one line naming the command, and no traceback
-            assert (code, out, err) == (2, "", f"nerchain: error: {argv[0]}: out of memory\n")
+            # one line naming the command and where memory ran out, and no traceback
+            assert (code, out, err) == (
+                2, "", f"nerchain: error: {argv[0]}: out of memory: {detail}\n")
 
 
 # fragments that get past the first checks more often than random bytes do

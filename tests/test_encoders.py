@@ -567,6 +567,12 @@ class TestCrossEntropy:
         got = cross_entropy_and_grads(log_probs, np.array([0, 2], dtype=np.int16))
         assert got[0] == expected[0] and np.array_equal(got[1], expected[1])
 
+    def test_a_sentence_without_tokens_is_refused(self):
+        # as the CRF heads' _check refuses n = 0, rather than a nan mean loss
+        with pytest.raises(EncoderError, match=r"^log-probabilities must be \(n, k\) with "
+                                               r"n >= 1, got \(0, 3\)$"):
+            cross_entropy_and_grads(np.zeros((0, 3)), [])
+
     def test_gold_that_is_no_sequence_is_refused(self):
         log_probs = np.log(np.full((1, 3), 1.0 / 3.0))
         with pytest.raises(EncoderError, match="^tag indices must be a sequence, not int$"):

@@ -476,10 +476,25 @@ class TestTrain:
                 (overflow, not_finite, "sentence 'overflow': non-finite best path score inf"),
                 (not_finite, overflow, "sentence 'nan': non-finite emission score")):
             failing = Corpus(tuple(sentences[:10] + [first] + sentences[10:] + [second]), VOC)
-            with pytest.raises(NonFiniteScoreError) as raised, np.errstate(over="ignore",
-                                                                        invalid="ignore"):
+            with pytest.raises(NonFiniteScoreError) as raised:
                 predict_with_checkpoint(checkpoint, failing, embeddings)
             assert str(raised.value) == message
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_an_overflowed_model_raises_its_crf_error_not_a_numpy_warning(self, arch):
+        # every weight matrix at 1.7e308 overflows the matmuls; under the
+        # repository's warning settings an escaped RuntimeWarning is an error
+        corpus = tiny_corpus()
+        embeddings = EmbeddingSet(2, {s.id: np.ones((len(s), 2)) for s in corpus})
+        params = init_params(arch, 2, VOC.k, 2, 2, None, np.random.default_rng(0))
+        for key, value in params.items():
+            if key != "crf.trans" and value.ndim == 2:
+                value[...] = 1.7e308
+        config = TrainConfig(arch=arch, hidden=2, fc_size=2)
+        checkpoint = Checkpoint(config, tuple(VOC.entity_types.types), params)
+        with pytest.raises(NonFiniteScoreError) as raised:
+            predict_with_checkpoint(checkpoint, corpus, embeddings)
+        assert str(raised.value) == "sentence 's0': non-finite emission score"
 
 
 def test_bilstm_decoding_memory_does_not_grow_with_the_corpus():
