@@ -30,7 +30,9 @@ from .metrics import (
 from .tagscheme import (
     REPAIR_MODES,
     EntityTypeSet,
+    SchemeViolation,
     TagSchemeError,
+    count_invalid_transitions,
     expand_bio,
     flat_tags,
     repair_bio,
@@ -300,7 +302,12 @@ def cmd_predict(settings: Settings) -> int:
         raise type(exc)(f"{settings.checkpoint}: {exc}") from None
     if settings.repair:  # the whole corpus in one pass
         tags, starts = flat_tags(predictions)
-        repaired = repair_bio(voc, tags, settings.repair, starts=starts).tags.tolist()
+        try:
+            repaired = repair_bio(voc, tags, settings.repair, starts=starts).tags.tolist()
+        except SchemeViolation as exc:  # strict: name the first sentence with a violation
+            sent = next(s for s, pred in zip(corpus, predictions)
+                        if count_invalid_transitions(voc, pred))
+            raise type(exc)(f"sentence {sent.id!r}: {exc}") from None
         bounds = [*starts.tolist(), len(repaired)]
         predictions = [repaired[a:b] for a, b in zip(bounds, bounds[1:])]
 

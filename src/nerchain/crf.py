@@ -32,6 +32,11 @@ the same. A gold path is checked once, where it enters (_check, and
 encoders.cross_entropy_and_grads for the linear head), by _tag_indices, into
 the intp array that the kernels index with; its score is one accumulate over
 its interleaved terms, the float loop's adds in the loop's order.
+
+Numeric policy: each public function runs under one np.errstate (_QUIET) that
+ignores overflow, invalid and divide, so overflowing scores show up as inf or
+nan in its result, or as a CrfError, and never as a numpy warning. The kernels
+enter none of their own.
 """
 
 import math
@@ -44,6 +49,8 @@ import numpy as np
 # (into START, out of STOP); keeps all gradients defined.
 SENTINEL = -1e4
 INTP = np.iinfo(np.intp)
+# the numeric policy of every public function (see above)
+_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 class CrfError(ValueError):
@@ -145,7 +152,7 @@ def _path_score(P: np.ndarray, A: TransitionMatrix, y: np.ndarray) -> float:
     """Score of a checked path, added left to right: the START edge, then each
     emission followed by the edge out of it. One accumulate over the
     interleaved terms makes those adds one after the other, as a float loop
-    would; like that loop, it does not warn when a sum overflows."""
+    would."""
     n, k = P.shape
     av = A.values
     terms = np.empty(2 * n + 1)
@@ -153,23 +160,25 @@ def _path_score(P: np.ndarray, A: TransitionMatrix, y: np.ndarray) -> float:
     terms[1::2] = P[np.arange(n), y]
     terms[2:-1:2] = av[y[:-1], y[1:]]
     terms[-1] = av[y[-1], k + 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.add.accumulate(terms, out=terms)
+    np.add.accumulate(terms, out=terms)
     return float(terms[-1])
 
 
+@_QUIET
 def sequence_score(P: np.ndarray, A: TransitionMatrix, y) -> float:
     """Score of one label path (transitions including START/STOP, plus emissions)."""
     P, y = _check(P, A, y)
     return _path_score(P, A, y)
 
 
+@_QUIET
 def log_partition(P: np.ndarray, A: TransitionMatrix) -> float:
     """log sum over all k^n paths of exp(sequence_score), by the forward algorithm."""
     P, _ = _check(P, A)
     return _alpha_beta(P, A)[-1]
 
 
+@_QUIET
 def log_likelihood(P: np.ndarray, A: TransitionMatrix, y) -> float:
     """log p(y) = sequence_score(y) - log_partition; always <= 0."""
     P, y = _check(P, A, y)
@@ -225,25 +234,23 @@ def _alpha_beta(P: np.ndarray, A: TransitionMatrix, guard: bool = False):
     steps = zip(runs[:-1, :, :, None].transpose(0, 2, 1, 3), lse[1:], runs[1:])
     add, subtract, exp, log = np.add, np.subtract, np.exp, np.log
     maximum, total = np.maximum.reduce, np.add.reduce
-    with np.errstate(invalid="ignore"):  # inf - inf: only in an unguarded pass, rerun below
-        for prev, sums, runs_s in steps:
-            add(prev, stacked, buf)
-            maximum(buf, 0, None, shift)
-            if guard:
-                np.copyto(shift, 0.0, where=~np.isfinite(shift))
-            subtract(buf, shift, buf)
-            exp(buf, buf)
-            total(buf, 0, None, sums)
-            log(sums, sums)
-            add(sums, shift, sums)
-            add(sums, runs_s, runs_s)
-        last = runs[n - 1, 0] + av[:k, k + 1]
-        top = last.max()
-        top = top if math.isfinite(top) or not guard else 0.0
-        log_z = (np.log(np.exp(last - top).sum(keepdims=True)) + top).item()
+    for prev, sums, runs_s in steps:
+        add(prev, stacked, buf)
+        maximum(buf, 0, None, shift)
+        if guard:
+            np.copyto(shift, 0.0, where=~np.isfinite(shift))
+        subtract(buf, shift, buf)  # inf - inf: only in an unguarded pass, rerun below
+        exp(buf, buf)
+        total(buf, 0, None, sums)
+        log(sums, sums)  # log(0) of an all -inf column is -inf
+        add(sums, shift, sums)
+        add(sums, runs_s, runs_s)
+    last = runs[n - 1, 0] + av[:k, k + 1]
+    top = last.max()
+    top = top if math.isfinite(top) or not guard else 0.0
+    log_z = (np.log(np.exp(last - top).sum(keepdims=True)) + top).item()
     if not guard and not (math.isfinite(log_z) and np.isfinite(lse[n - 1, 1]).all()):
-        with np.errstate(divide="ignore"):  # log(0) of an all -inf column is -inf
-            return _alpha_beta(P, A, guard=True)
+        return _alpha_beta(P, A, guard=True)
     return runs[:, 0], lse[::-1, 1], runs[::-1, 1], log_z
 
 
@@ -258,11 +265,13 @@ def _marginals(P: np.ndarray, A: TransitionMatrix) -> Marginals:
     return Marginals(node, edge, log_z)
 
 
+@_QUIET
 def forward_backward(P: np.ndarray, A: TransitionMatrix) -> Marginals:
     P, _ = _check(P, A)
     return _marginals(P, A)
 
 
+@_QUIET
 def nll_gradients(P: np.ndarray, A: TransitionMatrix, y):
     """-log_likelihood and its exact gradients wrt P and A, as (nll, dP, dA),
     from a single forward-backward pass.
@@ -345,6 +354,7 @@ def _best_score_error(score: float, mask) -> CrfError:
     return NoValidPathError("no path satisfies the transition mask")
 
 
+@_QUIET
 def viterbi_decode(P, A: TransitionMatrix, mask=None):
     """Highest-scoring path and its score, optionally restricted to mask-valid
     transitions (mask True = allowed: a boolean array-like of shape

@@ -36,8 +36,9 @@ sigmoid/sigmoid/tanh/sigmoid, c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t),
 zero initial state. Weights initialize uniform(-0.1, 0.1); biases zero
 except the forget-gate section, which starts at 1.
 
-Only the recurrence runs in the Python time loop, and one loop serves any
-list of sentences, one included, and both directions of each: sentence r of a
+bilstm_forward is the time loop, and bilstm_backward the reversed one. Only
+the recurrence runs in the Python time loop, and one loop serves any list of
+sentences, one included, and both directions of each: sentence r of a
 crf.LengthLayout (longest first, so the sentences still running at a step are
 a prefix) puts its forward and backward directions in rows 2r and 2r + 1;
 both directions of a sentence run the same number of steps, so the running
@@ -57,13 +58,18 @@ same bits in any batch (h_prev @ wh.T, one gemm, might not). A one-sentence
 list keeps the loop's arrays as the cache its backward reads (LstmCache); a
 longer list keeps no cache, and there every step writes its gates, c and
 tanh(c) over the step before's, since a step reads only the c before it.
+The loop's rows run each direction in its own step order; after the loop, each
+sentence's token-order (n, 2h) rows are its forward states beside its backward
+states reversed.
 
-The backward runs one reversed loop over the same rows, and each step forms
+bilstm_backward lays the gradient at those rows out per direction in step
+order and runs one reversed loop over the same rows; each step forms
 every row's dh_next = dz @ wh as one stacked matmul of (1, 4h) rows against
 the weight stack. It writes each step's gate gradient into a row of dZ and,
 after the loop, forms each direction's weight gradients as one matmul each:
-dwx = dZ.T @ x, dwh = dZ[1:].T @ h[:-1], db = dZ.sum(0), and dx = dZ @ wx.
-The sums run in a different order than a per-step loop would take, so
+dwx = dZ.T @ x, dwh = dZ[1:].T @ h[:-1], db = dZ.sum(0), and dx = dZ @ wx,
+the backward direction's dx reversed back to token order before the two are
+added. The sums run in a different order than a per-step loop would take, so
 results agree with one to rounding, not bits.
 """
 
@@ -177,13 +183,13 @@ class LstmCache:
     h: np.ndarray  # (n, 2, h), h[t, r] is the state direction r emits at its step t
 
 
-def _lstm_forward(xs, params):
-    """Both directions' states for every sentence in xs, from one time loop.
+def bilstm_forward(xs, params: dict):
+    """Concatenated forward/backward hidden states of every sentence in xs, one
+    (n_j, 2h) array each, from one time loop, plus the cache of a one-sentence
+    list (None for any other length).
 
-    Returns (states, cache): states[j] is the (n_j, 2, h) array of xs[j]'s
-    states, indexed as LstmCache.h. Sentence r of the LengthLayout runs its
-    directions in rows 2r and 2r + 1, so the rows still running at a step
-    stay a prefix. cache is set when xs holds one sentence; else None.
+    Row t is [h_fw(t) ; h_bw(t)] where the backward direction scans the
+    reversed sequence and its states are re-aligned to token positions.
     """
     wxs, whs, bs = ([params[f"lstm.{d}.{p}"] for d in DIRECTIONS] for p in ("wx", "wh", "b"))
     h = whs[0].shape[1]
@@ -248,15 +254,19 @@ def _lstm_forward(xs, params):
             np.multiply(o, tanh_c, out=h_t)
             h_prev, c_prev = col, c
     cache = LstmCache(xs[0], tuple(wxs), wh, gates, cs, tc, hs) if keep else None
-    by_sentence = hs.reshape(steps, len(xs), 2, h)
-    return layout.unstack(by_sentence[:n, row] for row, n in enumerate(layout.lengths)), cache
+    states = (hs.reshape(steps, len(xs), 2, h)[:n, row] for row, n in enumerate(layout.lengths))
+    return layout.unstack(np.concatenate([s[:, 0], s[::-1, 1]], axis=1) for s in states), cache
 
 
-def _lstm_backward(cache: LstmCache, grad_h):
-    """Gradients of both directions from one reversed time loop, given
-    grad_h (n, 2, h), the gradient at cache.h. Returns (dx, dwx, dwh, db) per
-    direction, dx in that direction's step order."""
+def bilstm_backward(cache: LstmCache, grad_out: np.ndarray):
+    """Exact gradients through both directions from one reversed time loop,
+    given grad_out (n, 2h), the gradient at bilstm_forward's rows; returns
+    (grad_x, param grads)."""
     n, _, h = cache.h.shape
+    if grad_out.shape != (n, 2 * h):
+        raise EncoderError(f"grad shape {grad_out.shape} does not match cache")
+    # each direction's gradient at cache.h, in its own step order
+    grad_h = np.stack([grad_out[:, :h], grad_out[::-1, h:]], axis=1)
     i, f, g, o = cache.gates.transpose(1, 0, 2, 3)
     tc = cache.tanh_c
     c_prev = np.zeros((n, 2, h))
@@ -286,35 +296,14 @@ def _lstm_backward(cache: LstmCache, grad_h):
     # step 0 has no h_prev, so it adds nothing to dwh. The states go in
     # contiguous, as a one-direction loop wrote them: at h = 1 the matmul is
     # a gemv, whose sum over a strided vector takes another order.
-    inputs = (cache.x, cache.x[::-1])
-    return [(flat @ wx, flat.T @ x, flat[1:].T @ np.ascontiguousarray(states[:-1]),
-             flat.sum(axis=0))
-            for flat, wx, x, states in zip(dz, cache.wx, inputs, cache.h.transpose(1, 0, 2))]
-
-
-def bilstm_forward(xs, params: dict):
-    """Concatenated forward/backward hidden states of every sentence in xs, one
-    (n_j, 2h) array each, from one time loop, plus the cache of a one-sentence
-    list (None for any other length).
-
-    Row t is [h_fw(t) ; h_bw(t)] where the backward direction scans the
-    reversed sequence and its states are re-aligned to token positions.
-    """
-    states, cache = _lstm_forward(xs, params)
-    return [np.concatenate([s[:, 0], s[::-1, 1]], axis=1) for s in states], cache
-
-
-def bilstm_backward(cache: LstmCache, grad_out: np.ndarray):
-    """Exact gradients through both directions; returns (grad_x, param grads)."""
-    n, _, h = cache.h.shape
-    if grad_out.shape != (n, 2 * h):
-        raise EncoderError(f"grad shape {grad_out.shape} does not match cache")
-    # each direction's gradient in its own step order
-    (dx_fw, *fw), (dx_bw, *bw) = _lstm_backward(
-        cache, np.stack([grad_out[:, :h], grad_out[::-1, h:]], axis=1))
-    grads = {f"lstm.{d}.{p}": grad for d, dir_grads in zip(DIRECTIONS, (fw, bw))
-             for p, grad in zip(("wx", "wh", "b"), dir_grads)}
-    return dx_fw + dx_bw[::-1], grads
+    grads, dx = {}, []
+    for d, flat, wx, x, states in zip(DIRECTIONS, dz, cache.wx, (cache.x, cache.x[::-1]),
+                                      cache.h.transpose(1, 0, 2)):
+        dx.append(flat @ wx)  # in the direction's step order
+        grads[f"lstm.{d}.wx"] = flat.T @ x
+        grads[f"lstm.{d}.wh"] = flat[1:].T @ np.ascontiguousarray(states[:-1])
+        grads[f"lstm.{d}.b"] = flat.sum(axis=0)
+    return dx[0] + dx[1][::-1], grads
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ keeps it), tagscheme.bio_pass repairs each array and extracts its spans at
 once, and the spans are matched and counted per type as arrays. Only the
 error listings build Python objects, one per span that does not match. Any
 failure is replayed one sentence at a time, so the error raised is that of
-the first failing sentence.
+the first failing sentence, and names it.
 """
 
 from dataclasses import dataclass, field
@@ -117,7 +117,8 @@ def _match(gold: Corpus, predicted, repair: str):
     the bio_pass of the repaired predictions, the sentence starts, and for
     each gold and each predicted span whether the other side has it too. A
     failing corpus is checked again one sentence at a time, so that it raises
-    what its first failing sentence raises.
+    what its first failing sentence raises, prefixed with that sentence's id
+    (the alignment errors name it already).
     """
     if len(predicted) != len(gold.sentences):
         raise ScoringError(
@@ -134,9 +135,13 @@ def _match(gold: Corpus, predicted, repair: str):
     except (TypeError, ValueError, OverflowError):  # raised as the per-sentence checks raise it
         for sent, tags in zip(gold.sentences, predicted):
             _check_aligned(sent, tags)
-            count_invalid_transitions(voc, tags)
-            extract_spans(voc, sent.gold_tags)
-            repair_bio(voc, tags, repair)
+            try:
+                count_invalid_transitions(voc, tags)
+                extract_spans(voc, sent.gold_tags)
+                repair_bio(voc, tags, repair)
+            except (TypeError, ValueError, OverflowError) as exc:
+                exc.args = (f"sentence {sent.id!r}: {exc}",)
+                raise
         raise
     return truth, found, starts, _found_in(found, truth), _found_in(truth, found)
 

@@ -324,8 +324,8 @@ def reference_lstm_backward(cache, grad_h):
 # ---------------------------------------------------------------------------
 # one LSTM direction of one sentence with the input projection hoisted out of
 # the time loop, and its backward with the weight gradients hoisted out of
-# the reversed loop: the kernels that the two-row _lstm_forward and
-# _lstm_backward must match bit for bit, row by row, on every sentence of a
+# the reversed loop: the kernels that the two-row bilstm_forward and
+# bilstm_backward must match bit for bit, row by row, on every sentence of a
 # batch, one direction per row
 
 
@@ -561,7 +561,8 @@ def predicate_error_breakdown(gold, predicted, repair):
     """Span matching over EntitySpan objects from the predicate extractor and
     repair: per-type [tp, fp, fn] counts, the raw invalid-transition count and
     the error listings. Checks each sentence in turn, as the per-sentence
-    scorer did: alignment, the raw transitions, the gold spans, the repair."""
+    scorer did: alignment, the raw transitions, the gold spans, the repair;
+    an error past the alignment checks gains the sentence's id."""
     from nerchain.metrics import ErrorBreakdown, ScoringError
 
     if len(predicted) != len(gold.sentences):
@@ -576,9 +577,12 @@ def predicate_error_breakdown(gold, predicted, repair):
         if len(tags) != len(sent):
             raise ScoringError(
                 f"sentence {sent.id!r}: {len(tags)} predicted tags for {len(sent)} tokens")
-        invalid += predicate_count_invalid(voc, tags)
-        gold_spans = predicate_extract_spans(voc, sent.gold_tags)
-        pred_spans = predicate_extract_spans(voc, predicate_repair_bio(voc, tags, repair))
+        try:
+            invalid += predicate_count_invalid(voc, tags)
+            gold_spans = predicate_extract_spans(voc, sent.gold_tags)
+            pred_spans = predicate_extract_spans(voc, predicate_repair_bio(voc, tags, repair))
+        except ValueError as exc:
+            raise type(exc)(f"sentence {sent.id!r}: {exc}") from None
         fp = [s for s in pred_spans if s not in gold_spans]
         fn = [s for s in gold_spans if s not in pred_spans]
         for span in pred_spans:

@@ -12,6 +12,7 @@ import numpy as np
 
 from nerchain import cli, training
 from nerchain.conll_io import EmbeddingSet, write_conll, write_embeddings
+from nerchain.encoders import ARCHITECTURES
 from nerchain.tagscheme import EntityTypeSet, expand_bio
 from nerchain.training import TrainConfig
 
@@ -94,3 +95,36 @@ def test_traced_cli_round_reaches_the_tag_workload_layers(tmp_path):
     assert {"conll_io.parse_conll", "conll_io.load_embeddings", "conll_io.write_conll",
             "tagscheme.repair_bio", "metrics.score"} <= recorded
     assert tracer.counters["conll_io.bytes_read"] > 0
+
+
+def test_traced_operations_reach_every_layer_that_src_calls(tmp_path):
+    # one train + save + predict operation per head, then a CLI round: a
+    # layer that a refactor inlines or renames would read 0 in every traced
+    # run. No code in src/ calls crf.log_likelihood.
+    rng = np.random.default_rng(2)
+    corpus = random_corpus(rng, expand_bio(EntityTypeSet()), 6)
+    embeddings = EmbeddingSet(3, {s.id: rng.standard_normal((len(s), 3)) for s in corpus})
+    paths = {name: str(tmp_path / name) for name in ("data", "emb", "ckpt", "out")}
+    with open(paths["data"], "w", encoding="utf-8") as handle:
+        write_conll(corpus, handle)
+    with open(paths["emb"], "w", encoding="utf-8") as handle:
+        write_embeddings(embeddings, handle)
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer()
+    for op, arch in enumerate(ARCHITECTURES):
+        with tracer.tracing(op):
+            config = TrainConfig(arch=arch, epochs=1, dim=4, fc_size=4, hidden=4)
+            checkpoint, _ = training.train(corpus, corpus, config)
+            training.save_checkpoint(checkpoint, paths["ckpt"])
+            training.predict_with_checkpoint(checkpoint, corpus)
+    checkpoint, _ = training.train(corpus, corpus, TrainConfig(arch="crf", epochs=1), embeddings)
+    training.save_checkpoint(checkpoint, paths["ckpt"])
+    with tracer.tracing(len(ARCHITECTURES)), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["predict", "--checkpoint", paths["ckpt"], "--input", paths["data"],
+                         "--embeddings", paths["emb"], "--output", paths["out"]]) == 0
+        for command in ("evaluate", "inspect"):
+            assert cli.main([command, "--gold", paths["data"], "--pred", paths["out"]]) == 0
+    recorded = {name for name, *_ in tracer.spans}
+    layers = {name for name, _, _ in tracer_module.LAYERS}
+    assert "crf.log_likelihood" in layers
+    assert layers - {"crf.log_likelihood"} <= recorded

@@ -526,6 +526,20 @@ class TestPredict:
             assert (code, err) == expected
             assert not out.exists()
 
+    def test_strict_repair_names_the_first_failing_sentence(self, capsys, tiny, tmp_path,
+                                                            tiny_models):
+        # START -> I-PER outscores every other first step, so each decoded
+        # sentence opens with an orphan I-PER
+        checkpoint = training.load_checkpoint(tiny_models["crf"])
+        checkpoint.params["crf.trans"][VOC.start_index, VOC.index("I-PER")] = 1e3
+        path, out = tmp_path / "orphan.ckpt", tmp_path / "out.conll"
+        training.save_checkpoint(checkpoint, path)
+        code, _, err = run(capsys, "predict", "--checkpoint", str(path), "--input", tiny,
+                           "--output", str(out), "--repair", "strict")
+        assert (code, err) == (2, "nerchain: error: sentence 's0': invalid transition "
+                                  "<START> -> I-PER at position 0\n")
+        assert not out.exists()
+
     def test_repair_flag_applies(self, capsys, tiny, tmp_path):
         ckpt = self.memorize(capsys, tiny, tmp_path)
         code, out, _ = run(capsys, "predict", "--checkpoint", ckpt, "--input", tiny,
@@ -609,7 +623,18 @@ class TestEvaluate:
         code, out, err = run(capsys, "evaluate", "--gold", tiny, "--pred", str(bad),
                              "--repair", "strict")
         assert (code, out, err) == (
-            2, "", "nerchain: error: invalid transition <START> -> I-PER at position 0\n")
+            2, "", "nerchain: error: sentence 's0': invalid transition <START> -> I-PER "
+                   "at position 0\n")
+
+    def test_a_strict_repair_error_names_its_sentence(self, capsys, tmp_path, tiny):
+        bad = tmp_path / "bad.conll"
+        bad.write_text(TINY.replace("Acme _ _ B-CORP", "Acme _ _ I-LOC"), encoding="utf-8")
+        for command in ("evaluate", "inspect"):
+            code, out, err = run(capsys, command, "--gold", tiny, "--pred", str(bad),
+                                 "--repair", "strict")
+            assert (code, out, err) == (
+                2, "", "nerchain: error: sentence 's1': invalid transition <START> -> I-LOC "
+                       "at position 0\n")
 
     def test_out_of_range_token_column_exits_two(self, capsys, tiny):
         code, _, err = run(capsys, "evaluate", "--gold", tiny, "--pred", tiny, "--token-col", "-9")

@@ -9,6 +9,7 @@ from nerchain.crf import (
     INTP,
     CrfError,
     LengthLayout,
+    Marginals,
     NonFiniteScoreError,
     NoValidPathError,
     SENTINEL,
@@ -623,6 +624,36 @@ def _outcome(decode):
         return decode()
     except CrfError as exc:
         return type(exc), str(exc)
+
+
+def _as_bits(value):
+    """value with each float and float array as its shape and bytes."""
+    if isinstance(value, Marginals):
+        value = (value.node, value.edge, value.log_z)
+    if isinstance(value, (tuple, list)):
+        return tuple(map(_as_bits, value))
+    return value if isinstance(value, (int, str, type)) else _bits(value)
+
+
+@given(chain_instances())
+@settings(max_examples=200, deadline=None)
+def test_no_public_function_warns_and_each_gives_the_bits_it_gives_with_warnings_off(instance):
+    # called outside any errstate, where the repository's pytest settings make
+    # a RuntimeWarning an error; near the float64 limit the recursions overflow
+    P, A, y, mask = instance
+    calls = (
+        lambda: sequence_score(P, A, y),
+        lambda: log_partition(P, A),
+        lambda: log_likelihood(P, A, y),
+        lambda: forward_backward(P, A),
+        lambda: nll_gradients(P, A, y),
+        lambda: viterbi_decode(P, A, mask),
+        lambda: viterbi_decode([P, P[::-1]], A, mask),
+    )
+    for call in calls:
+        got = _as_bits(_outcome(call))
+        with np.errstate(all="ignore"):
+            assert got == _as_bits(_outcome(call))
 
 
 @st.composite

@@ -9,8 +9,6 @@ from nerchain.encoders import (
     DIRECTIONS,
     EncoderError,
     EmbeddingSource,
-    _lstm_backward,
-    _lstm_forward,
     bilstm_backward,
     bilstm_forward,
     cross_entropy_and_grads,
@@ -339,21 +337,21 @@ def reference_direction(params, x, name):
 def test_batched_kernel_matches_the_single_sentence_kernel_bit_for_bit(lengths, d, h, log_scale,
                                                                        seed):
     # every (sentence, direction) row of the loop against one direction of
-    # one sentence alone
+    # one sentence alone; the bw columns hold the bw states in token order
     rng = np.random.default_rng(seed)
     params = random_lstm(rng, d, h, 10.0 ** log_scale)
     xs = [rng.standard_normal((n, d)) for n in lengths]
-    states, cache = _lstm_forward(xs, params)
+    states, cache = bilstm_forward(xs, params)
     refs = [[reference_direction(params, x, name) for name in DIRECTIONS] for x in xs]
     assert len(states) == len(xs)
     for got, sentence_refs in zip(states, refs):
-        assert got.shape == (len(sentence_refs[0][0]), 2, h)
-        for r, (ref, _) in enumerate(sentence_refs):
-            assert_same_bits(got[:, r], ref)
+        assert got.shape == (len(sentence_refs[0][0]), 2 * h)
+        for (ref, _), cols in zip(sentence_refs, (got[:, :h], got[::-1, h:])):
+            assert_same_bits(cols, ref)
     if len(xs) > 1:
         assert cache is None
         return
-    # one sentence: the cache _lstm_backward reads, row by row
+    # one sentence: the cache bilstm_backward reads, row by row
     assert cache.x is xs[0]
     assert cache.gates.shape == (lengths[0], 4, 2, h)  # gate-major
     views = dict(by_direction(cache))
@@ -371,28 +369,34 @@ def test_batched_kernel_matches_the_single_sentence_kernel_bit_for_bit(lengths, 
 @example(n=40, d=8, h=8, log_scale=-3.0, seed=2)
 @settings(max_examples=200, deadline=None)
 def test_two_row_backward_matches_the_one_direction_kernel_bit_for_bit(n, d, h, log_scale, seed):
+    # each direction against the kernel given its columns of grad_out in its
+    # own step order: the bw columns reversed
     rng = np.random.default_rng(seed)
     params = random_lstm(rng, d, h, 10.0 ** log_scale)
     x = rng.standard_normal((n, d))
-    grad_h = rng.standard_normal((n, 2, h))
-    _, cache = _lstm_forward([x], params)
-    got = _lstm_backward(cache, grad_h)
-    assert len(got) == 2
-    for r, name in enumerate(DIRECTIONS):
+    grad_out = rng.standard_normal((n, 2 * h))
+    _, cache = bilstm_forward([x], params)
+    dx, grads = bilstm_backward(cache, grad_out)
+    assert list(grads) == [f"lstm.{name}.{p}" for name in DIRECTIONS for p in ("wx", "wh", "b")]
+    ref_dx = []
+    for name, grad_h in zip(DIRECTIONS, (grad_out[:, :h], grad_out[::-1, h:])):
         _, ref_cache = reference_direction(params, x, name)
-        for g, ref in zip(got[r], reference_lstm_backward_kernel(ref_cache, grad_h[:, r])):
-            assert_same_bits(g, ref)  # dx, dwx, dwh, db
+        dx_dir, *ref_grads = reference_lstm_backward_kernel(ref_cache, grad_h)
+        ref_dx.append(dx_dir)
+        for p, ref in zip(("wx", "wh", "b"), ref_grads):
+            assert_same_bits(grads[f"lstm.{name}.{p}"], ref)
+    assert_same_bits(dx, ref_dx[0] + ref_dx[1][::-1])
 
 
 def test_batched_kernel_takes_an_empty_batch_and_rejects_an_empty_sentence():
     rng = np.random.default_rng(2)
     params = lstm_params(rng, 3, 2)
-    assert _lstm_forward([], params) == ([], None)
+    assert bilstm_forward([], params) == ([], None)
     assert emissions_forward("bilstm-crf", params, []) == ([], None)
     empty = np.zeros((0, 3))
     messages = []
     for call in (lambda: bilstm_forward([empty], params),
-                 lambda: _lstm_forward([rng.standard_normal((2, 3)), empty], params)):
+                 lambda: bilstm_forward([rng.standard_normal((2, 3)), empty], params)):
         with pytest.raises(EncoderError) as info:
             call()
         messages.append(str(info.value))

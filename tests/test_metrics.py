@@ -18,6 +18,7 @@ from nerchain.metrics import (
 from nerchain.tagscheme import (
     REPAIR_MODES,
     EntityTypeSet,
+    TagSchemeError,
     expand_bio,
     extract_spans,
     spans_to_tags,
@@ -242,6 +243,15 @@ class TestScore:
         assert not tags.flags.writeable and not starts.flags.writeable
         expected_tags, expected_starts = real([s.gold_tags for s in corpus])
         assert np.array_equal(tags, expected_tags) and np.array_equal(starts, expected_starts)
+
+    def test_an_out_of_range_tag_names_its_sentence(self):
+        corpus = make_corpus([(("a",), ("O",)), (("b", "c"), ("B-PER", "O"))])
+        # 13 is START in the 13-tag vocabulary, which counts as an invalid transition
+        for tag, message in ((13, "tag index out of range at position 0: 13"),
+                             (99, "transition index out of range: (13, 99)")):
+            with pytest.raises(TagSchemeError) as info:
+                score(corpus, [[0], [tag, 0]])
+            assert str(info.value) == f"sentence 's1': {message}"
 
     def test_macro_is_unweighted_mean(self):
         per = [ClassScore(t, *np.random.default_rng(i).integers(0, 9, 3))

@@ -7,7 +7,6 @@ import os
 import re
 import tempfile
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -383,17 +382,20 @@ class TestTrain:
             runs = [[reference_lstm_kernel(inp, *(params[f"lstm.{d}.{p}"]
                                                   for p in ("wx", "wh", "b")))
                      for d, inp in zip(encoders.DIRECTIONS, (x, x[::-1]))] for x in xs]
-            states = [np.stack([h for h, _ in run], axis=1) for run in runs]
-            cache = (types.SimpleNamespace(h=states[0], rows=[c for _, c in runs[0]])
-                     if len(xs) == 1 else None)
-            return states, cache
+            states = [np.concatenate([fw, bw[::-1]], axis=1) for (fw, _), (bw, _) in runs]
+            return states, [c for _, c in runs[0]] if len(xs) == 1 else None
 
-        def one_direction_backward(cache, grad_h):
-            return [reference_lstm_backward_kernel(c, grad_h[:, r])
-                    for r, c in enumerate(cache.rows)]
+        def one_direction_backward(rows, grad_out):
+            h = grad_out.shape[1] // 2
+            (dx_fw, *fw), (dx_bw, *bw) = (
+                reference_lstm_backward_kernel(c, grad_h)
+                for c, grad_h in zip(rows, (grad_out[:, :h], grad_out[::-1, h:])))
+            grads = {f"lstm.{d}.{p}": grad for d, dir_grads in zip(encoders.DIRECTIONS, (fw, bw))
+                     for p, grad in zip(("wx", "wh", "b"), dir_grads)}
+            return dx_fw + dx_bw[::-1], grads
 
-        monkeypatch.setattr(encoders, "_lstm_forward", one_direction_at_a_time)
-        monkeypatch.setattr(encoders, "_lstm_backward", one_direction_backward)
+        monkeypatch.setattr(encoders, "bilstm_forward", one_direction_at_a_time)
+        monkeypatch.setattr(encoders, "bilstm_backward", one_direction_backward)
         reference, reference_history = train(corpus, corpus, cfg)
         assert reference == kernel  # same checkpoint bytes
         assert [h.report for h in reference_history] == [h.report for h in history]
