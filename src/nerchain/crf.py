@@ -34,9 +34,9 @@ the intp array that the kernels index with; its score is one accumulate over
 its interleaved terms, the float loop's adds in the loop's order.
 
 Numeric policy: each public function runs under one np.errstate (_QUIET) that
-ignores overflow, invalid and divide, so overflowing scores show up as inf or
-nan in its result, or as a CrfError, and never as a numpy warning. The kernels
-enter none of their own.
+ignores every floating-point error: overflowing scores show up as inf or nan
+in its result, or as a CrfError, never as a numpy warning, and exp's underflow
+is never an error. The kernels enter none of their own.
 """
 
 import math
@@ -50,7 +50,7 @@ import numpy as np
 SENTINEL = -1e4
 INTP = np.iinfo(np.intp)
 # the numeric policy of every public function (see above)
-_QUIET = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+_QUIET = np.errstate(all="ignore")
 
 
 class CrfError(ValueError):

@@ -28,8 +28,10 @@ checkpoint can treat every architecture uniformly. Keys:
 
 Forward passes are pure given parameters and input; a one-sentence forward
 returns a cache consumed exactly once by its backward. Backward passes are exact
-reverse-mode gradients. Dropout uses inverted scaling and is applied only at
-a rate above 0; evaluation passes none, so it is deterministic.
+reverse-mode gradients, which they write into the arrays of the dict they are
+given (in training, views of the optimizer's gradient vector) and return by key.
+Dropout uses inverted scaling and is applied only at a rate above 0; evaluation
+passes none, so it is deterministic.
 
 The LSTM cell is the standard 4-gate form: gate order (i, f, g, o) with
 sigmoid/sigmoid/tanh/sigmoid, c_t = f*c_{t-1} + i*g, h_t = o*tanh(c_t),
@@ -127,7 +129,6 @@ class EmbeddingSource:
 class EmbedCache:
     mask: np.ndarray | None
     indices: np.ndarray | None  # None for an ingested source
-    table_shape: tuple | None
 
 
 def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0, rng=None):
@@ -141,25 +142,24 @@ def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0, rng
             )
         # a copy, made here only when dropout's multiply will not make one
         x = base.astype(np.float64, copy=not dropout > 0.0)
-        indices = shape = None
+        indices = None
     else:
         indices = source.token_vocab.indices(sentence.tokens)
         x = source.table[indices].astype(np.float64, copy=False)
-        shape = source.table.shape
 
     x, mask = _dropout(x, dropout, rng)
-    return x, EmbedCache(mask, indices, shape)
+    return x, EmbedCache(mask, indices)
 
 
-def embed_backward(cache: EmbedCache, grad_x: np.ndarray) -> dict:
-    """Gradient of the embedding table; empty for ingested sources."""
+def embed_backward(cache: EmbedCache, grad_x: np.ndarray, out: dict) -> dict:
+    """Gradient of the embedding table, written into out; {} for ingested sources."""
     if cache.indices is None:
         return {}
     if cache.mask is not None:
         grad_x = grad_x * cache.mask
-    grad_table = np.zeros(cache.table_shape)
-    np.add.at(grad_table, cache.indices, grad_x)
-    return {"embed.table": grad_table}
+    out["embed.table"][...] = 0.0
+    np.add.at(out["embed.table"], cache.indices, grad_x)
+    return {"embed.table": out["embed.table"]}
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +258,10 @@ def bilstm_forward(xs, params: dict):
     return layout.unstack(np.concatenate([s[:, 0], s[::-1, 1]], axis=1) for s in states), cache
 
 
-def bilstm_backward(cache: LstmCache, grad_out: np.ndarray):
+def bilstm_backward(cache: LstmCache, grad_out: np.ndarray, out: dict):
     """Exact gradients through both directions from one reversed time loop,
     given grad_out (n, 2h), the gradient at bilstm_forward's rows; returns
-    (grad_x, param grads)."""
+    (grad_x, param grads), the latter written into out's arrays."""
     n, _, h = cache.h.shape
     if grad_out.shape != (n, 2 * h):
         raise EncoderError(f"grad shape {grad_out.shape} does not match cache")
@@ -300,9 +300,10 @@ def bilstm_backward(cache: LstmCache, grad_out: np.ndarray):
     for d, flat, wx, x, states in zip(DIRECTIONS, dz, cache.wx, (cache.x, cache.x[::-1]),
                                       cache.h.transpose(1, 0, 2)):
         dx.append(flat @ wx)  # in the direction's step order
-        grads[f"lstm.{d}.wx"] = flat.T @ x
-        grads[f"lstm.{d}.wh"] = flat[1:].T @ np.ascontiguousarray(states[:-1])
-        grads[f"lstm.{d}.b"] = flat.sum(axis=0)
+        wx_key, wh_key, b_key = (f"lstm.{d}.{p}" for p in ("wx", "wh", "b"))
+        grads[wx_key] = np.matmul(flat.T, x, out=out[wx_key])
+        grads[wh_key] = np.matmul(flat[1:].T, np.ascontiguousarray(states[:-1]), out=out[wh_key])
+        grads[b_key] = np.add.reduce(flat, axis=0, out=out[b_key])
     return dx[0] + dx[1][::-1], grads
 
 
@@ -318,9 +319,9 @@ def project(features: np.ndarray, params: dict) -> np.ndarray:
     return features @ w.T + b
 
 
-def _affine_backward(x: np.ndarray, w: np.ndarray, grad_y: np.ndarray):
-    """(dx, dw, db) of the rows y = x @ w.T + b, given the gradient at y."""
-    return grad_y @ w, grad_y.T @ x, grad_y.sum(axis=0)
+def _affine_backward(x, w, grad_y, dw, db):
+    """(dx, dw, db) of the rows y = x @ w.T + b, given the gradient at y, into dw and db."""
+    return grad_y @ w, np.matmul(grad_y.T, x, out=dw), np.add.reduce(grad_y, axis=0, out=db)
 
 
 # ---------------------------------------------------------------------------
@@ -438,20 +439,21 @@ def emissions_forward(arch: str, params: dict, xs: list, dropout: float = 0.0, r
     return [scores for scores, _ in pairs], pairs[0][1] if len(pairs) == 1 else None
 
 
-def emissions_backward(params: dict, cache: EmissionCache, grad_scores: np.ndarray):
-    """Backward through one sentence's emission path; returns (grad_x, param
-    grads). For the linear head grad_scores is the gradient at the logits."""
+def emissions_backward(params: dict, cache: EmissionCache, grad_scores: np.ndarray, out: dict):
+    """Backward through one sentence's emission path; returns (grad_x, param grads),
+    written into out. For the linear head grad_scores is the gradient at the logits."""
     w, b = ("proj.w", "proj.b") if cache.z1 is None else ("fc.w2", "fc.b2")
-    dfeats, dw, db = _affine_backward(cache.feats, params[w], grad_scores)
+    dfeats, dw, db = _affine_backward(cache.feats, params[w], grad_scores, out[w], out[b])
     grads = {w: dw, b: db}
     if cache.mask is not None:
         dfeats = dfeats * cache.mask
     if cache.lstm is not None:
-        dx, lstm_grads = bilstm_backward(cache.lstm, dfeats)
+        dx, lstm_grads = bilstm_backward(cache.lstm, dfeats, out)
         grads.update(lstm_grads)
         return dx, grads
     if cache.z1 is not None:
         dz1 = dfeats * (cache.z1 > 0.0)
-        dx, grads["fc.w1"], grads["fc.b1"] = _affine_backward(cache.x, params["fc.w1"], dz1)
+        dx, grads["fc.w1"], grads["fc.b1"] = _affine_backward(cache.x, params["fc.w1"], dz1,
+                                                              out["fc.w1"], out["fc.b1"])
         return dx, grads
     return dfeats, grads

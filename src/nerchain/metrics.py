@@ -24,7 +24,6 @@ from .tagscheme import (
     EntitySpan,
     bio_pass,
     count_invalid_transitions,
-    extract_spans,
     flat_tags,
     repair_bio,
 )
@@ -134,13 +133,13 @@ def _match(gold: Corpus, predicted, repair: str):
         found = repair_bio(voc, pred_tags, repair, starts=starts)
     except (TypeError, ValueError, OverflowError):  # raised as the per-sentence checks raise it
         for sent, tags in zip(gold.sentences, predicted):
-            _check_aligned(sent, tags)
             try:
+                _check_aligned(sent, tags)
                 count_invalid_transitions(voc, tags)
-                extract_spans(voc, sent.gold_tags)
                 repair_bio(voc, tags, repair)
             except (TypeError, ValueError, OverflowError) as exc:
-                exc.args = (f"sentence {sent.id!r}: {exc}",)
+                if not isinstance(exc, ScoringError):  # which names the sentence already
+                    exc.args = (f"sentence {sent.id!r}: {exc}",)
                 raise
         raise
     return truth, found, starts, _found_in(found, truth), _found_in(truth, found)

@@ -8,10 +8,11 @@ config and data, training is bit-for-bit reproducible.
 
 The optimizer state is one contiguous float64 vector each for the
 parameters, both Adam moments and the step's gradient: init_adam adopts
-the parameter arrays as views of its vector, and adam_step gathers the
-gradient dict into its vector and makes each elementwise pass once over
-all parameters. Clipping stays per array, summing the squared norms in the
-gradient dict's order.
+the parameter arrays as views of its vector and hands out each key's view
+of the gradient vector, into which the backward passes write, and
+adam_step makes each elementwise pass once over all parameters. Clipping
+stays per array, summing the squared norms in the order the backward
+passes return their arrays.
 
 Decoding (predict_with_checkpoint, each epoch's dev evaluation included)
 cuts the corpus's LengthLayout order, longest first, into batches of at most
@@ -110,9 +111,11 @@ class CheckpointError(ValueError):
 class AdamState:
     """The parameters, both moments, the step's gradient and one scratch
     array, each one contiguous float64 vector over the keys in sorted order;
-    views holds each key's parameter array, a view of params."""
+    views holds each key's parameter array, a view of params, and grads each
+    key's gradient array, a view of grad."""
 
     views: dict[str, np.ndarray]
+    grads: dict[str, np.ndarray]
     params: np.ndarray
     m: np.ndarray
     v: np.ndarray
@@ -126,30 +129,24 @@ def init_adam(params: dict) -> AdamState:
     the state's parameter vector and replaced in the dict by its view of it."""
     keys = sorted(params)
     flat = np.empty(sum(params[key].size for key in keys))
-    at = 0
+    m, v, grad, scratch = np.zeros((4, flat.size))
+    grads, at = {}, 0
     for key in keys:
         view = flat[at:at + params[key].size].reshape(params[key].shape)
         view[...] = params[key]
-        params[key] = view
+        params[key], grads[key] = view, grad[at:at + view.size].reshape(view.shape)
         at += view.size
-    return AdamState({key: params[key] for key in keys}, flat, *np.zeros((4, flat.size)))
+    return AdamState({key: params[key] for key in keys}, grads, flat, m, v, grad, scratch)
 
 
-def adam_step(state: AdamState, grads: dict, lr: float) -> None:
+def adam_step(state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of every parameter in state.views, in
-    place: the gradients are gathered into one vector, checked for finiteness
-    once, and each elementwise pass runs once over all parameters."""
-    for key, p in state.views.items():
-        if key not in grads:
-            raise TrainingError(f"missing gradient for parameter {key!r}")
-        if grads[key].shape != p.shape:
-            raise TrainingError(
-                f"gradient shape {grads[key].shape} != parameter shape {p.shape} for {key!r}")
+    place, from state.grad, checked for finiteness once; each elementwise pass
+    runs once over all parameters, and the last leaves its result in state.grad."""
     g, s, m, v = state.grad, state.scratch, state.m, state.v
-    np.concatenate([grads[key].ravel() for key in state.views], out=g)
     if not np.isfinite(g).all():
-        for key in state.views:  # name the first key holding a non-finite value
-            if not np.isfinite(grads[key]).all():
+        for key, grad in state.grads.items():  # name the first key holding a non-finite value
+            if not np.isfinite(grad).all():
                 raise NonFiniteError(f"non-finite gradient in {key!r}")
     state.step += 1
     t = state.step
@@ -266,18 +263,19 @@ class EpochStats:
 # per-sentence forward/backward
 
 
-def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng):
+def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng, out):
+    """(loss, param grads), the latter written into out's arrays."""
     (scores,), cache = emissions_forward(arch, params, [x], dropout, rng)
     if arch == "linear":
         loss, d_scores = cross_entropy_and_grads(scores, gold)
         head_grads = {}
     else:
         trans = TransitionMatrix(params["crf.trans"])
-        loss, d_scores, d_trans = nll_gradients(scores, trans, gold)
-        head_grads = {"crf.trans": d_trans}
-    dx, grads = emissions_backward(params, cache, d_scores)
+        loss, d_scores, out["crf.trans"][...] = nll_gradients(scores, trans, gold)
+        head_grads = {"crf.trans": out["crf.trans"]}
+    dx, grads = emissions_backward(params, cache, d_scores, out)
     grads.update(head_grads)
-    grads.update(embed_backward(embed_cache, dx))
+    grads.update(embed_backward(embed_cache, dx, out))
     return loss, grads
 
 
@@ -537,11 +535,11 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                 try:  # a diverged model fails the CRF score checks; that is a numeric failure
                     x, embed_cache = embed(sent, source, config.dropout, rng)
                     loss, grads = _loss_and_grads(config.arch, model.params, x, sent.gold_tags,
-                                                  embed_cache, config.dropout, rng)
+                                                  embed_cache, config.dropout, rng, state.grads)
                     if not math.isfinite(loss):
                         raise NonFiniteError(f"non-finite loss {loss!r}")
                     clip_global_norm(grads)
-                    adam_step(state, grads, lr_at(schedule, step))
+                    adam_step(state, lr_at(schedule, step))
                 except (NonFiniteError, NonFiniteScoreError) as exc:
                     raise NonFiniteError(f"training diverged at epoch {epoch}, "
                                          f"sentence {sent.id!r}: {exc}") from None

@@ -204,6 +204,12 @@ def finite_difference(loss_fn, arrays, step=1e-5):
     return grads
 
 
+def gradient_arrays(arrays):
+    """For each key, a nan-filled array of that array's shape: what a backward
+    pass writes its gradients into, so that an entry it leaves unwritten shows."""
+    return {key: np.full(np.shape(array), np.nan) for key, array in arrays.items()}
+
+
 def max_rel_err(analytic, numeric):
     """Worst per-coordinate relative error with a 1e-4 denominator floor
     (so coordinates near zero are compared at absolute tolerance 1e-8

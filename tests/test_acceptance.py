@@ -48,6 +48,7 @@ from nerchain.training import (
 from oracles import (
     all_paths,
     finite_difference,
+    gradient_arrays,
     markov_cycle_corpus,
     max_rel_err,
     path_score,
@@ -135,7 +136,7 @@ def test_criterion_2_gradient_correctness():
             return float((grad_out * out).sum())
 
         _, cache = bilstm_forward([x], params)
-        dx, grads = bilstm_backward(cache, grad_out)
+        dx, grads = bilstm_backward(cache, grad_out, gradient_arrays(params))
         fd = finite_difference(lstm_loss, {"x": x, **params})
         worst["bilstm"] = max(worst["bilstm"], max_rel_err(dx, fd["x"]),
                               *(max_rel_err(grads[kk], fd[kk]) for kk in params))
@@ -165,7 +166,7 @@ def test_criterion_2_gradient_correctness():
             return -float(lp[np.arange(n), gold].mean())
 
         _, d_logits = cross_entropy_and_grads(log_probs, gold)
-        dx, grads = emissions_backward(params, cache, d_logits)
+        dx, grads = emissions_backward(params, cache, d_logits, gradient_arrays(params))
         fd = finite_difference(fc_loss, {"x": x, **params})
         worst["fc"] = max(worst["fc"], max_rel_err(dx, fd["x"]),
                           *(max_rel_err(grads[kk], fd[kk]) for kk in params))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nerchain.crf import (
@@ -636,10 +636,14 @@ def _as_bits(value):
 
 
 @given(chain_instances())
+@example((np.array([[800.0, -800.0], [-800.0, 800.0]]), TransitionMatrix(np.zeros((4, 4))),
+          [0, 1], None))
 @settings(max_examples=200, deadline=None)
 def test_no_public_function_warns_and_each_gives_the_bits_it_gives_with_warnings_off(instance):
     # called outside any errstate, where the repository's pytest settings make
-    # a RuntimeWarning an error; near the float64 limit the recursions overflow
+    # a RuntimeWarning an error; near the float64 limit the recursions overflow.
+    # A caller's errstate changes no result either, not even one that raises on
+    # the underflow of exp at large magnitudes.
     P, A, y, mask = instance
     calls = (
         lambda: sequence_score(P, A, y),
@@ -652,8 +656,9 @@ def test_no_public_function_warns_and_each_gives_the_bits_it_gives_with_warnings
     )
     for call in calls:
         got = _as_bits(_outcome(call))
-        with np.errstate(all="ignore"):
-            assert got == _as_bits(_outcome(call))
+        for policy in ({"all": "ignore"}, {"under": "raise"}):
+            with np.errstate(**policy):
+                assert got == _as_bits(_outcome(call))
 
 
 @st.composite

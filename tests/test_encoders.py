@@ -24,6 +24,7 @@ from nerchain.encoders import (
 from oracles import (
     LstmDirection,
     finite_difference,
+    gradient_arrays,
     max_rel_err,
     reference_lstm_backward,
     reference_lstm_backward_kernel,
@@ -91,14 +92,22 @@ class TestEmbed:
         with pytest.raises(EmbeddingError, match="s9"):
             embed(Sentence("s9", ("x",)), source)
 
+    def test_a_matrix_of_the_wrong_shape_is_refused(self):
+        source = EmbeddingSource(EmbeddingSet(4, {"s0": np.zeros((2, 4))}))
+        with pytest.raises(EmbeddingError) as info:
+            embed(SENT, source)
+        assert str(info.value) == "sentence 's0': embedding shape (2, 4), expected (3, 4)"
+
     def test_width_and_gradient_follow_the_source_data(self):
         ingested, _ = self.make_ingested()
         table = trainable(TokenVocabulary(["a", "b"]), 3, np.random.default_rng(7))
         assert (ingested.dim, table.dim) == (4, 3)
         x, cache = embed(SENT, ingested)
-        assert embed_backward(cache, np.ones_like(x)) == {}
+        assert embed_backward(cache, np.ones_like(x), {}) == {}
         x, cache = embed(SENT, table)
-        assert sorted(embed_backward(cache, np.ones_like(x))) == ["embed.table"]
+        out = gradient_arrays({"embed.table": table.table})
+        grads = embed_backward(cache, np.ones_like(x), out)
+        assert list(grads) == ["embed.table"] and grads["embed.table"] is out["embed.table"]
 
     def test_trainable_deterministic(self):
         vocab = TokenVocabulary(["a", "b", "c"])
@@ -119,8 +128,8 @@ class TestEmbed:
         source = trainable(vocab, 2, np.random.default_rng(7))
         sent = Sentence("s1", ("a", "a", "b"))
         x, cache = embed(sent, source)
-        grads = embed_backward(cache, np.ones_like(x))
-        table_grad = grads["embed.table"]
+        out = gradient_arrays({"embed.table": source.table})
+        table_grad = embed_backward(cache, np.ones_like(x), out)["embed.table"]
         assert np.allclose(table_grad[vocab.lookup("a")], [2.0, 2.0])
         assert np.allclose(table_grad[vocab.lookup("b")], [1.0, 1.0])
         assert np.allclose(table_grad[0], 0.0)
@@ -188,9 +197,18 @@ class TestBiLstmBackward:
         params = lstm_params(rng, 2, 3)
         x = rng.standard_normal((4, 2))
         (out,), cache = bilstm_forward([x], params)
-        dx, grads = bilstm_backward(cache, np.zeros_like(out))
+        dx, grads = bilstm_backward(cache, np.zeros_like(out), gradient_arrays(params))
         assert np.allclose(dx, 0.0)
         assert all(np.allclose(g, 0.0) for g in grads.values())
+
+    def test_a_gradient_of_the_wrong_shape_is_refused(self):
+        rng = np.random.default_rng(11)
+        params = lstm_params(rng, 2, 3)
+        _, cache = bilstm_forward([rng.standard_normal((4, 2))], params)
+        for shape in ((4, 3), (3, 6)):
+            with pytest.raises(EncoderError) as info:
+                bilstm_backward(cache, np.zeros(shape), gradient_arrays(params))
+            assert str(info.value) == f"grad shape {shape} does not match cache"
 
     def test_single_cell_hand_derivative(self):
         # h=1, n=1, forward direction only: dh/dwx via the closed form
@@ -201,7 +219,7 @@ class TestBiLstmBackward:
         (out,), cache = bilstm_forward([x], params)
         grad_out = np.zeros((1, 2))
         grad_out[0, 0] = 1.0
-        _, grads = bilstm_backward(cache, grad_out)
+        _, grads = bilstm_backward(cache, grad_out, gradient_arrays(params))
 
         wx = params["lstm.fw.wx"][:, 0]
         b = params["lstm.fw.b"]
@@ -238,7 +256,7 @@ class TestBiLstmBackward:
                 return float((grad_out * out).sum())
 
             _, cache = bilstm_forward([x], params)
-            dx, grads = bilstm_backward(cache, grad_out)
+            dx, grads = bilstm_backward(cache, grad_out, gradient_arrays(params))
             arrays = {"x": x, **params}
             fd = finite_difference(loss, arrays)
             assert max_rel_err(dx, fd["x"]) <= 1e-4, trial
@@ -277,7 +295,7 @@ def test_hoisted_cell_loop_matches_the_per_step_reference(n, d, h, log_scale, se
     x = rng.standard_normal((n, d))
     grad_out = rng.standard_normal((n, 2 * h))
     (out,), cache = bilstm_forward([x], params)
-    dx, grads = bilstm_backward(cache, grad_out)
+    dx, grads = bilstm_backward(cache, grad_out, gradient_arrays(params))
 
     def assert_close(got, ref):
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -376,7 +394,7 @@ def test_two_row_backward_matches_the_one_direction_kernel_bit_for_bit(n, d, h, 
     x = rng.standard_normal((n, d))
     grad_out = rng.standard_normal((n, 2 * h))
     _, cache = bilstm_forward([x], params)
-    dx, grads = bilstm_backward(cache, grad_out)
+    dx, grads = bilstm_backward(cache, grad_out, gradient_arrays(params))
     assert list(grads) == [f"lstm.{name}.{p}" for name in DIRECTIONS for p in ("wx", "wh", "b")]
     ref_dx = []
     for name, grad_h in zip(DIRECTIONS, (grad_out[:, :h], grad_out[::-1, h:])):
@@ -455,7 +473,7 @@ class TestProject:
             return float((grad_scores * project(feats, params)).sum())
 
         _, cache = emissions_forward("crf", params, [feats])
-        dfeats, grads = emissions_backward(params, cache, grad_scores)
+        dfeats, grads = emissions_backward(params, cache, grad_scores, gradient_arrays(params))
         fd = finite_difference(loss, {"feats": feats, **params})
         assert max_rel_err(dfeats, fd["feats"]) <= 1e-6
         assert max_rel_err(grads["proj.w"], fd["proj.w"]) <= 1e-6
@@ -548,7 +566,7 @@ class TestCrossEntropy:
                 return -float(log_probs[np.arange(len(gold)), gold].mean())
 
             _, d_logits = cross_entropy_and_grads(log_probs, gold)
-            dx, grads = emissions_backward(params, cache, d_logits)
+            dx, grads = emissions_backward(params, cache, d_logits, gradient_arrays(params))
             fd = finite_difference(loss, {"x": x, **params})
             assert max_rel_err(dx, fd["x"]) <= 1e-4, seed
             for key in params:
@@ -617,7 +635,7 @@ class TestArchitectureAssembly:
                 return float((grad_scores * scores).sum())
 
             _, cache = emissions_forward(arch, params, [x])
-            dx, grads = emissions_backward(params, cache, grad_scores)
+            dx, grads = emissions_backward(params, cache, grad_scores, gradient_arrays(params))
             arrays = {"x": x, **{k: v for k, v in params.items() if k != "crf.trans"}}
             fd = finite_difference(loss, arrays)
             assert max_rel_err(dx, fd["x"]) <= 1e-4, arch

@@ -253,6 +253,17 @@ class TestScore:
                 score(corpus, [[0], [tag, 0]])
             assert str(info.value) == f"sentence 's1': {message}"
 
+    def test_a_prediction_that_is_no_sequence_names_its_sentence(self):
+        corpus = make_corpus([(("a",), ("O",)), (("b", "c"), ("B-PER", "O"))])
+        for fn in (score, error_breakdown):
+            with pytest.raises(TypeError) as info:
+                fn(corpus, [[0], 5])
+            assert str(info.value).startswith("sentence 's1': ")
+        # a tag that int() rejects raises after the replay reaches its sentence
+        with pytest.raises(ValueError) as info:
+            score(corpus, [[0], [0, "x"]])
+        assert str(info.value).startswith("sentence 's1': ")
+
     def test_macro_is_unweighted_mean(self):
         per = [ClassScore(t, *np.random.default_rng(i).integers(0, 9, 3))
                for i, t in enumerate(VOC.entity_types)]

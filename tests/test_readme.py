@@ -15,3 +15,5 @@ def test_library_example_runs_as_written():
     assert len(namespace["path"]) == 4 and len(namespace["short"]) == 2
     assert namespace["d_emissions"].shape == (4, k)
     assert namespace["d_trans"].shape == (k + 2, k + 2)
+    assert namespace["state"].step == 1
+    assert namespace["params"]["crf.trans"] is namespace["state"].views["crf.trans"]

@@ -317,3 +317,18 @@ def test_virtual_states_count_as_the_mask_has_them():
     assert count_invalid_transitions(VOC, [tag("O"), VOC.start_index]) == 1
     assert count_invalid_transitions(VOC, [tag("O"), VOC.stop_index, tag("O")]) == 1
     assert count_invalid_transitions(VOC, [tag("O"), VOC.stop_index]) == 0
+
+
+def test_a_tag_that_int_rejects_is_raised_after_the_tags_before_it_are_checked():
+    # as a loop over the tags would: an out-of-range tag before it is raised first
+    ranged = {count_invalid_transitions: "transition index out of range: (0, 99)",
+              repair_bio: "tag index out of range at position 1: 99",
+              extract_spans: "tag index out of range at position 1: 99"}
+    for fn, message in ranged.items():
+        with pytest.raises(TagSchemeError) as info:
+            fn(VOC, [0, 99, "x"])
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            fn(VOC, [0, "x"])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "invalid literal for int() with base 10: 'x'"
