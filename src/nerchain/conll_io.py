@@ -11,14 +11,16 @@ decimal floats per token, sentences separated by blank lines.
 """
 
 import io
+import operator
 import re
+from array import array
 from functools import cached_property
 from itertools import repeat
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tagscheme import TagSchemeError, TagVocabulary, flat_tags
+from .tagscheme import BioPass, TagSchemeError, TagVocabulary, bio_pass, flat_tags
 
 PAD_INDEX = 0
 UNK_INDEX = 1
@@ -52,22 +54,54 @@ class Sentence:
         return len(self.tokens)
 
 
+def _check_gold(sentences, k: int) -> None:
+    """Raise the ConllError of the first gold tag that is not an integer in
+    [0, k). A tag is an integer by operator.index's rule, as crf._tag_indices
+    has it. array("Q") reads each sentence's gold tags by that rule, in C,
+    into an unsigned 64-bit array of its exact size (a buffer grown tag by tag
+    raised train()'s peak RSS), and the max of them all gives the range check;
+    only a failing corpus is checked again one tag at a time, for the error."""
+    labelled = [sent for sent in sentences if sent.gold_tags is not None]
+    try:
+        values = b"".join([array("Q", sent.gold_tags) for sent in labelled])
+        if not values or np.frombuffer(values, np.uint64).max() < k:
+            return
+    except (TypeError, OverflowError):  # not an integer, or negative, or past 64 bits
+        pass
+    for sent in labelled:
+        for tag in sent.gold_tags:
+            try:
+                index = operator.index(tag)
+            except TypeError:
+                raise ConllError(
+                    f"sentence {sent.id!r}: tag index {tag!r} is not an integer") from None
+            if not 0 <= index < k:
+                raise ConllError(f"sentence {sent.id!r}: tag index {tag} out of range")
+
+
 @dataclass(frozen=True)
 class Corpus:
+    """Sentences with distinct ids, and the tag vocabulary their gold tags
+    index: every gold tag is an integer in the vocabulary's range.
+
+    gold_pass, what scoring matches predictions against, is computed from the
+    gold tags on first use and kept, which relies on the corpus being frozen:
+    mutating a tag list that was passed in afterwards leaves it stale. It is
+    not a field, so a scored corpus equals and hashes like an unscored one.
+    """
+
     sentences: tuple[Sentence, ...]
     tag_vocabulary: TagVocabulary
 
     def __post_init__(self):
+        sentences = self.sentences
         seen = set()
-        k = self.tag_vocabulary.k
-        for sent in self.sentences:
-            if sent.id in seen:
+        for row, sent in enumerate(sentences):
+            if sent.id in seen:  # a bad gold tag in an earlier sentence raises first
+                _check_gold(sentences[:row], self.tag_vocabulary.k)
                 raise ConllError(f"duplicate sentence id {sent.id!r}")
             seen.add(sent.id)
-            tags = sent.gold_tags
-            if tags and not (0 <= min(tags) and max(tags) < k):
-                bad = next(tag for tag in tags if not 0 <= tag < k)
-                raise ConllError(f"sentence {sent.id!r}: tag index {bad} out of range")
+        _check_gold(sentences, self.tag_vocabulary.k)
 
     def __iter__(self):
         return iter(self.sentences)
@@ -76,12 +110,14 @@ class Corpus:
         return len(self.sentences)
 
     @cached_property
-    def flat_gold(self) -> tuple[np.ndarray, np.ndarray]:
-        """The gold tags end to end and each sentence's start offset, as
-        tagscheme.flat_tags gives them, flattened once and read-only."""
+    def gold_pass(self) -> tuple[BioPass, np.ndarray]:
+        """tagscheme.bio_pass of the gold tags end to end, as they are, and each
+        sentence's start offset (tagscheme.flat_tags): computed once, read-only."""
         tags, starts = flat_tags([sent.gold_tags for sent in self.sentences])
-        tags.flags.writeable = starts.flags.writeable = False
-        return tags, starts
+        truth = bio_pass(self.tag_vocabulary, tags, starts)
+        for kept in (*truth[1:], starts):
+            kept.flags.writeable = False
+        return truth, starts
 
 
 def _id_line(line: str) -> str | None:

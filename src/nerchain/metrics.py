@@ -5,13 +5,15 @@ only when a gold span with the same (start, end, type) exists in the same
 sentence. Per-class scores aggregate over the corpus; the macro row is the
 unweighted mean of the per-class values.
 
-A corpus is scored in one array pass: its gold tags and its predictions go
-end to end into one flat array each (the gold one once per Corpus, which
-keeps it), tagscheme.bio_pass repairs each array and extracts its spans at
-once, and the spans are matched and counted per type as arrays. Only the
-error listings build Python objects, one per span that does not match. Any
-failure is replayed one sentence at a time, so the error raised is that of
-the first failing sentence, and names it.
+A corpus is scored in one array pass: its predictions go end to end into one
+flat array, tagscheme.bio_pass repairs it and extracts its spans at once, and
+they are matched against the gold spans and counted per type as arrays. The
+gold spans come from the same kernel over the gold tags, which Corpus runs
+once and keeps (Corpus.gold_pass), so scoring one corpus again repairs and
+extracts the predictions only. Only the error listings build Python
+objects, one per span that does not match. Any failure is replayed one
+sentence at a time, so the error raised is that of the first failing
+sentence, and names it.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +24,6 @@ from .conll_io import Corpus
 from .tagscheme import (
     BioPass,
     EntitySpan,
-    bio_pass,
     count_invalid_transitions,
     flat_tags,
     repair_bio,
@@ -112,12 +113,12 @@ def _match(gold: Corpus, predicted, repair: str):
     """The exact-span matching pass behind score and error_breakdown.
 
     Validates alignment, counts raw invalid transitions, repairs predictions,
-    and matches the spans. Returns the bio_pass of the gold tags as they are,
-    the bio_pass of the repaired predictions, the sentence starts, and for
-    each gold and each predicted span whether the other side has it too. A
-    failing corpus is checked again one sentence at a time, so that it raises
-    what its first failing sentence raises, prefixed with that sentence's id
-    (the alignment errors name it already).
+    and matches the spans. Returns the bio_pass of the gold tags as they are
+    (which the corpus keeps), the bio_pass of the repaired predictions, the
+    sentence starts, and for each gold and each predicted span whether the
+    other side has it too. A failing corpus is checked again one sentence at
+    a time, so that it raises what its first failing sentence raises,
+    prefixed with that sentence's id (the alignment errors name it already).
     """
     if len(predicted) != len(gold.sentences):
         raise ScoringError(
@@ -125,11 +126,10 @@ def _match(gold: Corpus, predicted, repair: str):
         )
     voc = gold.tag_vocabulary
     try:
-        gold_tags, starts = gold.flat_gold
+        truth, starts = gold.gold_pass
         pred_tags, pred_starts = flat_tags(predicted)
-        if len(pred_tags) != len(gold_tags) or not np.array_equal(pred_starts, starts):
+        if len(pred_tags) != len(truth.tags) or not np.array_equal(pred_starts, starts):
             raise ScoringError("predicted and gold tag counts differ")
-        truth = bio_pass(voc, gold_tags, starts)
         found = repair_bio(voc, pred_tags, repair, starts=starts)
     except (TypeError, ValueError, OverflowError):  # raised as the per-sentence checks raise it
         for sent, tags in zip(gold.sentences, predicted):

@@ -208,7 +208,7 @@ def _transitions(voc: TagVocabulary, codes: np.ndarray, starts):
     prev = np.empty_like(codes)
     prev[1:] = codes[:-1]
     prev[starts[starts < len(codes)]] = voc.start_index
-    return prev, transition_mask(voc)[prev, codes]
+    return prev, transition_mask(voc).reshape(-1).take(prev * (voc.k + 2) + codes)
 
 
 def _runs(voc: TagVocabulary, codes: np.ndarray, valid: np.ndarray):

@@ -137,9 +137,34 @@ class TestParseConll:
 
 
 def test_corpus_names_the_first_out_of_range_tag():
-    for tags, bad in (((0, 99, -1), 99), ((-1, 99, 0), -1), ((0, VOC.k), VOC.k)):
+    for tags, bad in (((0, 99, -1), 99), ((-1, 99, 0), -1), ((0, VOC.k), VOC.k), ((0, -1), -1),
+                      ((0, 2**64 - 1), 2**64 - 1), ((0, -2**70), -2**70), ((2**64, 0), 2**64)):
         with pytest.raises(ConllError, match=f"^sentence 's0': tag index {bad} out of range$"):
             Corpus((Sentence("s0", ("a", "b", "c")[:len(tags)], tags),), VOC)
+
+
+def test_corpus_refuses_a_gold_tag_that_is_not_an_integer():
+    # the rule training applies to tags (crf._tag_indices), so that 1.5 is not
+    # scored as the tag 1
+    for bad in (1.5, np.float64(1.0), np.True_, "1", None, (1,)):
+        with pytest.raises(ConllError) as caught:
+            Corpus((Sentence("s0", ("a",), (0,)), Sentence("s1", ("b", "c"), (0, bad))), VOC)
+        assert str(caught.value) == f"sentence 's1': tag index {bad!r} is not an integer"
+    with pytest.raises(ConllError, match=r"^sentence 's0': tag index \(0, 1\) is not"):
+        Corpus((Sentence("s0", ("a", "b"), ((0, 1), (1, 0))),), VOC)
+    # integers of any width pass, as operator.index takes them
+    tags = (np.int64(1), np.uint8(2), True, np.int32(0))
+    assert Corpus((Sentence("s0", ("a",) * 4, tags),), VOC).sentences[0].gold_tags == tags
+
+
+def test_corpus_raises_the_error_of_its_first_failing_sentence():
+    ok, bad = Sentence("s0", ("a",), (0,)), Sentence("s1", ("a",), (99,))
+    for sentences, message in (((ok, bad, ok), "sentence 's1': tag index 99 out of range"),
+                               ((ok, ok, bad), "duplicate sentence id 's0'"),
+                               ((bad, bad), "sentence 's1': tag index 99 out of range")):
+        with pytest.raises(ConllError) as caught:
+            Corpus(sentences, VOC)
+        assert str(caught.value) == message
 
 
 class TestWriteConll:

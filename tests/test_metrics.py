@@ -19,8 +19,10 @@ from nerchain.tagscheme import (
     REPAIR_MODES,
     EntityTypeSet,
     TagSchemeError,
+    bio_pass,
     expand_bio,
     extract_spans,
+    flat_tags,
     spans_to_tags,
 )
 
@@ -226,23 +228,51 @@ class TestScore:
 
     def test_a_corpus_flattens_its_gold_tags_once(self, monkeypatch):
         # train scores one dev corpus every epoch: its gold tags are flattened
-        # by the first score and kept, read-only, for every later one
+        # and passed through bio_pass by the first score and kept, read-only,
+        # for every later score or error_breakdown
         rng = np.random.default_rng(13)
         corpus = random_corpus(rng, VOC, 25)
         rounds = [[random_valid_tags(rng, VOC, len(s)) for s in corpus] for _ in range(3)]
-        real = conll_io.flat_tags
         calls = []
-        monkeypatch.setattr(conll_io, "flat_tags",
-                            lambda sequences: calls.append(1) or real(sequences))
+        for name in ("flat_tags", "bio_pass"):
+            real = getattr(conll_io, name)
+            monkeypatch.setattr(conll_io, name, lambda *args, name=name, real=real:
+                                calls.append(name) or real(*args))
         kept = Corpus(corpus.sentences, VOC)
         for preds in rounds:  # against a new corpus, which flattens its gold anew
             assert matching(kept, preds, "convert") == matching(
                 Corpus(corpus.sentences, VOC), preds, "convert")
-        assert len(calls) == len(rounds) + 1  # once per new corpus, once for kept
-        tags, starts = kept.flat_gold
-        assert not tags.flags.writeable and not starts.flags.writeable
-        expected_tags, expected_starts = real([s.gold_tags for s in corpus])
-        assert np.array_equal(tags, expected_tags) and np.array_equal(starts, expected_starts)
+        # once per new corpus, once for kept
+        assert calls == ["flat_tags", "bio_pass"] * (len(rounds) + 1)
+        truth, starts = kept.gold_pass
+        arrays = (*truth[1:], starts)
+        assert not any(array.flags.writeable for array in arrays)
+        expected_tags, expected_starts = flat_tags([s.gold_tags for s in corpus])
+        expected = bio_pass(VOC, expected_tags, expected_starts)
+        assert truth.invalid == expected.invalid
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, (*expected[1:], expected_starts)))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(REPAIR_MODES), st.sampled_from(FORMS))
+    @settings(max_examples=60, deadline=None)
+    def test_a_kept_gold_pass_scores_as_a_new_corpus_does(self, seed, repair, form):
+        # one corpus scored round after round, invalid predictions included,
+        # gives what a corpus built for each round gives, errors included
+        rng = np.random.default_rng(seed)
+        kept = random_corpus(rng, VOC, 10, max_len=10)
+        for _ in range(3):
+            preds = [form(list(rng.integers(0, VOC.k, len(s))) if rng.random() < 0.5
+                          else random_valid_tags(rng, VOC, len(s))) for s in kept]
+            fresh = Corpus(kept.sentences, VOC)
+            assert (outcome(matching, kept, preds, repair)
+                    == outcome(matching, fresh, preds, repair))
+
+    def test_a_scored_corpus_equals_and_hashes_like_an_unscored_one(self):
+        corpus = random_corpus(np.random.default_rng(5), VOC, 6)
+        scored = Corpus(corpus.sentences, VOC)
+        score(scored, [s.gold_tags for s in scored])
+        assert "gold_pass" in vars(scored) and "gold_pass" not in vars(corpus)
+        assert scored == corpus and hash(scored) == hash(corpus)
+        assert {scored: 1}[corpus] == 1
 
     def test_an_out_of_range_tag_names_its_sentence(self):
         corpus = make_corpus([(("a",), ("O",)), (("b", "c"), ("B-PER", "O"))])

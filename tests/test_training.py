@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nerchain import crf, encoders, training
+from nerchain import conll_io, crf, encoders, training
 from nerchain.conll_io import Corpus, EmbeddingSet, Sentence, TokenVocabulary
 from nerchain.crf import NonFiniteScoreError
 from nerchain.encoders import ARCHITECTURES, init_params, param_shapes
@@ -347,6 +347,18 @@ class TestTrain:
         assert best.report == score(corpus, predictions)
         assert best.report.invalid_transition_count == sum(
             count_invalid_transitions(VOC, tags) for tags in predictions)
+
+    def test_the_dev_corpus_computes_its_gold_spans_once(self, monkeypatch):
+        # every epoch scores the dev corpus against gold spans that its first
+        # score computed and the corpus kept
+        corpus = tiny_corpus()
+        passes = []
+        real = conll_io.bio_pass
+        monkeypatch.setattr(conll_io, "bio_pass",
+                            lambda *args: passes.append(len(args[1])) or real(*args))
+        _, history = train(corpus, corpus, TrainConfig(arch="crf", epochs=2, seed=3, dim=4))
+        assert len(history) == 2
+        assert passes == [sum(map(len, corpus))]
 
     def test_non_finite_gradient_names_epoch_and_sentence(self, monkeypatch):
         # only sentence s1's gradient goes non-finite, wherever the shuffle puts it
