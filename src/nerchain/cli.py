@@ -40,6 +40,7 @@ from .tagscheme import (
 from .training import (
     CONFIG_TYPES,
     CheckpointError,
+    CorpusMemoryError,
     LayoutError,
     NonFiniteError,
     TrainConfig,
@@ -275,6 +276,9 @@ def cmd_train(settings: Settings) -> int:
     train_logger.addHandler(echo)
     try:
         checkpoint, history = train(train_corpus, dev_corpus, config, embeddings)
+    except CorpusMemoryError as exc:  # name the file of the corpus memory ran out on
+        path = settings.train_file if exc.corpus == "train" else settings.dev_file
+        raise MemoryError(f"{path}: {exc}") from None
     finally:
         train_logger.removeHandler(handler)
         train_logger.removeHandler(echo)
@@ -296,8 +300,11 @@ def cmd_predict(settings: Settings) -> int:
         embeddings = None
         if settings.embeddings:
             embeddings = _read(settings.embeddings, EmbeddingError, load_embeddings, corpus)
-        predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
-                                              settings.constrained)
+        try:
+            predictions = predict_with_checkpoint(checkpoint, corpus, embeddings,
+                                                  settings.constrained)
+        except MemoryError as exc:  # the message names the batch; the input names the file
+            raise MemoryError(f"{settings.input}: {exc}") from None
     except (CheckpointError, CrfError) as exc:
         raise type(exc)(f"{settings.checkpoint}: {exc}") from None
     if settings.repair:  # the whole corpus in one pass

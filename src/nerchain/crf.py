@@ -130,20 +130,29 @@ def _tag_indices(tags, error=CrfError) -> np.ndarray:
         return np.array([t if INTP.min <= t <= INTP.max else -1 for t in indices], dtype=np.intp)
 
 
-def _check(P: np.ndarray, A: TransitionMatrix, y=None):
+def _emission_matrix(P, A: TransitionMatrix) -> np.ndarray:
+    """P as a float64 array, refused unless it is (n, k) with n >= 1."""
     P = np.asarray(P, dtype=np.float64)
-    k = A.k
     if P.ndim != 2 or P.shape[0] < 1:
         raise CrfError(f"emission matrix must be (n, k) with n >= 1, got {P.shape}")
-    if P.shape[1] != k:
-        raise CrfError(f"emissions have {P.shape[1]} tags, transitions expect {k}")
+    if P.shape[1] != A.k:
+        raise CrfError(f"emissions have {P.shape[1]} tags, transitions expect {A.k}")
+    return P
+
+
+def _require_finite(P: np.ndarray) -> None:
     if not np.isfinite(P).all():
         raise NonFiniteScoreError("non-finite emission score")
+
+
+def _check(P: np.ndarray, A: TransitionMatrix, y=None):
+    P = _emission_matrix(P, A)
+    _require_finite(P)
     if y is not None:
         y = _tag_indices(y)
         if len(y) != P.shape[0]:
             raise CrfError(f"label path length {len(y)} != sequence length {P.shape[0]}")
-        if y.view(np.uintp).max() >= k:  # a negative index reads as a huge unsigned one
+        if y.view(np.uintp).max() >= A.k:  # a negative index reads as a huge unsigned one
             raise CrfError("label path contains an out-of-range tag index")
     return P, y
 
@@ -373,12 +382,14 @@ def viterbi_decode(P, A: TransitionMatrix, mask=None):
     and gathers the value of the argmax cell rather than taking a max (which
     could flip the sign of a zero). A list raises what its first failing
     matrix raises alone: on any failure it is decoded again one at a time.
+    A list's matrices are converted and shape-checked in input order, and
+    checked for finite scores once per run of the stacked batch.
     """
     if not isinstance(P, list):
         return _viterbi_one(P, A, mask)
     if len(P) > 1:
         try:
-            return _viterbi_batch([_check(p, A)[0] for p in P], A, mask)
+            return _viterbi_batch([_emission_matrix(p, A) for p in P], A, mask)
         except CrfError:  # decoded alone, the first failing matrix raises its own error
             pass
     return [_viterbi_one(p, A, mask) for p in P]
@@ -421,19 +432,22 @@ def _viterbi_one(P, A: TransitionMatrix, mask):
 
 
 def _viterbi_batch(Ps: list, A: TransitionMatrix, mask) -> list:
-    """Viterbi over several checked emission matrices in one time loop.
+    """Viterbi over several shape-checked emission matrices in one time loop.
 
     Rows run longest first, so the rows still running at step t are a prefix.
     Each step forms, per row, every delta[i] + trans[i, j] (held as [j, i],
     so that the argmax over i runs along contiguous memory), takes the first
     maximum over i and gathers its cell, then adds the emissions; the
-    backtrack follows all rows at once. Raises a CrfError if any best score
-    is not finite.
+    backtrack follows all rows at once. Raises a CrfError if any emission,
+    checked one run of stacked rows at a time, or any best score is not
+    finite.
     """
     av = _allowed(A, mask)
     k = A.k
     layout = LengthLayout(len(P) for P in Ps)
     emissions = layout.stack(Ps, k)
+    for start, end, m in layout.runs:  # the cells the rows fill, and no padding
+        _require_finite(emissions[start:end, :m])
     steps, rows = emissions.shape[:2]
     trans_t = np.ascontiguousarray(av[:k, :k].T)  # trans_t[j, i] = trans[i, j]
     delta = av[k, :k] + emissions[0]

@@ -11,7 +11,9 @@ The CRF heads' scores are emissions; the linear head's are log-probabilities,
 and its backward takes the gradient at the logits (cross_entropy_and_grads).
 emissions_forward takes a list of sentences, for training and decoding alike,
 and gives each sentence the bits it gets alone; a one-sentence list also
-yields the cache that emissions_backward consumes.
+yields the cache that emissions_backward consumes. The CRF heads' projection
+writes every sentence's scores into one (tokens, k) buffer, one matmul per
+sentence, adds proj.b to the buffer once and hands each sentence its block.
 
 The embeddings come from an EmbeddingSource: ingested per-sentence matrices
 (an embedding file) or a trainable lookup table. It stores only the data;
@@ -44,15 +46,18 @@ sentences, one included, and both directions of each: sentence r of a
 crf.LengthLayout (longest first, so the sentences still running at a step are
 a prefix) puts its forward and backward directions in rows 2r and 2r + 1;
 both directions of a sentence run the same number of steps, so the running
-rows stay a prefix. Each (sentence, direction) input projection x @ wx.T + b
-is written into its row of a (steps, rows, 4h) array as one matmul (one
-stacked matmul would send 1-token sentences down another BLAS path). A step
-adds wh @ h_prev to its rows there and copies them into a gate-major
-(4, rows, h) block, so that each gate i, f, g and o of the running rows is
-one contiguous (rows, h) array for the activations and the cell update: one
-in-place sigmoid over the block, with tanh on the g gate. (Adding straight
-into the block reads both operands across gates, which cost more than the
-copy at decode batch sizes.) States are kept as (sentences, 2, h, 1) columns
+rows stay a prefix. Each (sentence, direction) input projection x @ wx.T is
+written into its row of a (steps, rows, 4h) array as one matmul (one stacked
+matmul would send 1-token sentences down another BLAS path), and then both
+directions' biases b are added once per run of the layout, over all of the
+run's rows, before the loop. A step adds wh @ h_prev to its rows there and
+copies them into a gate-major (4, rows, h) block, so that each gate i, f, g
+and o of the running rows is one contiguous (rows, h) array for the
+activations and the cell update: one in-place sigmoid over the block, with
+tanh on the g gate. (Adding straight into the block reads both operands
+across gates, which cost more than the copy at decode batch sizes.) The
+bias stays out of the loop: a bias add per step cost more than one per run.
+States are kept as (sentences, 2, h, 1) columns
 against the (2, 4h, h) stack of both directions' recurrent weights, for which
 np.matmul makes one BLAS gemv per row, the call wh @ h_prev makes for one
 direction of one sentence; the rest is elementwise, so a sentence gets the
@@ -205,10 +210,11 @@ def bilstm_forward(xs, params: dict):
     steps, rows = max(layout.lengths, default=0), 2 * len(xs)
     proj = np.empty((steps, rows, 4 * h))  # the input projections; the loop adds wh @ h_prev
     for row, j in enumerate(layout.order):
-        for r, (x, wx, b) in enumerate(zip((xs[j], xs[j][::-1]), wxs, bs)):
-            z = proj[:len(x), 2 * row + r]
-            np.matmul(x, wx.T, out=z)
-            z += b
+        for r, (x, wx) in enumerate(zip((xs[j], xs[j][::-1]), wxs)):
+            np.matmul(x, wx.T, out=proj[:len(x), 2 * row + r])
+    by_direction, b = proj.reshape(steps, len(xs), 2, 4 * h), np.stack(bs)
+    for start, end, count in layout.runs:  # each direction's bias, once per run
+        by_direction[start:end, :count] += b
     proj_gm = proj.reshape(steps, rows, 4, h).transpose(0, 2, 1, 3)  # step -> (4, rows, h)
     keep = len(xs) == 1
     if keep:  # the cache keeps every step's gates, c and tanh(c)
@@ -313,10 +319,26 @@ def bilstm_backward(cache: LstmCache, grad_out: np.ndarray, out: dict):
 
 def project(features: np.ndarray, params: dict) -> np.ndarray:
     """Per-row affine map to tag space: row i = W @ feature_i + b."""
+    return _project_all([features], params)[0]
+
+
+def _project_all(feats: list, params: dict) -> list:
+    """project of each (n_j, m) array in feats: each is one matmul into its
+    block of one (tokens, k) buffer, b is added to the buffer once, and the
+    blocks are returned."""
     w, b = params["proj.w"], params["proj.b"]
-    if features.ndim != 2 or features.shape[1] != w.shape[1]:
-        raise EncoderError(f"feature shape {features.shape} does not match W {w.shape}")
-    return features @ w.T + b
+    rows = 0
+    for features in feats:
+        if features.ndim != 2 or features.shape[1] != w.shape[1]:
+            raise EncoderError(f"feature shape {features.shape} does not match W {w.shape}")
+        rows += len(features)
+    out, w_t, blocks, start = np.empty((rows, len(b))), w.T, [], 0
+    for features in feats:
+        end = start + len(features)
+        blocks.append(np.matmul(features, w_t, out[start:end]))
+        start = end
+    out += b
+    return blocks
 
 
 def _affine_backward(x, w, grad_y, dw, db):
@@ -423,20 +445,25 @@ def emissions_forward(arch: str, params: dict, xs: list, dropout: float = 0.0, r
 
     Returns (scores, cache), cache the backward cache of a one-sentence list
     and None for any other length. Dropout masks are drawn per sentence in
-    input order. The bilstm-crf head runs one LSTM time loop for all of xs;
-    the other heads map each sentence with its own matmuls.
+    input order. The bilstm-crf head runs one LSTM time loop for all of xs.
+    The CRF heads project every sentence with its own matmul into one
+    (tokens, k) buffer and add proj.b to that buffer once, so each sentence's
+    scores are a view of it; the linear head maps each sentence on its own.
     """
+    if arch not in ARCHITECTURES:
+        raise EncoderError(f"unknown architecture {arch!r}")
+    if not xs:  # before any parameter is read: LSTM-only dicts reach here
+        return [], None
     if arch == "linear":
         pairs = [fc_head_forward(x, params, dropout, rng) for x in xs]
-    elif arch == "crf":
-        pairs = [(project(x, params), EmissionCache(x, None)) for x in xs]
-    elif arch == "bilstm-crf":
-        states, lstm_cache = bilstm_forward(xs, params)
-        pairs = [(project(hidden, params), EmissionCache(hidden, mask, lstm_cache))
-                 for hidden, mask in (_dropout(s, dropout, rng) for s in states)]
+        return [scores for scores, _ in pairs], pairs[0][1] if len(xs) == 1 else None
+    if arch == "crf":
+        feats, caches = xs, [EmissionCache(x, None) for x in xs]
     else:
-        raise EncoderError(f"unknown architecture {arch!r}")
-    return [scores for scores, _ in pairs], pairs[0][1] if len(pairs) == 1 else None
+        states, lstm_cache = bilstm_forward(xs, params)
+        caches = [EmissionCache(*_dropout(s, dropout, rng), lstm_cache) for s in states]
+        feats = [cache.feats for cache in caches]
+    return _project_all(feats, params), caches[0] if len(xs) == 1 else None
 
 
 def emissions_backward(params: dict, cache: EmissionCache, grad_scores: np.ndarray, out: dict):

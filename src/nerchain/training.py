@@ -91,6 +91,15 @@ class LayoutError(TrainingError):
     """The configured parameter layout exceeds memory or cannot be allocated."""
 
 
+class CorpusMemoryError(MemoryError):
+    """train() ran out of memory on its "train" or "dev" corpus, as corpus
+    says; the message says where in it."""
+
+    def __init__(self, corpus: str, message: str):
+        super().__init__(message)
+        self.corpus = corpus
+
+
 def physical_memory() -> float:
     """Bytes of physical memory from os.sysconf, or inf where it has none."""
     try:
@@ -482,6 +491,8 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
 
     embeddings: precomputed vectors covering both corpora, or None to learn
     a token embedding table (built from the train corpus, UNK for the rest).
+    Running out of memory in a training step or a dev evaluation raises a
+    CorpusMemoryError naming the corpus, the epoch and the sentence.
     """
     voc = train_corpus.tag_vocabulary
     if dev_corpus.tag_vocabulary.tags != voc.tags:
@@ -544,8 +555,8 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                     raise NonFiniteError(f"training diverged at epoch {epoch}, "
                                          f"sentence {sent.id!r}: {exc}") from None
                 except MemoryError:
-                    raise MemoryError(f"epoch {epoch}, sentence {sent.id!r} "
-                                      f"({len(sent)} tokens)") from None
+                    raise CorpusMemoryError("train", f"epoch {epoch}, sentence {sent.id!r} "
+                                                     f"({len(sent)} tokens)") from None
                 step += 1
                 total_nll += loss
             mean_nll = total_nll / len(sentences)
@@ -556,7 +567,7 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                 raise NonFiniteError(f"training diverged at epoch {epoch}, "
                                      f"dev evaluation: {exc}") from None
             except MemoryError as exc:
-                raise MemoryError(f"epoch {epoch}, dev evaluation: {exc}") from None
+                raise CorpusMemoryError("dev", f"epoch {epoch}, dev evaluation: {exc}") from None
             history.append(EpochStats(epoch, mean_nll, report))
             logger.info(
                 "epoch %d nll %.6f dev P %.4f R %.4f F1 %.4f",

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import shutil
 import struct
 import sys
 import tempfile
@@ -715,15 +716,18 @@ class TestExitCodeContract:
         # the longest of the three input sentences, not the first one, names the batch
         skewed = tmp_path / "skewed.conll"
         skewed.write_text("# id a\nx\n\n# id b\nx\ny\nz\n\n# id c\nx\ny\n", encoding="utf-8")
-        train_argv = ["train", "--train-file", tiny, "--dev-file", tiny,
+        dev = tmp_path / "dev.conll"  # the same sentences as the train file, named apart
+        shutil.copyfile(tiny, dev)
+        train_argv = ["train", "--train-file", tiny, "--dev-file", str(dev),
                       "--checkpoint", str(tmp_path / "m.ckpt")]
         batch = "decoding a batch of 3 sentences, the longest"
         for fails, argv, detail in (
-                (lambda xs: len(xs[0]) == 4, train_argv, "epoch 1, sentence 's1' (4 tokens)"),
+                (lambda xs: len(xs[0]) == 4, train_argv,
+                 f"{tiny}: epoch 1, sentence 's1' (4 tokens)"),
                 (lambda xs: len(xs) > 1, train_argv,
-                 f"epoch 1, dev evaluation: {batch} 's0' (5 tokens)"),
+                 f"{dev}: epoch 1, dev evaluation: {batch} 's0' (5 tokens)"),
                 (lambda xs: True, ["predict", "--checkpoint", tiny_models["crf"], "--input",
-                                   str(skewed)], f"{batch} 'b' (3 tokens)")):
+                                   str(skewed)], f"{skewed}: {batch} 'b' (3 tokens)")):
             monkeypatch.setattr(training, "emissions_forward", no_memory_for(fails))
             code, out, err = run(capsys, *argv)
             # one line naming the command and where memory ran out, and no traceback

@@ -707,6 +707,50 @@ def test_decoding_a_list_is_decoding_each_matrix_alone_bit_for_bit(batch):
     assert got == alone
 
 
+@st.composite
+def non_finite_batches(draw):
+    """(Ps, A, mask): 2-12 emission matrices of lengths drawn from a pool that
+    holds 1, with up to four cells set to +inf, -inf or nan. Each cell goes in
+    a random matrix or the shortest one, at a random step or the matrix's
+    last, and in a random column or one off the clean matrix's best path,
+    where a -inf leaves that path and its score finite; mask is None or
+    random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 6))
+    pool = [1] + draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    lengths = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=12))
+    A = TransitionMatrix(rng.uniform(-2.0, 2.0, (k + 2, k + 2)))
+    mask = rng.random((k + 2, k + 2)) < 0.8 if draw(st.booleans()) else None
+    Ps = [rng.uniform(-3.0, 3.0, (n, k)) for n in lengths]
+    best = [reference_viterbi(P, A.values, mask)[0] for P in Ps]  # None where no path is valid
+    for _ in range(draw(st.integers(0, 4))):
+        j = lengths.index(min(lengths)) if draw(st.booleans()) else draw(
+            st.integers(0, len(Ps) - 1))
+        t = lengths[j] - 1 if draw(st.booleans()) else draw(st.integers(0, lengths[j] - 1))
+        off_path = [c for c in range(k) if best[j] is None or c != best[j][t]]
+        columns = off_path if off_path and draw(st.booleans()) else range(k)
+        Ps[j][t, draw(st.sampled_from(columns))] = draw(st.sampled_from([-np.inf, np.inf, np.nan]))
+    return Ps, A, mask
+
+
+@given(non_finite_batches())
+# each a -inf that the best path avoids: in a middle matrix, on the last step
+# of the shortest matrix, and in a 1-token matrix
+@example(([np.ones((3, 2)), np.array([[1.0, -np.inf], [1.0, 0.0]])], zero_trans(2), None))
+@example(([np.ones((3, 2)), np.array([[1.0, 0.0], [1.0, -np.inf]]), np.ones((4, 2))],
+          zero_trans(2), None))
+@example(([np.ones((4, 2)), np.array([[0.0, -np.inf]])], zero_trans(2), None))
+@settings(max_examples=200, deadline=None)
+def test_a_list_with_non_finite_emissions_decodes_as_each_matrix_alone(batch):
+    # alone, a matrix with any non-finite emission is refused, even where the
+    # batch's best paths and scores would come out finite
+    Ps, A, mask = batch
+    alone = [_outcome(lambda P=P: viterbi_decode(P, A, mask)) for P in Ps]
+    errors = [outcome for outcome in alone if isinstance(outcome[0], type)]
+    expected = errors[0] if errors else alone
+    assert _as_bits(_outcome(lambda: viterbi_decode(Ps, A, mask))) == _as_bits(expected)
+
+
 class TestViterbiList:
     def test_an_empty_list_gives_an_empty_list(self):
         assert viterbi_decode([], zero_trans(3)) == []

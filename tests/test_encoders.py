@@ -431,6 +431,11 @@ def test_emissions_forward_of_a_list_is_emissions_forward_of_each_sentence(arch,
                                                                           seed):
     rng = np.random.default_rng(seed)
     params = init_params(arch, d, k=5, hidden=h, fc_size=h + 2, rng=rng)
+    # init_params starts the output biases at zero, where a dropped or doubled
+    # bias add would go unseen: every bias is drawn nonzero
+    for key, array in params.items():
+        if array.ndim == 1:
+            params[key] = rng.uniform(0.5, 1.5, array.shape) * rng.choice([-1.0, 1.0], array.shape)
     xs = [rng.standard_normal((n, d)) for n in lengths]
     scores, cache = emissions_forward(arch, params, xs)
     assert len(scores) == len(xs)
@@ -438,6 +443,12 @@ def test_emissions_forward_of_a_list_is_emissions_forward_of_each_sentence(arch,
     for got, x in zip(scores, xs):
         (ref,), _ = emissions_forward(arch, params, [x])
         assert_same_bits(got, ref)
+        if arch == "linear":
+            alone = fc_head_forward(x, params)[0]
+        else:
+            alone = project(bilstm_forward([x], params)[0][0] if arch == "bilstm-crf" else x,
+                            params)
+        assert_same_bits(got, alone)
 
 
 class TestProject:

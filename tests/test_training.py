@@ -65,6 +65,21 @@ def tiny_corpus(voc=VOC):
     ), voc)
 
 
+def count_calls(monkeypatch, module, names) -> dict:
+    """Patches each named function of module to count its calls; returns the counts."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         params = {"w": np.array([1.0, -2.0]), "b": np.array([[0.5]])}
@@ -385,16 +400,7 @@ class TestTrain:
         corpus = markov_cycle_corpus(np.random.default_rng(11), VOC, training.DECODE_BATCH + 1)
         cfg = TrainConfig(arch="crf", epochs=3, dropout=0.2, lr_min=1e-3, lr_max=1e-1, seed=7,
                           dim=6)
-        calls = {"_viterbi_one": 0, "_viterbi_batch": 0}
-
-        def counted(name, kernel):
-            def call(*args):
-                calls[name] += 1
-                return kernel(*args)
-            return call
-
-        for name in calls:
-            monkeypatch.setattr(crf, name, counted(name, getattr(crf, name)))
+        calls = count_calls(monkeypatch, crf, ["_viterbi_one", "_viterbi_batch"])
         kernels, history = train(corpus, corpus, cfg)
         assert calls == {"_viterbi_one": 3, "_viterbi_batch": 3}
         monkeypatch.setattr(training, "nll_gradients",
@@ -462,6 +468,24 @@ class TestTrain:
                     for s in corpus
                 ], (arch, constrained)
                 assert len({tag for tags in predictions for tag in tags}) > 3, arch
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_decoding_calls_each_layer_through_training_once_per_sentence_or_batch(
+            self, arch, monkeypatch):
+        # the bench tracer times these layers at training's bindings: a decode
+        # that went around them would leave its spans empty
+        rng = np.random.default_rng(13)
+        vocab = TokenVocabulary(list("abcdefgh"))
+        corpus = random_corpus(rng, VOC, 2 * training.DECODE_BATCH + 5, max_len=12,
+                               vocab=vocab.tokens)
+        params = init_params(arch, dim=4, k=VOC.k, hidden=5, fc_size=6,
+                             vocab_size=len(vocab), rng=rng)
+        checkpoint = Checkpoint(TrainConfig(arch=arch, hidden=5, fc_size=6, dim=4),
+                                tuple(VOC.entity_types.types), params, vocab)
+        calls = count_calls(monkeypatch, training, ["embed", "emissions_forward", "viterbi_decode"])
+        predictions = predict_with_checkpoint(checkpoint, corpus)
+        assert len(predictions) == len(corpus)
+        assert calls == {"embed": len(corpus), "emissions_forward": 3, "viterbi_decode": 3}
 
     def test_an_empty_corpus_decodes_to_an_empty_list(self):
         rng = np.random.default_rng(8)
