@@ -30,8 +30,8 @@ checkpoint can treat every architecture uniformly. Keys:
 
 Forward passes are pure given parameters and input; a one-sentence forward
 returns a cache consumed exactly once by its backward. Backward passes are exact
-reverse-mode gradients, which they write into the arrays of the dict they are
-given (in training, views of the optimizer's gradient vector) and return by key.
+reverse-mode gradients: each writes its parameter gradients into the dict it is
+given (in training, views of the optimizer's gradient vector) and returns only dx.
 Dropout uses inverted scaling and is applied only at a rate above 0; evaluation
 passes none, so it is deterministic.
 
@@ -156,15 +156,14 @@ def embed(sentence: Sentence, source: EmbeddingSource, dropout: float = 0.0, rng
     return x, EmbedCache(mask, indices)
 
 
-def embed_backward(cache: EmbedCache, grad_x: np.ndarray, out: dict) -> dict:
-    """Gradient of the embedding table, written into out; {} for ingested sources."""
+def embed_backward(cache: EmbedCache, grad_x: np.ndarray, out: dict) -> None:
+    """Gradient of the embedding table, written into out; nothing for ingested sources."""
     if cache.indices is None:
-        return {}
+        return
     if cache.mask is not None:
         grad_x = grad_x * cache.mask
     out["embed.table"][...] = 0.0
     np.add.at(out["embed.table"], cache.indices, grad_x)
-    return {"embed.table": out["embed.table"]}
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +265,8 @@ def bilstm_forward(xs, params: dict):
 
 def bilstm_backward(cache: LstmCache, grad_out: np.ndarray, out: dict):
     """Exact gradients through both directions from one reversed time loop,
-    given grad_out (n, 2h), the gradient at bilstm_forward's rows; returns
-    (grad_x, param grads), the latter written into out's arrays."""
+    given grad_out (n, 2h), the gradient at bilstm_forward's rows; writes the
+    weight gradients into out's arrays and returns grad_x."""
     n, _, h = cache.h.shape
     if grad_out.shape != (n, 2 * h):
         raise EncoderError(f"grad shape {grad_out.shape} does not match cache")
@@ -302,15 +301,14 @@ def bilstm_backward(cache: LstmCache, grad_out: np.ndarray, out: dict):
     # step 0 has no h_prev, so it adds nothing to dwh. The states go in
     # contiguous, as a one-direction loop wrote them: at h = 1 the matmul is
     # a gemv, whose sum over a strided vector takes another order.
-    grads, dx = {}, []
+    dx = []
     for d, flat, wx, x, states in zip(DIRECTIONS, dz, cache.wx, (cache.x, cache.x[::-1]),
                                       cache.h.transpose(1, 0, 2)):
         dx.append(flat @ wx)  # in the direction's step order
-        wx_key, wh_key, b_key = (f"lstm.{d}.{p}" for p in ("wx", "wh", "b"))
-        grads[wx_key] = np.matmul(flat.T, x, out=out[wx_key])
-        grads[wh_key] = np.matmul(flat[1:].T, np.ascontiguousarray(states[:-1]), out=out[wh_key])
-        grads[b_key] = np.add.reduce(flat, axis=0, out=out[b_key])
-    return dx[0] + dx[1][::-1], grads
+        np.matmul(flat.T, x, out=out[f"lstm.{d}.wx"])
+        np.matmul(flat[1:].T, np.ascontiguousarray(states[:-1]), out=out[f"lstm.{d}.wh"])
+        np.add.reduce(flat, axis=0, out=out[f"lstm.{d}.b"])
+    return dx[0] + dx[1][::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +340,10 @@ def _project_all(feats: list, params: dict) -> list:
 
 
 def _affine_backward(x, w, grad_y, dw, db):
-    """(dx, dw, db) of the rows y = x @ w.T + b, given the gradient at y, into dw and db."""
-    return grad_y @ w, np.matmul(grad_y.T, x, out=dw), np.add.reduce(grad_y, axis=0, out=db)
+    """dx of the rows y = x @ w.T + b, given the gradient at y; writes dw and db."""
+    np.matmul(grad_y.T, x, out=dw)
+    np.add.reduce(grad_y, axis=0, out=db)
+    return grad_y @ w
 
 
 # ---------------------------------------------------------------------------
@@ -467,20 +467,15 @@ def emissions_forward(arch: str, params: dict, xs: list, dropout: float = 0.0, r
 
 
 def emissions_backward(params: dict, cache: EmissionCache, grad_scores: np.ndarray, out: dict):
-    """Backward through one sentence's emission path; returns (grad_x, param grads),
-    written into out. For the linear head grad_scores is the gradient at the logits."""
+    """Backward through one sentence's emission path: writes its gradients into
+    out, returns grad_x. For the linear head grad_scores is the gradient at the logits."""
     w, b = ("proj.w", "proj.b") if cache.z1 is None else ("fc.w2", "fc.b2")
-    dfeats, dw, db = _affine_backward(cache.feats, params[w], grad_scores, out[w], out[b])
-    grads = {w: dw, b: db}
+    dfeats = _affine_backward(cache.feats, params[w], grad_scores, out[w], out[b])
     if cache.mask is not None:
         dfeats = dfeats * cache.mask
     if cache.lstm is not None:
-        dx, lstm_grads = bilstm_backward(cache.lstm, dfeats, out)
-        grads.update(lstm_grads)
-        return dx, grads
+        return bilstm_backward(cache.lstm, dfeats, out)
     if cache.z1 is not None:
         dz1 = dfeats * (cache.z1 > 0.0)
-        dx, grads["fc.w1"], grads["fc.b1"] = _affine_backward(cache.x, params["fc.w1"], dz1,
-                                                              out["fc.w1"], out["fc.b1"])
-        return dx, grads
-    return dfeats, grads
+        return _affine_backward(cache.x, params["fc.w1"], dz1, out["fc.w1"], out["fc.b1"])
+    return dfeats

@@ -10,9 +10,9 @@ The optimizer state is one contiguous float64 vector each for the
 parameters, both Adam moments and the step's gradient: init_adam adopts
 the parameter arrays as views of its vector and hands out each key's view
 of the gradient vector, into which the backward passes write, and
-adam_step makes each elementwise pass once over all parameters. Clipping
-stays per array, summing the squared norms in the order the backward
-passes return their arrays.
+adam_step makes each elementwise pass once over all parameters. Those views
+are the only copy of a step's gradient: clipping reads them, per array in
+sorted key order, and sums their squared norms in that order.
 
 Decoding (predict_with_checkpoint, each epoch's dev evaluation included)
 cuts the corpus's LengthLayout order, longest first, into batches of at most
@@ -180,13 +180,19 @@ def adam_step(state: AdamState, lr: float) -> None:
 
 
 def clip_global_norm(grads: dict, max_norm: float = GRAD_CLIP_NORM) -> float:
-    """Scale all gradients so their joint L2 norm is at most max_norm."""
-    total = 0.0
+    """Scale all gradients so their joint L2 norm is at most max_norm; returns the
+    unscaled norm. A sum of squares that overflows is taken again in units of the
+    largest finite magnitude; inf and nan are left for adam_step to refuse."""
+    unit, total = 1.0, 0.0
     for g in grads.values():
         total += float((g * g).sum())
-    norm = total ** 0.5
+    if total == math.inf:
+        big = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+        if big < math.inf:
+            unit, total = big, sum(float(np.square(g / big).sum()) for g in grads.values())
+    norm = unit * total ** 0.5
     if norm > max_norm:
-        scale = max_norm / norm
+        scale = max_norm / unit / total ** 0.5
         for g in grads.values():
             g *= scale
     return norm
@@ -205,8 +211,9 @@ class LrSchedule:
     cycle_length: int
 
     def __post_init__(self):
-        if not 0.0 < self.lr_min <= self.lr_max:
-            raise TrainingError(f"need 0 < lr_min <= lr_max, got ({self.lr_min}, {self.lr_max})")
+        if not 0.0 < self.lr_min <= self.lr_max < math.inf:  # lr_at takes inf * 0 as nan
+            raise TrainingError(f"need 0 < lr_min <= lr_max < inf, "
+                                f"got ({self.lr_min}, {self.lr_max})")
         if self.cycle_length < 2:
             raise TrainingError(f"cycle_length must be >= 2, got {self.cycle_length}")
 
@@ -273,19 +280,15 @@ class EpochStats:
 
 
 def _loss_and_grads(arch, params, x, gold, embed_cache, dropout, rng, out):
-    """(loss, param grads), the latter written into out's arrays."""
+    """The sentence's loss; its parameter gradients are written into out's arrays."""
     (scores,), cache = emissions_forward(arch, params, [x], dropout, rng)
     if arch == "linear":
         loss, d_scores = cross_entropy_and_grads(scores, gold)
-        head_grads = {}
     else:
         trans = TransitionMatrix(params["crf.trans"])
         loss, d_scores, out["crf.trans"][...] = nll_gradients(scores, trans, gold)
-        head_grads = {"crf.trans": out["crf.trans"]}
-    dx, grads = emissions_backward(params, cache, d_scores, out)
-    grads.update(head_grads)
-    grads.update(embed_backward(embed_cache, dx, out))
-    return loss, grads
+    embed_backward(embed_cache, emissions_backward(params, cache, d_scores, out), out)
+    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +548,11 @@ def train(train_corpus: Corpus, dev_corpus: Corpus, config: TrainConfig,
                 sent = sentences[idx]
                 try:  # a diverged model fails the CRF score checks; that is a numeric failure
                     x, embed_cache = embed(sent, source, config.dropout, rng)
-                    loss, grads = _loss_and_grads(config.arch, model.params, x, sent.gold_tags,
-                                                  embed_cache, config.dropout, rng, state.grads)
+                    loss = _loss_and_grads(config.arch, model.params, x, sent.gold_tags,
+                                           embed_cache, config.dropout, rng, state.grads)
                     if not math.isfinite(loss):
                         raise NonFiniteError(f"non-finite loss {loss!r}")
-                    clip_global_norm(grads)
+                    clip_global_norm(state.grads)
                     adam_step(state, lr_at(schedule, step))
                 except (NonFiniteError, NonFiniteScoreError) as exc:
                     raise NonFiniteError(f"training diverged at epoch {epoch}, "

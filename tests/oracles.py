@@ -210,6 +210,13 @@ def gradient_arrays(arrays):
     return {key: np.full(np.shape(array), np.nan) for key, array in arrays.items()}
 
 
+def assert_written(out, keys):
+    """Require that a backward pass filled exactly out's arrays under keys, with
+    finite values, and left every other array all nan, as gradient_arrays made it."""
+    for key, array in out.items():
+        assert np.isfinite(array).all() if key in keys else np.isnan(array).all(), key
+
+
 def max_rel_err(analytic, numeric):
     """Worst per-coordinate relative error with a 1e-4 denominator floor
     (so coordinates near zero are compared at absolute tolerance 1e-8

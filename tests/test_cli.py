@@ -314,25 +314,31 @@ class TestTrain:
 
     def test_diverged_crf_decode_names_the_epoch(self, capsys, tmp_path):
         # the unmasked decode of a diverged crf model overflows its best path
-        # score: a numeric failure at that epoch, not a mask failure
+        # score: a numeric failure at that epoch, not a mask failure. The rates
+        # keep each emission finite (about 1e153 squared) and their path sum not.
         mixed = tmp_path / "mixed.conll"
         mixed.write_text("a _ _ B-PER\nb _ _ I-PER\nc _ _ O\n\nd _ _ O\ne _ _ B-LOC\n",
                          encoding="utf-8")
         code, _, err = run(capsys, "train", "--train-file", str(mixed), "--dev-file",
                            str(mixed), "--checkpoint", str(tmp_path / "m.ckpt"), "--lr-min",
-                           "1e307", "--lr-max", "1e308", "--dropout", "0", "--epochs", "3")
+                           "2e152", "--lr-max", "1e153", "--dropout", "0", "--epochs", "3")
         assert code == 3
-        assert err == ("nerchain: numeric failure: training diverged at epoch 1, dev evaluation: "
-                       "sentence '0': non-finite best path score inf\n")
+        log, failure = err.splitlines()  # epoch 1 completes and logs its line
+        assert log.startswith("epoch 1 nll ")
+        assert failure == ("nerchain: numeric failure: training diverged at epoch 2, dev "
+                           "evaluation: sentence '0': non-finite best path score inf")
 
     @pytest.mark.parametrize("extra, config, message", [
         (["--epochs", "0"], "", "epochs must be >= 1, got 0"),
         (["--hidden", "0"], "", "hidden must be >= 1"),
         (["--dropout", "1.5"], "", "dropout must be in [0, 1), got 1.5"),
-        (["--lr-min", "1", "--lr-max", "0.1"], "", "need 0 < lr_min <= lr_max, got (1.0, 0.1)"),
+        (["--lr-min", "1", "--lr-max", "0.1"], "",
+         "need 0 < lr_min <= lr_max < inf, got (1.0, 0.1)"),
         ([], "epochs=0\n", "epochs must be >= 1, got 0"),
         ([], "seed=-1\n", "seed must be >= 0, got -1"),
         ([], "cycle_length=0\n", "cycle_length must be >= 2, got 0"),
+        (["--lr-min", "1", "--lr-max", "inf"], "",
+         "need 0 < lr_min <= lr_max < inf, got (1.0, inf)"),
     ])
     def test_rejected_training_setting_is_a_usage_error(self, capsys, tiny, tmp_path, extra,
                                                         config, message):

@@ -23,6 +23,7 @@ from nerchain.encoders import (
 
 from oracles import (
     LstmDirection,
+    assert_written,
     finite_difference,
     gradient_arrays,
     max_rel_err,
@@ -102,12 +103,11 @@ class TestEmbed:
         ingested, _ = self.make_ingested()
         table = trainable(TokenVocabulary(["a", "b"]), 3, np.random.default_rng(7))
         assert (ingested.dim, table.dim) == (4, 3)
-        x, cache = embed(SENT, ingested)
-        assert embed_backward(cache, np.ones_like(x), {}) == {}
-        x, cache = embed(SENT, table)
-        out = gradient_arrays({"embed.table": table.table})
-        grads = embed_backward(cache, np.ones_like(x), out)
-        assert list(grads) == ["embed.table"] and grads["embed.table"] is out["embed.table"]
+        for source, written in ((ingested, set()), (table, {"embed.table"})):
+            x, cache = embed(SENT, source)
+            out = gradient_arrays({"embed.table": table.table})
+            assert embed_backward(cache, np.ones_like(x), out) is None
+            assert_written(out, written)
 
     def test_trainable_deterministic(self):
         vocab = TokenVocabulary(["a", "b", "c"])
@@ -129,7 +129,8 @@ class TestEmbed:
         sent = Sentence("s1", ("a", "a", "b"))
         x, cache = embed(sent, source)
         out = gradient_arrays({"embed.table": source.table})
-        table_grad = embed_backward(cache, np.ones_like(x), out)["embed.table"]
+        embed_backward(cache, np.ones_like(x), out)
+        table_grad = out["embed.table"]
         assert np.allclose(table_grad[vocab.lookup("a")], [2.0, 2.0])
         assert np.allclose(table_grad[vocab.lookup("b")], [1.0, 1.0])
         assert np.allclose(table_grad[0], 0.0)
@@ -197,7 +198,8 @@ class TestBiLstmBackward:
         params = lstm_params(rng, 2, 3)
         x = rng.standard_normal((4, 2))
         (out,), cache = bilstm_forward([x], params)
-        dx, grads = bilstm_backward(cache, np.zeros_like(out), gradient_arrays(params))
+        grads = gradient_arrays(params)
+        dx = bilstm_backward(cache, np.zeros_like(out), grads)
         assert np.allclose(dx, 0.0)
         assert all(np.allclose(g, 0.0) for g in grads.values())
 
@@ -219,7 +221,8 @@ class TestBiLstmBackward:
         (out,), cache = bilstm_forward([x], params)
         grad_out = np.zeros((1, 2))
         grad_out[0, 0] = 1.0
-        _, grads = bilstm_backward(cache, grad_out, gradient_arrays(params))
+        grads = gradient_arrays(params)
+        bilstm_backward(cache, grad_out, grads)
 
         wx = params["lstm.fw.wx"][:, 0]
         b = params["lstm.fw.b"]
@@ -256,7 +259,8 @@ class TestBiLstmBackward:
                 return float((grad_out * out).sum())
 
             _, cache = bilstm_forward([x], params)
-            dx, grads = bilstm_backward(cache, grad_out, gradient_arrays(params))
+            grads = gradient_arrays(params)
+            dx = bilstm_backward(cache, grad_out, grads)
             arrays = {"x": x, **params}
             fd = finite_difference(loss, arrays)
             assert max_rel_err(dx, fd["x"]) <= 1e-4, trial
@@ -295,7 +299,8 @@ def test_hoisted_cell_loop_matches_the_per_step_reference(n, d, h, log_scale, se
     x = rng.standard_normal((n, d))
     grad_out = rng.standard_normal((n, 2 * h))
     (out,), cache = bilstm_forward([x], params)
-    dx, grads = bilstm_backward(cache, grad_out, gradient_arrays(params))
+    grads = gradient_arrays(params)
+    dx = bilstm_backward(cache, grad_out, grads)
 
     def assert_close(got, ref):
         assert np.abs(got - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
@@ -394,8 +399,9 @@ def test_two_row_backward_matches_the_one_direction_kernel_bit_for_bit(n, d, h, 
     x = rng.standard_normal((n, d))
     grad_out = rng.standard_normal((n, 2 * h))
     _, cache = bilstm_forward([x], params)
-    dx, grads = bilstm_backward(cache, grad_out, gradient_arrays(params))
-    assert list(grads) == [f"lstm.{name}.{p}" for name in DIRECTIONS for p in ("wx", "wh", "b")]
+    grads = gradient_arrays(params)
+    dx = bilstm_backward(cache, grad_out, grads)
+    assert_written(grads, {f"lstm.{name}.{p}" for name in DIRECTIONS for p in ("wx", "wh", "b")})
     ref_dx = []
     for name, grad_h in zip(DIRECTIONS, (grad_out[:, :h], grad_out[::-1, h:])):
         _, ref_cache = reference_direction(params, x, name)
@@ -484,7 +490,8 @@ class TestProject:
             return float((grad_scores * project(feats, params)).sum())
 
         _, cache = emissions_forward("crf", params, [feats])
-        dfeats, grads = emissions_backward(params, cache, grad_scores, gradient_arrays(params))
+        grads = gradient_arrays(params)
+        dfeats = emissions_backward(params, cache, grad_scores, grads)
         fd = finite_difference(loss, {"feats": feats, **params})
         assert max_rel_err(dfeats, fd["feats"]) <= 1e-6
         assert max_rel_err(grads["proj.w"], fd["proj.w"]) <= 1e-6
@@ -577,7 +584,8 @@ class TestCrossEntropy:
                 return -float(log_probs[np.arange(len(gold)), gold].mean())
 
             _, d_logits = cross_entropy_and_grads(log_probs, gold)
-            dx, grads = emissions_backward(params, cache, d_logits, gradient_arrays(params))
+            grads = gradient_arrays(params)
+            dx = emissions_backward(params, cache, d_logits, grads)
             fd = finite_difference(loss, {"x": x, **params})
             assert max_rel_err(dx, fd["x"]) <= 1e-4, seed
             for key in params:
@@ -646,8 +654,10 @@ class TestArchitectureAssembly:
                 return float((grad_scores * scores).sum())
 
             _, cache = emissions_forward(arch, params, [x])
-            dx, grads = emissions_backward(params, cache, grad_scores, gradient_arrays(params))
+            grads = gradient_arrays(params)
+            dx = emissions_backward(params, cache, grad_scores, grads)
             arrays = {"x": x, **{k: v for k, v in params.items() if k != "crf.trans"}}
+            assert_written(grads, set(arrays))
             fd = finite_difference(loss, arrays)
             assert max_rel_err(dx, fd["x"]) <= 1e-4, arch
             for key in arrays:

@@ -40,6 +40,7 @@ from nerchain.training import (
 
 from oracles import (
     ReferenceAdam,
+    assert_written,
     markov_cycle_corpus,
     random_corpus,
     reference_clip_global_norm,
@@ -128,6 +129,29 @@ class TestAdam:
         assert np.hypot(grads["a"][0], grads["b"][0]) == pytest.approx(5.0)
 
 
+# magnitudes 1e-300 to 1e300: squares from underflow to overflow
+_ENTRIES = st.lists(st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                              st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)),
+                    min_size=1, max_size=5)
+
+
+@given(arrays=st.lists(_ENTRIES, min_size=1, max_size=4))
+@example(arrays=[[1e200, 1e200], [3.0]])
+@example(arrays=[[1e-300], [1e300, -1e300, 1e160]])
+@settings(max_examples=200, deadline=None)
+def test_clip_global_norm_agrees_with_hypot_at_any_magnitude(arrays):
+    grads = {f"g{i}": np.array(entries) for i, entries in enumerate(arrays)}
+    ref = math.hypot(*(v for entries in arrays for v in entries))
+    with np.errstate(over="ignore"):  # as in train()
+        norm = clip_global_norm(grads, 5.0)
+    if ref > 1e-100:  # below, squares underflow; the norm is far under any clip
+        assert norm == pytest.approx(ref, rel=1e-12)
+    scale = min(1.0, 5.0 / ref)
+    for i, entries in enumerate(arrays):
+        assert np.allclose(grads[f"g{i}"], np.array(entries) * scale, rtol=1e-12,
+                           atol=np.finfo(float).tiny), i
+
+
 def bits(array):
     return np.ascontiguousarray(array).view(np.uint64)
 
@@ -164,7 +188,7 @@ def test_one_vector_adam_step_matches_the_per_array_reference_bit_for_bit(layout
     reference = ReferenceAdam(expected)
     state = init_adam(params)
     keys = list(layout)
-    # the views in layout order, as a backward pass returns them, not sorted
+    # the views in layout order, not sorted: each clip sums the dict it is given in its order
     grads = {key: state.grads[key] for key in keys}
     with np.errstate(over="ignore", invalid="ignore"):  # as in train()
         for step, log_scale in enumerate(log_scales):
@@ -214,12 +238,10 @@ def test_one_training_step_writes_every_gradient_view(arch, table):
         source = encoders.EmbeddingSource(EmbeddingSet(4, {sent.id: matrix}))
     state.grad[...] = np.nan
     x, cache = encoders.embed(sent, source, 0.3, rng)
-    _, grads = training._loss_and_grads(arch, params, x, sent.gold_tags, cache, 0.3, rng,
-                                        state.grads)
-    assert sorted(grads) == list(state.grads)
-    assert all(grads[key] is view for key, view in state.grads.items())
-    for key, view in state.grads.items():
-        assert np.isfinite(view).all(), key
+    loss = training._loss_and_grads(arch, params, x, sent.gold_tags, cache, 0.3, rng,
+                                    state.grads)
+    assert math.isfinite(loss)
+    assert_written(state.grads, set(state.grads))
 
 
 class TestLrSchedule:
@@ -382,16 +404,30 @@ class TestTrain:
         target = corpus.sentences[1]
 
         def nan_gradient(arch, params, x, gold, *args):
-            loss, grads = real(arch, params, x, gold, *args)
+            loss = real(arch, params, x, gold, *args)
             if gold == target.gold_tags:
-                grads["crf.trans"][0, 0] = np.nan
-            return loss, grads
+                args[-1]["crf.trans"][0, 0] = np.nan  # out, the gradient views
+            return loss
 
         monkeypatch.setattr(training, "_loss_and_grads", nan_gradient)
         with pytest.raises(NonFiniteError) as raised:
             train(corpus, corpus, TrainConfig(epochs=1, dim=4))
         assert str(raised.value) == ("training diverged at epoch 1, sentence 's1': "
                                      "non-finite gradient in 'crf.trans'")
+
+    def test_finite_gradients_past_the_float_range_are_clipped_not_zeroed(self):
+        # embeddings of 1e200 give proj.w gradients whose squares overflow;
+        # 1-token sentences keep the CRF's marginals exact at such scores
+        names = ("B-PER", "B-LOC", "O")
+        corpus = Corpus(tuple(Sentence(f"s{i}", (f"t{i}",), (VOC.index(names[i % 3]),))
+                              for i in range(6)), VOC)
+        signs = np.random.default_rng(0).choice([-1.0, 1.0], (len(corpus), 4))
+        embeddings = EmbeddingSet(4, {s.id: 1e200 * row[None] for s, row in zip(corpus, signs)})
+        config = TrainConfig(arch="crf", epochs=2, dim=4, seed=3)
+        best, _ = train(corpus, corpus, config, embeddings)
+        initial = init_params("crf", 4, VOC.k, rng=np.random.default_rng(config.seed))
+        for key, value in initial.items():  # a zeroed gradient would leave them all
+            assert not np.array_equal(best.params[key], value), key
 
     def test_crf_kernels_give_the_reference_checkpoint_bytes(self, monkeypatch):
         # DECODE_BATCH + 1 dev sentences decode as a batch of 32 and a batch of
@@ -434,11 +470,10 @@ class TestTrain:
             (dx_fw, *fw), (dx_bw, *bw) = (
                 reference_lstm_backward_kernel(c, grad_h)
                 for c, grad_h in zip(rows, (grad_out[:, :h], grad_out[::-1, h:])))
-            grads = {f"lstm.{d}.{p}": grad for d, dir_grads in zip(encoders.DIRECTIONS, (fw, bw))
-                     for p, grad in zip(("wx", "wh", "b"), dir_grads)}
-            for key, grad in grads.items():
-                out[key][...] = grad
-            return dx_fw + dx_bw[::-1], {key: out[key] for key in grads}
+            for d, dir_grads in zip(encoders.DIRECTIONS, (fw, bw)):
+                for p, grad in zip(("wx", "wh", "b"), dir_grads):
+                    out[f"lstm.{d}.{p}"][...] = grad
+            return dx_fw + dx_bw[::-1]
 
         monkeypatch.setattr(encoders, "bilstm_forward", one_direction_at_a_time)
         monkeypatch.setattr(encoders, "bilstm_backward", one_direction_backward)
