@@ -36,7 +36,12 @@ its interleaved terms, the float loop's adds in the loop's order.
 Numeric policy: each public function runs under one np.errstate (_QUIET) that
 ignores every floating-point error: overflowing scores show up as inf or nan
 in its result, or as a CrfError, never as a numpy warning, and exp's underflow
-is never an error. The kernels enter none of their own.
+is never an error. The kernels enter none of their own. A marginal is the exp
+of log_alpha + log_beta - log Z (an edge's likewise), a log-probability at
+most 0 in exact arithmetic; at large scores its rounding can be far above 0,
+so each exponent is clamped at 0 first, and the marginals stay in [0, 1] and
+the gradients finite wherever log Z is finite. No exponent is clamped where
+rounding keeps it at or below 0, so there the bits are unchanged.
 """
 
 import math
@@ -266,11 +271,13 @@ def _alpha_beta(P: np.ndarray, A: TransitionMatrix, guard: bool = False):
 def _marginals(P: np.ndarray, A: TransitionMatrix) -> Marginals:
     k = P.shape[1]
     log_alpha, log_beta, ahead, log_z = _alpha_beta(P, A)
-    node = np.exp(log_alpha + log_beta - log_z)
+    node = log_alpha + log_beta - log_z
     edge = log_alpha[:-1, :, None] + A.values[:k, :k]
     edge += ahead[1:, None, :]
     edge -= log_z
-    np.exp(edge, out=edge)
+    for log_p in (node, edge):  # a probability's log is at most 0; rounding can pass it
+        np.minimum(log_p, 0.0, out=log_p)
+        np.exp(log_p, out=log_p)
     return Marginals(node, edge, log_z)
 
 

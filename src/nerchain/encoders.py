@@ -50,18 +50,27 @@ rows stay a prefix. Each (sentence, direction) input projection x @ wx.T is
 written into its row of a (steps, rows, 4h) array as one matmul (one stacked
 matmul would send 1-token sentences down another BLAS path), and then both
 directions' biases b are added once per run of the layout, over all of the
-run's rows, before the loop. A step adds wh @ h_prev to its rows there and
+run's rows, before the loop. A step adds h_prev @ wh.T to its rows there and
 copies them into a gate-major (4, rows, h) block, so that each gate i, f, g
 and o of the running rows is one contiguous (rows, h) array for the
 activations and the cell update: one in-place sigmoid over the block, with
 tanh on the g gate. (Adding straight into the block reads both operands
 across gates, which cost more than the copy at decode batch sizes.) The
 bias stays out of the loop: a bias add per step cost more than one per run.
-States are kept as (sentences, 2, h, 1) columns
-against the (2, 4h, h) stack of both directions' recurrent weights, for which
-np.matmul makes one BLAS gemv per row, the call wh @ h_prev makes for one
-direction of one sentence; the rest is elementwise, so a sentence gets the
-same bits in any batch (h_prev @ wh.T, one gemm, might not). A one-sentence
+States are kept in a zeroed (steps, max(sentences, 2), 2, h) array, and
+each step's recurrent product is one np.matmul of the running sentences'
+states, read direction-major as (2, M, h), against wh_t, both directions'
+wh.T made contiguous: one BLAS gemm per direction over M rows, where M is
+the number of running sentences but at least 2. One sentence alone, or the
+last one running, reads the zero states of a second slot, whose products
+are never used: a one-row product would be a gemv, which sums in another
+order. On OpenBLAS 0.3.31 (AVX-512 kernels) a gemm row's bits do not
+depend on the other rows or on their number, with one exception: when
+4h is not a multiple of 8 (h odd), its last four columns take another
+order once the product leaves the small-matrix kernels (about
+4h * h * M > 1e6). So wh_t's 4h columns are rounded up to a multiple of 8
+by zeros. The rest is elementwise, and a sentence gets the same bits in any
+batch; tests/test_encoders.py checks the BLAS for this. A one-sentence
 list keeps the loop's arrays as the cache its backward reads (LstmCache); a
 longer list keeps no cache, and there every step writes its gates, c and
 tanh(c) over the step before's, since a step reads only the c before it.
@@ -194,6 +203,9 @@ def bilstm_forward(xs, params: dict):
 
     Row t is [h_fw(t) ; h_bw(t)] where the backward direction scans the
     reversed sequence and its states are re-aligned to token positions.
+    Each step's recurrent product is one gemm per direction over the running
+    sentences, never over fewer than two rows, so each sentence's states are
+    the bits it gets alone (see the module docstring).
     """
     wxs, whs, bs = ([params[f"lstm.{d}.{p}"] for d in DIRECTIONS] for p in ("wx", "wh", "b"))
     h = whs[0].shape[1]
@@ -204,10 +216,14 @@ def bilstm_forward(xs, params: dict):
             if wx.shape != (4 * h, x.shape[1]) or wh.shape != (4 * h, h) or b.shape != (4 * h,):
                 raise EncoderError(f"inconsistent lstm shapes wx={wx.shape} wh={wh.shape} "
                                    f"b={b.shape} d={x.shape[1]}")
-    wh = np.stack(whs)
+    # both directions' recurrent operands, each wh.T made contiguous, with 4h
+    # rounded up to a multiple of 8 columns by zeros (see the module docstring)
+    wh_t = np.zeros((2, h, 4 * (h + h % 2)))
+    for r, wh in enumerate(whs):
+        wh_t[r, :, :4 * h] = wh.T
     layout = LengthLayout(len(x) for x in xs)
-    steps, rows = max(layout.lengths, default=0), 2 * len(xs)
-    proj = np.empty((steps, rows, 4 * h))  # the input projections; the loop adds wh @ h_prev
+    steps, rows, slots = max(layout.lengths, default=0), 2 * len(xs), max(len(xs), 2)
+    proj = np.empty((steps, rows, 4 * h))  # the input projections; the loop adds h_prev @ wh.T
     for row, j in enumerate(layout.order):
         for r, (x, wx) in enumerate(zip((xs[j], xs[j][::-1]), wxs)):
             np.matmul(x, wx.T, out=proj[:len(x), 2 * row + r])
@@ -220,26 +236,29 @@ def bilstm_forward(xs, params: dict):
         gates, cs, tc = np.empty((steps, 4, rows, h)), *np.empty((2, steps, rows, h))
     else:  # a step reads only the c before it, so all steps write one buffer each
         block, c_all, tc_all = np.empty(4 * rows * h), *np.empty((2, rows, h))
-    cols = np.empty((steps, len(xs), 2, h, 1))  # states as (h, 1) columns, for which
-    hs = cols.reshape(steps, rows, h)  # matmul(wh, h_prev) makes one gemv call per row
+    # [step, sentence, direction]; a sentence past its end, and the slot that
+    # pads one sentence to two, stay 0
+    states = np.zeros((steps, slots, 2, h))
+    hs = states.reshape(steps, 2 * slots, h)
     g_all = np.empty((rows, h))
-    rec_all = np.empty((len(xs), 2, 4 * h, 1))
+    rec_all = np.empty((slots, 2, wh_t.shape[2]))  # [sentence, direction], as proj
     h_prev = c_prev = None
     for start, end, count in layout.runs:
-        m = 2 * count  # the running rows
+        m, n_gemm = 2 * count, max(count, 2)  # the running rows; each direction's gemm rows
         if start:  # the states the run's rows carry in from the run before
-            h_prev, c_prev = h_prev[:count], c_prev[:m]
-        # the tanh(g) and wh @ h_prev buffers (the latter as columns and rows)
-        g, rec, rec_rows = g_all[:m], rec_all[:count], rec_all[:count].reshape(m, 4 * h)
+            h_prev, c_prev = h_prev[:, :n_gemm], c_prev[:m]
+        # the tanh(g) buffer, and h_prev @ wh.T per direction and as each row's 4h terms
+        g, rec = g_all[:m], rec_all[:n_gemm].transpose(1, 0, 2)
+        rec_rows = rec_all[:count, :, :4 * h]
         # each step's contiguous (4, m, h) gate block, c and tanh(c); one sentence is one run
         kept = (gates, cs, tc) if keep else map(
             repeat, (block[:4 * m * h].reshape(4, m, h), c_all[:m], tc_all[:m]))
-        run = (proj[start:end, :m], proj_gm[start:end, :, :m], *kept, hs[start:end, :m],
-               cols[start:end, :count])
+        run = (by_direction[start:end, :count], proj_gm[start:end, :, :m], *kept,
+               hs[start:end, :m], states[start:end, :n_gemm].transpose(0, 2, 1, 3))
         # one view per step and array, so the loop body only calls ufuncs
-        for p, p_gm, z, c, tanh_c, h_t, col in zip(*run):
-            if h_prev is not None:
-                np.matmul(wh, h_prev, out=rec)
+        for p, p_gm, z, c, tanh_c, h_t, h_dm in zip(*run):
+            if h_prev is not None:  # one gemm per direction, over at least two rows
+                np.matmul(h_prev, wh_t, out=rec)
                 p += rec_rows
             z[...] = p_gm  # gate-major from here on
             i, f, g_z, o = z
@@ -257,10 +276,13 @@ def bilstm_forward(xs, params: dict):
                 c += g
             np.tanh(c, out=tanh_c)
             np.multiply(o, tanh_c, out=h_t)
-            h_prev, c_prev = col, c
-    cache = LstmCache(xs[0], tuple(wxs), wh, gates, cs, tc, hs) if keep else None
-    states = (hs.reshape(steps, len(xs), 2, h)[:n, row] for row, n in enumerate(layout.lengths))
-    return layout.unstack(np.concatenate([s[:, 0], s[::-1, 1]], axis=1) for s in states), cache
+            h_prev, c_prev = h_dm, c
+    if keep:  # slot 0's states; slot 1 only pads the gemm
+        cache = LstmCache(xs[0], tuple(wxs), np.stack(whs), gates, cs, tc, states[:, 0])
+    else:
+        cache = None
+    rows_of = (states[:n, row] for row, n in enumerate(layout.lengths))
+    return layout.unstack(np.concatenate([s[:, 0], s[::-1, 1]], axis=1) for s in rows_of), cache
 
 
 def bilstm_backward(cache: LstmCache, grad_out: np.ndarray, out: dict):

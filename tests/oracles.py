@@ -122,12 +122,13 @@ def reference_forward_backward(P, A):
         log_beta[t] = logsumexp(
             np.ascontiguousarray((P[t + 1] + log_beta[t + 1])[:, None] + trans.T), axis=0)
 
-    node = np.exp(log_alpha + log_beta - log_z)
+    # each exponent clamped at 0, as the kernel does: rounding can put a
+    # probability's log above 0
+    node = np.exp(np.minimum(log_alpha + log_beta - log_z, 0.0))
     edge = np.empty((n - 1, k, k))
     for t in range(n - 1):
-        edge[t] = np.exp(
-            log_alpha[t][:, None] + trans + (P[t + 1] + log_beta[t + 1])[None, :] - log_z
-        )
+        edge[t] = np.exp(np.minimum(
+            log_alpha[t][:, None] + trans + (P[t + 1] + log_beta[t + 1])[None, :] - log_z, 0.0))
     return node, edge, log_z
 
 
@@ -359,13 +360,19 @@ def reference_lstm_kernel(x, wx, wh, b):
     that reference_lstm_backward_kernel reads."""
     n = x.shape[0]
     h = wh.shape[1]
-    gates = x @ wx.T + b  # every step's input projection; the loop adds wh @ h_prev
+    gates = x @ wx.T + b  # every step's input projection; the loop adds h_prev @ wh.T
     cs = np.empty((n, h)); tc = np.empty((n, h)); hs = np.empty((n, h))
     g = np.empty(h)
+    # the recurrent product is the kernel's gemm over two rows, h_prev over a
+    # zero row, against wh.T made contiguous (the view takes another kernel)
+    # with 4h rounded up to a multiple of 8 columns by zeros
+    wh_t, two_rows = np.zeros((h, 4 * (h + h % 2))), np.zeros((2, h))
+    wh_t[:, :4 * h] = wh.T
     h_prev = c_prev = None
     for z, (i, f, g_z, o), c, tanh_c, h_t in zip(gates, gates.reshape(n, 4, h), cs, tc, hs):
         if h_prev is not None:
-            z += wh @ h_prev
+            two_rows[0] = h_prev
+            z += (two_rows @ wh_t)[0, :4 * h]
         np.tanh(g_z, out=g)
         np.negative(z, out=z)  # sigmoid over the whole gate block, in place ...
         np.exp(z, out=z)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nerchain.crf import (
@@ -315,6 +315,26 @@ class TestNllGradients:
             assert max_rel_err(dP, fd["P"]) <= 1e-4
             assert max_rel_err(dA, fd["A"]) <= 1e-4
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), k=st.integers(1, 13),
+           log_scale=st.floats(0.0, 300.0), zero=st.booleans())
+    @example(seed=1, n=4, k=13, log_scale=20.0, zero=True)  # non-finite before the clamp
+    @example(seed=12, n=4, k=13, log_scale=199.0, zero=True)
+    @example(seed=0, n=4, k=13, log_scale=300.0, zero=True)
+    @settings(max_examples=200, deadline=None)
+    def test_marginals_are_probabilities_at_any_finite_score(self, seed, n, k, log_scale, zero):
+        # emissions uniform(-3, 3) times 10 ** log_scale, transitions zero or
+        # uniform(-3, 3): at such scores log_alpha + log_beta - log_z rounds
+        # far from the log of a probability, on either side of 0
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(-3.0, 3.0, (n, k)) * 10.0 ** log_scale
+        A = zero_trans(k) if zero else TransitionMatrix(rng.uniform(-3.0, 3.0, (k + 2, k + 2)))
+        y = rng.integers(k, size=n)
+        nll, dP, dA = nll_gradients(P, A, y)
+        assume(math.isfinite(nll))
+        marg = forward_backward(P, A)
+        for probabilities in (marg.node, marg.edge):
+            assert ((0.0 <= probabilities) & (probabilities <= 1.0)).all()
+        assert np.isfinite(dP).all() and np.isfinite(dA).all()
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.1, 5.0, 80.0, 1e306]))
     @settings(max_examples=100, deadline=None)

@@ -356,6 +356,8 @@ def reference_direction(params, x, name):
 @example(lengths=[1], d=3, h=4, log_scale=0.0, seed=2)
 @example(lengths=[40], d=8, h=8, log_scale=1.0, seed=3)
 @example(lengths=[40], d=8, h=1, log_scale=1.0, seed=3)
+@example(lengths=[40, 3, 3], d=8, h=32, log_scale=0.0, seed=4)  # the bench's h; one runs last
+@example(lengths=[5] * 20, d=8, h=129, log_scale=0.0, seed=5)  # odd h, past small-matrix gemm
 @settings(max_examples=200, deadline=None)
 def test_batched_kernel_matches_the_single_sentence_kernel_bit_for_bit(lengths, d, h, log_scale,
                                                                        seed):
@@ -383,6 +385,36 @@ def test_batched_kernel_matches_the_single_sentence_kernel_bit_for_bit(lengths, 
         assert_same_bits(cache.wh[r], params[f"lstm.{name}.wh"])
         for field in ("gates", "c", "tanh_c", "h"):
             assert_same_bits(getattr(views[name], field), getattr(ref_cache, field))
+
+
+@given(h=st.integers(1, 64) | st.just(256), rows=st.integers(2, 70),
+       seed=st.integers(0, 2**32 - 1))
+@example(h=32, rows=32, seed=0)  # the bench's width and decode batch
+@example(h=256, rows=70, seed=1)
+@example(h=63, rows=70, seed=2)  # odd widths past OpenBLAS's small-matrix kernels
+@example(h=255, rows=4, seed=3)
+@settings(max_examples=100, deadline=None)
+def test_a_gemm_row_has_the_bits_it_has_over_a_zero_row(h, rows, seed):
+    # bilstm_forward's recurrent product is one gemm per direction over the
+    # running sentences' states, padded with a zero row when one sentence
+    # runs; a sentence's bits are its own only if a row's bits depend neither
+    # on the other rows nor on their number. Operands laid out as in the loop:
+    # wh.T contiguous, its 4h columns rounded up to a multiple of 8 by zeros.
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-1.0, 1.0, (rows, 2, h))  # [sentence, direction]
+    wh_t = np.zeros((2, h, 4 * (h + h % 2)))
+    for r in range(2):
+        wh_t[r, :, :4 * h] = rng.uniform(-1.0, 1.0, (4 * h, h)).T
+    rec = np.empty((rows, 2, wh_t.shape[2]))
+    np.matmul(states.transpose(1, 0, 2), wh_t, out=rec.transpose(1, 0, 2))
+    two_rows = np.zeros((2, h))
+    for row in range(rows):
+        for r in range(2):
+            two_rows[0] = states[row, r]
+            alone = (two_rows @ wh_t[r])[0]
+            assert np.array_equal(bits(rec[row, r]), bits(alone)), (
+                f"row {row} of {rows} at h={h} differs from the row over a zero row: "
+                "on this BLAS a sentence's LSTM bits would depend on its batch")
 
 
 @given(n=st.integers(1, 40), d=st.integers(1, 8), h=st.integers(1, 8),

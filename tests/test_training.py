@@ -416,18 +416,21 @@ class TestTrain:
                                      "non-finite gradient in 'crf.trans'")
 
     def test_finite_gradients_past_the_float_range_are_clipped_not_zeroed(self):
-        # embeddings of 1e200 give proj.w gradients whose squares overflow;
-        # 1-token sentences keep the CRF's marginals exact at such scores
+        # embeddings of 1e200 give proj.w gradients whose squares overflow; on
+        # 4-token sentences the CRF's marginals are rounded far past exp's range
         names = ("B-PER", "B-LOC", "O")
-        corpus = Corpus(tuple(Sentence(f"s{i}", (f"t{i}",), (VOC.index(names[i % 3]),))
-                              for i in range(6)), VOC)
-        signs = np.random.default_rng(0).choice([-1.0, 1.0], (len(corpus), 4))
-        embeddings = EmbeddingSet(4, {s.id: 1e200 * row[None] for s, row in zip(corpus, signs)})
         config = TrainConfig(arch="crf", epochs=2, dim=4, seed=3)
-        best, _ = train(corpus, corpus, config, embeddings)
         initial = init_params("crf", 4, VOC.k, rng=np.random.default_rng(config.seed))
-        for key, value in initial.items():  # a zeroed gradient would leave them all
-            assert not np.array_equal(best.params[key], value), key
+        for n in (1, 4):
+            corpus = Corpus(tuple(
+                Sentence(f"s{i}", tuple(f"t{i}.{j}" for j in range(n)),
+                         tuple(VOC.index(names[(i + j) % 3]) for j in range(n)))
+                for i in range(6)), VOC)
+            signs = np.random.default_rng(0).choice([-1.0, 1.0], (len(corpus), n, 4))
+            embeddings = EmbeddingSet(4, {s.id: 1e200 * rows for s, rows in zip(corpus, signs)})
+            best, _ = train(corpus, corpus, config, embeddings)
+            for key, value in initial.items():  # a zeroed gradient would leave them all
+                assert not np.array_equal(best.params[key], value), (n, key)
 
     def test_crf_kernels_give_the_reference_checkpoint_bytes(self, monkeypatch):
         # DECODE_BATCH + 1 dev sentences decode as a batch of 32 and a batch of
