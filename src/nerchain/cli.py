@@ -32,7 +32,6 @@ from .tagscheme import (
     EntityTypeSet,
     SchemeViolation,
     TagSchemeError,
-    count_invalid_transitions,
     expand_bio,
     flat_tags,
     repair_bio,
@@ -311,10 +310,8 @@ def cmd_predict(settings: Settings) -> int:
         tags, starts = flat_tags(predictions)
         try:
             repaired = repair_bio(voc, tags, settings.repair, starts=starts).tags.tolist()
-        except SchemeViolation as exc:  # strict: name the first sentence with a violation
-            sent = next(s for s, pred in zip(corpus, predictions)
-                        if count_invalid_transitions(voc, pred))
-            raise type(exc)(f"sentence {sent.id!r}: {exc}") from None
+        except SchemeViolation as exc:  # strict: name the sentence of the first violation
+            raise type(exc)(f"sentence {corpus.sentences[exc.sentence].id!r}: {exc}") from None
         bounds = [*starts.tolist(), len(repaired)]
         predictions = [repaired[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -337,7 +334,11 @@ def _aligned_gold_pred(settings: Settings):
     for sent in gold:
         if sent.id not in by_id:
             raise ScoringError(f"no prediction for sentence id {sent.id!r}")
-        predictions.append(by_id[sent.id].gold_tags)
+        other = by_id[sent.id]  # another length is the scorer's error, naming the sentence
+        if len(other) == len(sent) and other.tokens != sent.tokens:
+            raise ConllError(f"sentence id {sent.id!r} names different sentences in "
+                             f"{settings.gold} and {settings.pred}")
+        predictions.append(other.gold_tags)
     return gold, predictions
 
 

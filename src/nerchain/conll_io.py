@@ -1,9 +1,10 @@
 """CoNLL-style column file I/O, token vocabularies, and embedding ingestion.
 
 File grammar: sentences are maximal runs of non-blank lines; a line starting
-with "# id " carries the sentence id, other "#" lines are comments; fields
-are whitespace separated, token in column 0 and tag in the last column by
-default (filler columns written as "_"). A token may not begin with "#".
+with "# id " carries the id of the sentence whose first token comes next,
+other "#" lines are comments; fields are whitespace separated, token in
+column 0 and tag in the last column by default (filler columns written as
+"_"). A token may not begin with "#".
 
 The embedding file format replaces the contextual encoder: a "dim <d>"
 header, then per sentence a "# id <sid>" line followed by one row of d
@@ -11,7 +12,6 @@ decimal floats per token, sentences separated by blank lines.
 """
 
 import io
-import operator
 import re
 from array import array
 from functools import cached_property
@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .crf import CrfError, _tag_indices
 from .tagscheme import BioPass, TagSchemeError, TagVocabulary, bio_pass, flat_tags
 
 PAD_INDEX = 0
@@ -56,11 +57,11 @@ class Sentence:
 
 def _check_gold(sentences, k: int) -> None:
     """Raise the ConllError of the first gold tag that is not an integer in
-    [0, k). A tag is an integer by operator.index's rule, as crf._tag_indices
-    has it. array("Q") reads each sentence's gold tags by that rule, in C,
-    into an unsigned 64-bit array of its exact size (a buffer grown tag by tag
-    raised train()'s peak RSS), and the max of them all gives the range check;
-    only a failing corpus is checked again one tag at a time, for the error."""
+    [0, k), by crf._tag_indices' rule (operator.index's). array("Q") reads
+    each sentence's gold tags by that rule, in C, into an unsigned 64-bit array
+    of its exact size (a buffer grown tag by tag raised train()'s peak RSS),
+    and the max of them all gives the range check; only a failing corpus is
+    read again, sentence by sentence through crf._tag_indices, for the error."""
     labelled = [sent for sent in sentences if sent.gold_tags is not None]
     try:
         values = b"".join([array("Q", sent.gold_tags) for sent in labelled])
@@ -69,12 +70,11 @@ def _check_gold(sentences, k: int) -> None:
     except (TypeError, OverflowError):  # not an integer, or negative, or past 64 bits
         pass
     for sent in labelled:
-        for tag in sent.gold_tags:
-            try:
-                index = operator.index(tag)
-            except TypeError:
-                raise ConllError(
-                    f"sentence {sent.id!r}: tag index {tag!r} is not an integer") from None
+        try:
+            indices = _tag_indices(sent.gold_tags)
+        except CrfError as exc:
+            raise ConllError(f"sentence {sent.id!r}: {exc}") from None
+        for tag, index in zip(sent.gold_tags, indices.tolist()):
             if not 0 <= index < k:
                 raise ConllError(f"sentence {sent.id!r}: tag index {tag} out of range")
 
@@ -152,7 +152,10 @@ def parse_conll(
     tag_column: int = -1,
     has_labels: bool = True,
 ) -> Corpus:
-    """Parse a column file into a Corpus. Sentences without an explicit
+    """Parse a column file into a Corpus. An id line names the sentence whose
+    first token follows it (comment lines may come between); one inside a
+    sentence, or with no token before the next blank line, id line or the
+    end, is a ConllError naming its line. Sentences without an explicit
     "# id" line are numbered by their ordinal position."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -162,6 +165,7 @@ def parse_conll(
     tokens: list[str] = []
     tags: list[int] = []
     pending_id: str | None = None
+    id_lineno = 0  # the line pending_id was read from
 
     def flush():
         nonlocal pending_id
@@ -172,6 +176,8 @@ def parse_conll(
             )
             tokens.clear()
             tags.clear()
+        elif pending_id is not None:
+            raise ConllError(f"line {id_lineno}: no token follows sentence id {pending_id!r}")
         pending_id = None
 
     add_token, add_tag = tokens.append, tags.append
@@ -185,7 +191,10 @@ def parse_conll(
             if sid == "":
                 raise ConllError(f"line {lineno}: empty sentence id")
             if sid is not None:
-                pending_id = sid
+                if tokens:
+                    raise ConllError(f"line {lineno}: sentence id {sid!r} inside a sentence")
+                flush()  # an id still pending raises
+                pending_id, id_lineno = sid, lineno
             continue
         positions = columns.get(len(fields))
         if positions is None:

@@ -12,8 +12,8 @@ gold spans come from the same kernel over the gold tags, which Corpus runs
 once and keeps (Corpus.gold_pass), so scoring one corpus again repairs and
 extracts the predictions only. Only the error listings build Python
 objects, one per span that does not match. Any failure is replayed one
-sentence at a time, so the error raised is that of the first failing
-sentence, and names it.
+sentence at a time, alignment then repair_bio (bio_pass), so the error
+raised is that of the first failing sentence, and names it.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +24,6 @@ from .conll_io import Corpus
 from .tagscheme import (
     BioPass,
     EntitySpan,
-    count_invalid_transitions,
     flat_tags,
     repair_bio,
 )
@@ -112,13 +111,13 @@ def _found_in(a: BioPass, b: BioPass) -> np.ndarray:
 def _match(gold: Corpus, predicted, repair: str):
     """The exact-span matching pass behind score and error_breakdown.
 
-    Validates alignment, counts raw invalid transitions, repairs predictions,
-    and matches the spans. Returns the bio_pass of the gold tags as they are
-    (which the corpus keeps), the bio_pass of the repaired predictions, the
-    sentence starts, and for each gold and each predicted span whether the
-    other side has it too. A failing corpus is checked again one sentence at
-    a time, so that it raises what its first failing sentence raises,
-    prefixed with that sentence's id (the alignment errors name it already).
+    Validates alignment, repairs predictions (counting raw invalid
+    transitions), and matches the spans. Returns the bio_pass of the gold
+    tags as they are (which the corpus keeps), the bio_pass of the repaired
+    predictions, the sentence starts, and for each gold and each predicted
+    span whether the other side has it too. A failing corpus is checked
+    again per sentence, alignment then repair_bio, raising what its first
+    failing sentence raises, prefixed with its id (alignment errors name it).
     """
     if len(predicted) != len(gold.sentences):
         raise ScoringError(
@@ -135,7 +134,6 @@ def _match(gold: Corpus, predicted, repair: str):
         for sent, tags in zip(gold.sentences, predicted):
             try:
                 _check_aligned(sent, tags)
-                count_invalid_transitions(voc, tags)
                 repair_bio(voc, tags, repair)
             except (TypeError, ValueError, OverflowError) as exc:
                 if not isinstance(exc, ScoringError):  # which names the sentence already

@@ -227,7 +227,8 @@ def bio_pass(voc: TagVocabulary, tags: np.ndarray, starts, mode: str | None = No
     mode is a repair mode, or None to take the tags as they are. A tag outside
     the real tags, or in strict mode an invalid transition, raises as
     repair_bio does, at the first failing position and counted from the start
-    of its sentence.
+    of its sentence; the error's sentence attribute is that sentence's index
+    into starts.
 
     Every step works on the whole array. An invalid transition can only enter
     an orphan I-X. Convert turns each into B-X: that keeps the tag's type, so
@@ -244,11 +245,14 @@ def bio_pass(voc: TagVocabulary, tags: np.ndarray, starts, mode: str | None = No
     if failed.any():
         pos = int(np.argmax(failed))
         starts = np.asarray(starts)
-        at = pos - int(starts[np.searchsorted(starts, pos, "right") - 1])
-        if bad[pos]:
-            raise TagSchemeError(f"tag index out of range at position {at}: {tags[pos]}")
-        raise SchemeViolation(f"invalid transition {voc.name(int(prev[pos]))} -> "
-                              f"{voc.name(int(codes[pos]))} at position {at}")
+        row = int(np.searchsorted(starts, pos, "right")) - 1
+        at = pos - int(starts[row])
+        exc = (TagSchemeError(f"tag index out of range at position {at}: {tags[pos]}")
+               if bad[pos] else
+               SchemeViolation(f"invalid transition {voc.name(int(prev[pos]))} -> "
+                               f"{voc.name(int(codes[pos]))} at position {at}"))
+        exc.sentence = row
+        raise exc
     invalid = len(codes) - int(np.count_nonzero(valid))
     if invalid and mode in ("convert", "ignore"):
         if mode == "convert":
@@ -334,7 +338,8 @@ def repair_bio(voc: TagVocabulary, tags, mode: str = "convert", *,
 
     With starts, tags holds many sentences end to end (flat_tags), each
     repaired on its own, and the result is their bio_pass: the whole corpus
-    in one array pass, traced as repair_bio like a single sequence.
+    in one array pass, traced as repair_bio like a single sequence; what it
+    raises is bio_pass's error, with its sentence attribute.
     """
     if mode not in REPAIR_MODES:
         raise TagSchemeError(f"unknown repair mode: {mode!r}")

@@ -581,7 +581,7 @@ def predicate_error_breakdown(gold, predicted, repair):
     """Span matching over EntitySpan objects from the predicate extractor and
     repair: per-type [tp, fp, fn] counts, the raw invalid-transition count and
     the error listings. Checks each sentence in turn, as the per-sentence
-    scorer did: alignment, the raw transitions, the gold spans, the repair;
+    scorer did: alignment, the repair, the raw transitions, the gold spans;
     an error past the alignment checks gains the sentence's id."""
     from nerchain.metrics import ErrorBreakdown, ScoringError
 
@@ -598,9 +598,10 @@ def predicate_error_breakdown(gold, predicted, repair):
             raise ScoringError(
                 f"sentence {sent.id!r}: {len(tags)} predicted tags for {len(sent)} tokens")
         try:
+            repaired = predicate_repair_bio(voc, tags, repair)
             invalid += predicate_count_invalid(voc, tags)
             gold_spans = predicate_extract_spans(voc, sent.gold_tags)
-            pred_spans = predicate_extract_spans(voc, predicate_repair_bio(voc, tags, repair))
+            pred_spans = predicate_extract_spans(voc, repaired)
         except ValueError as exc:
             raise type(exc)(f"sentence {sent.id!r}: {exc}") from None
         fp = [s for s in pred_spans if s not in gold_spans]
@@ -627,12 +628,15 @@ def predicate_error_breakdown(gold, predicted, repair):
 
 # ---------------------------------------------------------------------------
 # file readers one line and one value at a time (the streamed readers must
-# build equal corpora, bit-identical matrices and the same errors). Two
+# build equal corpora, bit-identical matrices and the same errors). Three
 # changes from the original per-line readers: a "# id" line with no id after
 # it is a data error in both, where it used to give the id "" in a column
-# file and read as an embedding row; and a column-file token that starts with
+# file and read as an embedding row; a column-file token that starts with
 # "#" (an indented row such as " #tag _ _ O") is a data error, where it used
-# to be read as a token that write_conll then refused.
+# to be read as a token that write_conll then refused; and a column-file id
+# line inside a sentence, or with no token after it before a blank line,
+# another id line or the end, is a data error, where it used to rename or
+# drop a sentence's id.
 
 
 def reference_parse_conll(stream, voc, token_column=0, tag_column=-1, has_labels=True):
@@ -646,6 +650,7 @@ def reference_parse_conll(stream, voc, token_column=0, tag_column=-1, has_labels
     tokens = []
     tags = []
     pending_id = None
+    id_lineno = 0
 
     def flush():
         nonlocal pending_id, tokens, tags
@@ -654,6 +659,8 @@ def reference_parse_conll(stream, voc, token_column=0, tag_column=-1, has_labels
             sentences.append(
                 Sentence(sid, tuple(tokens), tuple(tags) if has_labels else None)
             )
+        elif pending_id is not None:
+            raise ConllError(f"line {id_lineno}: no token follows sentence id {pending_id!r}")
         pending_id = None
         tokens = []
         tags = []
@@ -665,9 +672,13 @@ def reference_parse_conll(stream, voc, token_column=0, tag_column=-1, has_labels
             continue
         if line.startswith("#"):
             if line.startswith("# id ") or line.rstrip() == "# id":
-                pending_id = line[len("# id "):].strip()
-                if not pending_id:
+                sid = line[len("# id "):].strip()
+                if not sid:
                     raise ConllError(f"line {lineno}: empty sentence id")
+                if tokens:
+                    raise ConllError(f"line {lineno}: sentence id {sid!r} inside a sentence")
+                flush()
+                pending_id, id_lineno = sid, lineno
             continue
         fields = line.split()
         if not -len(fields) <= token_column < len(fields):

@@ -547,6 +547,33 @@ class TestPredict:
                                   "<START> -> I-PER at position 0\n")
         assert not out.exists()
 
+    def test_strict_repair_names_a_later_first_failing_sentence(self, capsys, tiny, tmp_path,
+                                                               tiny_models, monkeypatch):
+        # s0 is valid, s1 breaks the scheme at its third tag, and so does s2
+        predictions = [[0] * 5, [VOC.index(t) for t in ("B-CORP", "I-CORP", "I-PER", "O")],
+                       [VOC.index("I-LOC"), 0]]
+        monkeypatch.setattr(cli, "predict_with_checkpoint", lambda *args: predictions)
+        out = tmp_path / "out.conll"
+        code, _, err = run(capsys, "predict", "--checkpoint", tiny_models["crf"], "--input",
+                           tiny, "--output", str(out), "--repair", "strict")
+        assert (code, err) == (2, "nerchain: error: sentence 's1': invalid transition "
+                                  "I-CORP -> I-PER at position 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("# id a\nJohn _ _ O\n# id b\nSmith _ _ O\n", "line 3: sentence id 'b' inside a sentence"),
+        ("# id a\n\nJohn _ _ O\n", "line 1: no token follows sentence id 'a'"),
+    ], ids=["id-after-a-token", "id-before-a-blank-line"])
+    def test_a_misplaced_id_line_exits_two_naming_file_and_line(self, capsys, tmp_path,
+                                                                tiny_models, text, message):
+        # each used to exit 0: one sentence 'b' of both tokens, or sentence '0'
+        path, out = tmp_path / "input.conll", tmp_path / "out.conll"
+        path.write_text(text, encoding="utf-8")
+        code, stdout, err = run(capsys, "predict", "--checkpoint", tiny_models["crf"],
+                                "--input", str(path), "--output", str(out))
+        assert (code, stdout, err) == (2, "", f"nerchain: error: {path}: {message}\n")
+        assert not out.exists()
+
     def test_repair_flag_applies(self, capsys, tiny, tmp_path):
         ckpt = self.memorize(capsys, tiny, tmp_path)
         code, out, _ = run(capsys, "predict", "--checkpoint", ckpt, "--input", tiny,
@@ -620,6 +647,17 @@ class TestEvaluate:
             code, out, err = run(capsys, command, "--gold", tiny, "--pred", str(bad))
             assert (code, out, err) == (
                 2, "", "nerchain: error: sentence 's0': 1 predicted tags for 5 tokens\n")
+
+    def test_a_prediction_of_other_tokens_exits_two_naming_the_id_and_both_files(
+            self, capsys, tmp_path, tiny):
+        # the same id and length, other tokens: it used to be scored
+        other = tmp_path / "other.conll"
+        other.write_text(TINY.replace("John _ _ B-PER\nlives", "Mary _ _ B-PER\nruns"),
+                         encoding="utf-8")
+        for command in ("evaluate", "inspect"):
+            code, out, err = run(capsys, command, "--gold", tiny, "--pred", str(other))
+            assert (code, out, err) == (2, "", f"nerchain: error: sentence id 's0' names "
+                                               f"different sentences in {tiny} and {other}\n")
 
     def test_the_first_failing_sentence_is_reported_under_strict_repair(self, capsys, tmp_path,
                                                                          tiny):

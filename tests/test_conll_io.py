@@ -98,6 +98,22 @@ class TestParseConll:
             with pytest.raises(ConllError, match="^line 2: empty sentence id$"):
                 parse_conll(f"a _ _ O\n{line}\nb _ _ O\n", VOC)
 
+    def test_an_id_line_names_the_sentence_whose_first_token_follows_it(self):
+        corpus = parse_conll("# id a\n# note\nJohn _ _ O\n# note\nSmith _ _ O\n", VOC)
+        assert [(s.id, s.tokens) for s in corpus] == [("a", ("John", "Smith"))]
+
+    @pytest.mark.parametrize("text, message", [
+        ("# id a\nJohn _ _ O\n# id b\nSmith _ _ O\n", "line 3: sentence id 'b' inside a sentence"),
+        ("# id a\n\nJohn _ _ O\n", "line 1: no token follows sentence id 'a'"),
+        ("# id a\n# note\n# id b\nJohn _ _ O\n", "line 1: no token follows sentence id 'a'"),
+        ("a _ _ O\n\n# id b\n# note\n", "line 3: no token follows sentence id 'b'"),
+    ], ids=["after-a-token", "before-a-blank-line", "before-another-id-line", "at-the-end"])
+    def test_a_misplaced_id_line_is_a_data_error(self, text, message):
+        # these used to rename a sentence ('b' for both tokens) or drop its id
+        with pytest.raises(ConllError) as caught:
+            parse_conll(text, VOC)
+        assert str(caught.value) == message
+
     def test_id_line_needs_a_space_after_id(self):
         corpus = parse_conll("# idea\n# id\tx\na _ _ O\n", VOC)
         assert corpus.sentences[0].id == "0"  # both are comments
@@ -155,6 +171,14 @@ def test_corpus_refuses_a_gold_tag_that_is_not_an_integer():
     # integers of any width pass, as operator.index takes them
     tags = (np.int64(1), np.uint8(2), True, np.int32(0))
     assert Corpus((Sentence("s0", ("a",) * 4, tags),), VOC).sentences[0].gold_tags == tags
+
+
+def test_a_failing_sentence_reports_its_first_non_integer_before_an_out_of_range_tag():
+    # the failing corpus is read through crf._tag_indices, one sentence at a time
+    with pytest.raises(ConllError) as caught:
+        Corpus((Sentence("s0", ("a",), (0,)), Sentence("s1", ("a", "b", "c"), (99, 1.5, 0))),
+               VOC)
+    assert str(caught.value) == "sentence 's1': tag index 1.5 is not an integer"
 
 
 def test_corpus_raises_the_error_of_its_first_failing_sentence():

@@ -276,9 +276,9 @@ class TestScore:
 
     def test_an_out_of_range_tag_names_its_sentence(self):
         corpus = make_corpus([(("a",), ("O",)), (("b", "c"), ("B-PER", "O"))])
-        # 13 is START in the 13-tag vocabulary, which counts as an invalid transition
+        # 13 is START in the 13-tag vocabulary; bio_pass refuses both as tags
         for tag, message in ((13, "tag index out of range at position 0: 13"),
-                             (99, "transition index out of range: (13, 99)")):
+                             (99, "tag index out of range at position 0: 99")):
             with pytest.raises(TagSchemeError) as info:
                 score(corpus, [[0], [tag, 0]])
             assert str(info.value) == f"sentence 's1': {message}"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from nerchain.tagscheme import (
     DEFAULT_ENTITY_TYPES,
+    REPAIR_MODES,
     EntitySpan,
     EntityTypeSet,
     SchemeViolation,
@@ -12,6 +13,7 @@ from nerchain.tagscheme import (
     count_invalid_transitions,
     expand_bio,
     extract_spans,
+    flat_tags,
     is_valid_transition,
     repair_bio,
     spans_to_tags,
@@ -310,6 +312,27 @@ def test_span_tables_match_the_predicates(data):
     if data.draw(st.booleans()):
         tags = np.array(tags, dtype=np.int64)  # predictions may come as numpy integers
     assert outcome(extract_spans, voc, tags) == outcome(predicate_extract_spans, voc, tags)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_corpus_error_names_the_first_sentence_that_raises_alone(data):
+    voc = expand_bio(EntityTypeSet(DEFAULT_ENTITY_TYPES[:data.draw(st.integers(1, 4))]))
+    # real tags (orphan I tags among them), negative indices, START, STOP and past STOP
+    index = st.one_of(st.integers(0, voc.k - 1), st.integers(0, voc.k - 1),
+                      st.integers(-3, -1), st.integers(voc.k, voc.k + 3))
+    sequences = data.draw(st.lists(st.lists(index, max_size=6), max_size=6))
+    mode = data.draw(st.sampled_from(REPAIR_MODES))
+    alone = [outcome(repair_bio, voc, seq, mode) for seq in sequences]
+    first = next((row for row, result in enumerate(alone) if isinstance(result, tuple)), None)
+    tags, starts = flat_tags(sequences)
+    try:
+        repair_bio(voc, tags, mode, starts=starts)
+    except TagSchemeError as exc:
+        assert first is not None
+        assert (exc.sentence, type(exc), str(exc)) == (first, *alone[first])
+    else:
+        assert first is None
 
 
 def test_virtual_states_count_as_the_mask_has_them():
